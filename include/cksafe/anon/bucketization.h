@@ -81,8 +81,14 @@ class Bucketization {
 };
 
 /// Groups rows by their generalized quasi-identifier values at `node` and
-/// collects the sensitive histograms. Buckets are ordered by first
-/// occurrence; their qi_label renders the generalized values.
+/// collects the sensitive histograms. Buckets are ordered by generalized
+/// key: lexicographically by the rows' group ids, compared quasi-identifier
+/// by quasi-identifier in `qis` order. Each bucket lists its rows in
+/// ascending order, and its qi_label renders the generalized values.
+/// Sort-based: a stable sort of the row ids per quasi-identifier (last one
+/// first; a counting pass when its level has at most one group per row), then
+/// one scan that cuts the buckets. Memory is O(rows), whatever the
+/// quasi-identifiers' value ranges.
 StatusOr<Bucketization> BucketizeAtNode(const Table& table,
                                         const std::vector<QuasiIdentifier>& qis,
                                         const LatticeNode& node,

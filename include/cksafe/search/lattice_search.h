@@ -154,9 +154,8 @@ struct MultiPolicySearchOptions {
   ThreadPool* pool = nullptr;
 
   /// When set, replaces the per-node fan-out over the NodeProfiler with
-  /// one call per level (the NodeProfiler argument is then unused on
-  /// levels where every node is pruned). Must satisfy the NodeBatchProfiler
-  /// contract above.
+  /// one call per level (the NodeProfiler argument is then never called
+  /// and may be empty). Must satisfy the NodeBatchProfiler contract above.
   NodeBatchProfiler batch_profiler;
 };
 

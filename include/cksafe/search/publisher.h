@@ -59,16 +59,25 @@ struct PublishedRelease {
   LatticeSearchStats search_stats;
 };
 
+/// A minimal safe node's bucketization and its utility.
+struct ScoredBucketization {
+  Bucketization bucketization;
+  UtilityMetrics utility;
+};
+
 /// Selects the best-utility node among `search.minimal_safe_nodes` and
-/// assembles the release (bucketization, utility, residual worst case,
-/// published permutation). NotFound when the frontier is empty. Shared by
-/// Publisher and the multi-tenant MultiPolicyPublisher, so a tenant's
-/// release from a shared multi-policy search is bit-identical to a
-/// dedicated Publisher run by construction.
+/// assembles the release (the winner's bucketization and utility, its
+/// residual worst case, the published permutation). `frontier[i]` scores
+/// search.minimal_safe_nodes[i]; the caller computes each one once, so a
+/// node on several tenants' frontiers is bucketized and scored once.
+/// NotFound when the frontier is empty. Shared by Publisher and the
+/// multi-tenant MultiPolicyPublisher, so a tenant's release from a shared
+/// multi-policy search is bit-identical to a dedicated Publisher run by
+/// construction. Calls may run concurrently on one cache.
 StatusOr<PublishedRelease> BuildReleaseFromSearch(
-    const Table& table, const std::vector<QuasiIdentifier>& qis,
-    size_t sensitive_column, const PublisherOptions& options,
-    DisclosureCache* cache, LatticeSearchResult search);
+    const PublisherOptions& options, DisclosureCache* cache,
+    LatticeSearchResult search,
+    const std::vector<const ScoredBucketization*>& frontier);
 
 /// Runs the search + selection + release pipeline.
 class Publisher {

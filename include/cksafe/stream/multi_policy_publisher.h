@@ -14,7 +14,9 @@
 // DisclosureCache session across calls (and across AddBatch growth), and
 // each tenant's release is assembled by the same BuildReleaseFromSearch
 // the single-tenant Publisher uses — so per-tenant output is bit-identical
-// to a dedicated Publisher run (differential-tested).
+// to a dedicated Publisher run (differential-tested). Assembly reuses the
+// sweep's bucketizations of the frontier nodes, scores each distinct
+// frontier node once, and runs the tenants in parallel on the sweep's pool.
 
 #ifndef CKSAFE_STREAM_MULTI_POLICY_PUBLISHER_H_
 #define CKSAFE_STREAM_MULTI_POLICY_PUBLISHER_H_
@@ -58,7 +60,8 @@ class MultiPolicyPublisher {
   /// Publishes every tenant's release from ONE shared multi-policy lattice
   /// sweep over the current table. Per-tenant failures (NotFound for
   /// unsatisfiable policies) land in the tenant's slot; the call itself
-  /// fails only on table-level errors.
+  /// fails only on table-level errors. Releases are the same at every
+  /// thread count.
   StatusOr<std::vector<TenantRelease>> PublishAll();
 
   size_t num_tenants() const { return policies_.size(); }
@@ -83,7 +86,10 @@ class MultiPolicyPublisher {
     return last_table_traffic_;
   }
 
-  /// Threading for the shared sweep's batched profile evaluations.
+  /// Threading: num_threads sizes the one pool PublishAll owns for the
+  /// sweep and the release assembly. Only num_threads is read: PublishAll
+  /// installs its own pool and batch profiler, so setting `pool` or
+  /// `batch_profiler` here has no effect.
   MultiPolicySearchOptions* mutable_search_options() {
     return &search_options_;
   }

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
+#include <numeric>
+#include <span>
 
 #include "cksafe/util/math_util.h"
 #include "cksafe/util/string_util.h"
@@ -166,26 +167,66 @@ StatusOr<Bucketization> BucketizeAtNode(const Table& table,
   }
   const size_t domain =
       table.schema().attribute(sensitive_column).domain_size();
+  const size_t rows = table.num_rows();
+  const size_t num_qis = qis.size();
 
-  // Group rows by their generalized QI key. std::map keeps bucket order
-  // deterministic across runs and platforms.
-  std::map<std::vector<int32_t>, std::vector<PersonId>> groups;
-  for (PersonId row = 0; row < table.num_rows(); ++row) {
-    std::vector<int32_t> key(qis.size());
-    for (size_t i = 0; i < qis.size(); ++i) {
-      key[i] = qis[i].hierarchy->GroupOf(table.at(row, qis[i].column),
-                                         static_cast<size_t>(node[i]));
+  // groups[row * num_qis + i]: the row's group id for quasi-identifier i at
+  // the node's level.
+  std::vector<int32_t> groups(rows * num_qis);
+  for (size_t i = 0; i < num_qis; ++i) {
+    const std::vector<int32_t>& column = table.column(qis[i].column);
+    for (PersonId row = 0; row < rows; ++row) {
+      groups[row * num_qis + i] = qis[i].hierarchy->GroupOf(
+          column[row], static_cast<size_t>(node[i]));
     }
-    groups[key].push_back(row);
   }
 
+  // Stable LSD sort of the row ids, last quasi-identifier first: rows end up
+  // in lexicographic key order, ascending within a key. A pass counts when
+  // the level has at most one group per row and compares otherwise, so no
+  // buffer grows with a quasi-identifier's value range.
+  std::vector<PersonId> order(rows);
+  std::iota(order.begin(), order.end(), PersonId{0});
+  std::vector<PersonId> sorted(rows);
+  std::vector<uint32_t> next;
+  for (size_t i = num_qis; i-- > 0;) {
+    const auto group = [&](PersonId row) { return groups[row * num_qis + i]; };
+    const size_t num_groups =
+        qis[i].hierarchy->NumGroups(static_cast<size_t>(node[i]));
+    if (num_groups > rows) {
+      std::stable_sort(order.begin(), order.end(), [&](PersonId a, PersonId b) {
+        return group(a) < group(b);
+      });
+      continue;
+    }
+    next.assign(num_groups + 1, 0);
+    for (PersonId row : order) {
+      CKSAFE_CHECK_LT(static_cast<size_t>(group(row)), num_groups);
+      ++next[group(row) + 1];
+    }
+    std::partial_sum(next.begin(), next.end(), next.begin());
+    for (PersonId row : order) sorted[next[group(row)]++] = row;
+    order.swap(sorted);
+  }
+
+  // One scan cuts a bucket wherever the key changes.
+  const auto key_of = [&](PersonId row) {
+    return groups.data() + row * num_qis;
+  };
+  const std::vector<int32_t>& sensitive = table.column(sensitive_column);
   Bucketization out(domain);
-  for (const auto& [key, members] : groups) {
+  for (size_t begin = 0, end = 0; begin < rows; begin = end) {
+    const int32_t* key = key_of(order[begin]);
+    end = begin + 1;
+    while (end < rows && std::equal(key, key + num_qis, key_of(order[end]))) {
+      ++end;
+    }
+    const std::span<const PersonId> members(order.data() + begin, end - begin);
     Bucket b;
-    b.members = members;
+    b.members.assign(members.begin(), members.end());
     b.histogram.assign(domain, 0);
     for (PersonId p : members) {
-      ++b.histogram[static_cast<size_t>(table.at(p, sensitive_column))];
+      ++b.histogram[static_cast<size_t>(sensitive[p])];
     }
     std::vector<std::string> labels;
     for (size_t i = 0; i < qis.size(); ++i) {

@@ -1,8 +1,5 @@
 #include "cksafe/search/publisher.h"
 
-#include <algorithm>
-#include <unordered_map>
-
 #include "cksafe/util/string_util.h"
 #include "cksafe/util/text_table.h"
 
@@ -16,45 +13,38 @@ StatusOr<PublishedRelease> Publisher::Publish(
 }
 
 StatusOr<PublishedRelease> BuildReleaseFromSearch(
-    const Table& table, const std::vector<QuasiIdentifier>& qis,
-    size_t sensitive_column, const PublisherOptions& options,
-    DisclosureCache* cache, LatticeSearchResult search) {
+    const PublisherOptions& options, DisclosureCache* cache,
+    LatticeSearchResult search,
+    const std::vector<const ScoredBucketization*>& frontier) {
   CKSAFE_CHECK(cache != nullptr);
-  if (search.minimal_safe_nodes.empty()) {
+  CKSAFE_CHECK_EQ(frontier.size(), search.minimal_safe_nodes.size());
+  if (frontier.empty()) {
     return Status::NotFound(StrFormat(
         "no (c=%g, k=%zu)-safe generalization exists for this table",
         options.c, options.k));
   }
 
-  // Pick the minimal safe node with the best utility.
-  const LatticeNode* best_node = nullptr;
-  double best_score = 0.0;
-  for (const LatticeNode& node : search.minimal_safe_nodes) {
-    CKSAFE_ASSIGN_OR_RETURN(Bucketization b, BucketizeAtNode(table, qis, node,
-                                                             sensitive_column));
-    const UtilityMetrics metrics = ComputeUtility(table, qis, node, b);
-    const double score = UtilityScore(metrics, options.objective);
-    if (best_node == nullptr || score < best_score) {
-      best_node = &node;
-      best_score = score;
+  // Pick the minimal safe node with the best utility (the first on ties).
+  size_t best = 0;
+  for (size_t i = 1; i < frontier.size(); ++i) {
+    if (UtilityScore(frontier[i]->utility, options.objective) <
+        UtilityScore(frontier[best]->utility, options.objective)) {
+      best = i;
     }
   }
-  CKSAFE_CHECK(best_node != nullptr);
+  const ScoredBucketization& chosen = *frontier[best];
+  DisclosureAnalyzer analyzer(chosen.bucketization, cache);
 
-  CKSAFE_ASSIGN_OR_RETURN(
-      Bucketization bucketization,
-      BucketizeAtNode(table, qis, *best_node, sensitive_column));
-  DisclosureAnalyzer analyzer(bucketization, cache);
-
-  PublishedRelease release{*best_node,
-                           bucketization,
-                           ComputeUtility(table, qis, *best_node, bucketization),
+  PublishedRelease release{search.minimal_safe_nodes[best],
+                           chosen.bucketization,
+                           chosen.utility,
                            analyzer.MaxDisclosureImplications(options.k),
                            {},
                            std::move(search.minimal_safe_nodes),
                            search.stats};
   Rng rng(options.seed);
-  release.published_sensitive = bucketization.SamplePublishedAssignment(&rng);
+  release.published_sensitive =
+      chosen.bucketization.SamplePublishedAssignment(&rng);
   return release;
 }
 
@@ -93,10 +83,20 @@ StatusOr<PublishedRelease> Publisher::Publish(
   LatticeSearchResult search =
       FindMinimalSafeNodes(lattice, is_safe, search_options);
   CKSAFE_RETURN_IF_ERROR(first_error);
+  std::vector<ScoredBucketization> scored;
+  for (const LatticeNode& node : search.minimal_safe_nodes) {
+    CKSAFE_ASSIGN_OR_RETURN(
+        Bucketization bucketization,
+        BucketizeAtNode(table, qis, node, sensitive_column));
+    const UtilityMetrics utility =
+        ComputeUtility(table, qis, node, bucketization);
+    scored.push_back({std::move(bucketization), utility});
+  }
+  std::vector<const ScoredBucketization*> frontier;
+  for (const ScoredBucketization& entry : scored) frontier.push_back(&entry);
   CKSAFE_ASSIGN_OR_RETURN(
       PublishedRelease release,
-      BuildReleaseFromSearch(table, qis, sensitive_column, options_, &cache,
-                             std::move(search)));
+      BuildReleaseFromSearch(options_, &cache, std::move(search), frontier));
   session->seed_frontier = release.minimal_safe_nodes;
   ++session->releases;
   return release;

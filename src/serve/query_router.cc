@@ -98,9 +98,11 @@ void QueryRouter::Stop() {
 
 RouterStats QueryRouter::stats() const {
   RouterStats out;
+  // Answered BEFORE submitted (acquire, paired with Answer()): every answered
+  // query was counted as submitted first, so the copy keeps the invariant.
+  out.answered = stats_.answered.load(std::memory_order_acquire);
   out.submitted = stats_.submitted.load(std::memory_order_relaxed);
   out.rejected = stats_.rejected.load(std::memory_order_relaxed);
-  out.answered = stats_.answered.load(std::memory_order_relaxed);
   out.batches = stats_.batches.load(std::memory_order_relaxed);
   out.profile_sweeps = stats_.profile_sweeps.load(std::memory_order_relaxed);
   out.per_bucket_sweeps =
@@ -122,7 +124,7 @@ void QueryRouter::Answer(Pending* pending, StatusOr<QueryAnswer> answer) {
   // stats), so incrementing afterwards let a client that already holds a
   // response read answered as if the query were still pending. Submitted
   // was counted before the push, so answered <= submitted still holds.
-  stats_.answered.fetch_add(1, std::memory_order_relaxed);
+  stats_.answered.fetch_add(1, std::memory_order_release);
   pending->promise.set_value(std::move(answer));
 }
 

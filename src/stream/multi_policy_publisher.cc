@@ -1,8 +1,11 @@
 #include "cksafe/stream/multi_policy_publisher.h"
 
 #include <algorithm>
+#include <memory>
 #include <mutex>
 #include <optional>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 namespace cksafe {
@@ -57,38 +60,30 @@ StatusOr<std::vector<TenantRelease>> MultiPolicyPublisher::PublishAll() {
   for (const CkPolicy& policy : policies_) max_k = std::max(max_k, policy.k);
   CKSAFE_RETURN_IF_ERROR(Minimize2Forward::ValidateBudget(max_k));
 
-  // One profile per node answers every tenant; the shared cache makes
-  // MINIMIZE1 tables recur across nodes and publishes exactly as in the
-  // single-tenant PublishSession.
+  // One pool, owned for this call, runs the sweep and then the assembly.
+  std::unique_ptr<ThreadPool> workers;
+  if (search_options_.num_threads > 1) {
+    workers = std::make_unique<ThreadPool>(search_options_.num_threads - 1);
+  }
+
   Status first_error = Status::OK();
   std::mutex error_mu;
   const auto record_error = [&](const Status& status) {
     std::lock_guard<std::mutex> lock(error_mu);
     if (first_error.ok()) first_error = status;
   };
-  const NodeProfiler profile_of =
-      [&](const LatticeNode& node) -> std::optional<DisclosureProfile> {
-    auto bucketization = BucketizeAtNode(table_, qis_, node, sensitive_column_);
-    if (!bucketization.ok()) {
-      record_error(bucketization.status());
-      return std::nullopt;
-    }
-    // Classification reads only the implication curves (linear + log), so
-    // skip the negation scan on this hot path (NodeProfiler permits an
-    // empty negation curve), and reuse one DP arena per worker thread.
-    thread_local Minimize2Workspace workspace;
-    DisclosureAnalyzer analyzer(*bucketization, &cache_);
-    return analyzer.Profile(max_k, &workspace, /*with_negation=*/false);
-  };
 
   // Whole-level batching: the sweep hands each level's surviving nodes
   // over at once, and the three phases below turn the per-bucket shard
-  // traffic of the per-node path into one shared-cache resolution per
+  // traffic of a per-node profiler into one shared-cache resolution per
   // distinct histogram for the WHOLE level (and, since the view persists
   // across levels, per publish). Each phase is answer-neutral — phase 3
-  // runs the exact sweeps profile_of would — so the batch path inherits
-  // the bit-identity contract of FindMinimalSafeNodesMultiPolicy.
+  // runs the exact sweeps a per-node profiler would — so the batch path
+  // inherits the bit-identity contract of FindMinimalSafeNodesMultiPolicy.
   Minimize1BatchView batch_tables(&cache_);
+  // Bucketizations of the profiled nodes safe under some policy, by lattice
+  // code: every tenant's minimal safe nodes are among them.
+  std::unordered_map<uint64_t, ScoredBucketization> safe_nodes;
   struct NodeEval {
     std::optional<Bucketization> bucketization;
     std::optional<DisclosureAnalyzer> analyzer;
@@ -123,7 +118,8 @@ StatusOr<std::vector<TenantRelease>> MultiPolicyPublisher::PublishAll() {
     }
     batch_tables.Freeze();
     // Phase 3 (parallel): the candidate sweeps, served lock-free from the
-    // frozen view.
+    // frozen view. Classification reads only the implication curves, so
+    // the negation scan is skipped.
     std::vector<std::optional<DisclosureProfile>> profiles(batch.size());
     ParallelFor(pool, batch.size(), [&](size_t i) {
       if (!evals[i].analyzer.has_value()) return;
@@ -132,31 +128,67 @@ StatusOr<std::vector<TenantRelease>> MultiPolicyPublisher::PublishAll() {
           evals[i].analyzer->Profile(max_k, &workspace,
                                      /*with_negation=*/false);
     });
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const auto safe = [&](const CkPolicy& policy) {
+        return profiles[i]->IsCkSafe(policy.c, policy.k);
+      };
+      if (!profiles[i].has_value() ||
+          std::none_of(policies_.begin(), policies_.end(), safe)) {
+        continue;
+      }
+      safe_nodes.emplace(
+          lattice.Encode(batch[i]),
+          ScoredBucketization{*std::move(evals[i].bucketization), {}});
+    }
     return profiles;
   };
 
-  MultiPolicySearchOptions search_options = search_options_;
-  if (search_options.batch_profiler == nullptr) {
-    search_options.batch_profiler = profile_batch;
-  }
+  // The batch profiler answers every level, so no per-node profiler is set.
+  MultiPolicySearchOptions search_options;
+  search_options.pool = workers.get();
+  search_options.batch_profiler = profile_batch;
   MultiPolicySearchResult search = FindMinimalSafeNodesMultiPolicy(
-      lattice, profile_of, policies_, search_options);
+      lattice, NodeProfiler(), policies_, search_options);
   CKSAFE_RETURN_IF_ERROR(first_error);
   last_search_stats_ = search.stats;
   last_table_traffic_ = BatchTableTraffic{
       batch_tables.local_hits() + batch_tables.shared_lookups(),
       batch_tables.shared_lookups()};
 
-  std::vector<TenantRelease> releases;
-  releases.reserve(policies_.size());
-  for (size_t i = 0; i < policies_.size(); ++i) {
+  // Utility once per distinct frontier node, then every tenant's release.
+  const size_t num_tenants = policies_.size();
+  std::vector<std::vector<const ScoredBucketization*>> frontiers(num_tenants);
+  std::vector<std::pair<const LatticeNode*, ScoredBucketization*>> to_score;
+  std::unordered_set<uint64_t> seen;
+  for (size_t t = 0; t < num_tenants; ++t) {
+    for (const LatticeNode& node : search.per_policy[t].minimal_safe_nodes) {
+      const uint64_t code = lattice.Encode(node);
+      const auto it = safe_nodes.find(code);
+      CKSAFE_CHECK(it != safe_nodes.end()) << "frontier node was not kept";
+      frontiers[t].push_back(&it->second);
+      if (seen.insert(code).second) to_score.emplace_back(&node, &it->second);
+    }
+  }
+  ParallelFor(workers.get(), to_score.size(), [&](size_t i) {
+    ScoredBucketization& scored = *to_score[i].second;
+    scored.utility =
+        ComputeUtility(table_, qis_, *to_score[i].first, scored.bucketization);
+  });
+  std::vector<std::optional<StatusOr<PublishedRelease>>> assembled(
+      num_tenants);
+  ParallelFor(workers.get(), num_tenants, [&](size_t t) {
     PublisherOptions options = base_;
-    options.c = policies_[i].c;
-    options.k = policies_[i].k;
-    releases.push_back(TenantRelease{
-        tenants_[i], policies_[i],
-        BuildReleaseFromSearch(table_, qis_, sensitive_column_, options,
-                               &cache_, std::move(search.per_policy[i]))});
+    options.c = policies_[t].c;
+    options.k = policies_[t].k;
+    assembled[t] = BuildReleaseFromSearch(
+        options, &cache_, std::move(search.per_policy[t]), frontiers[t]);
+  });
+
+  std::vector<TenantRelease> releases;
+  releases.reserve(num_tenants);
+  for (size_t t = 0; t < num_tenants; ++t) {
+    releases.push_back(TenantRelease{tenants_[t], policies_[t],
+                                     *std::move(assembled[t])});
   }
   return releases;
 }

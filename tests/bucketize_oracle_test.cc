@@ -1,0 +1,212 @@
+// Differential oracle for BucketizeAtNode's sort-based grouping.
+//
+// The reference below is the original map-based grouping: it keys every
+// row by the vector of its generalized group ids in a std::map, so buckets
+// come out in lexicographic key order with rows ascending inside each
+// bucket. BucketizeAtNode must return exactly that bucketization — the
+// same bucket order, members, histograms and qi_label — on every Adult
+// lattice node at several table sizes, on deep foundry ladders over more
+// quasi-identifiers than Adult has, and on quasi-identifiers whose value
+// ranges are far wider than the table is long.
+
+#include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <vector>
+
+#include "cksafe/adult/adult.h"
+#include "cksafe/anon/bucketization.h"
+#include "cksafe/foundry/hierarchy_foundry.h"
+#include "cksafe/foundry/table_foundry.h"
+#include "cksafe/hierarchy/hierarchy.h"
+#include "cksafe/lattice/lattice.h"
+#include "cksafe/util/random.h"
+#include "cksafe/util/string_util.h"
+#include "testing_util.h"
+
+namespace cksafe {
+namespace {
+
+Bucketization ReferenceBucketizeAtNode(const Table& table,
+                                       const std::vector<QuasiIdentifier>& qis,
+                                       const LatticeNode& node,
+                                       size_t sensitive_column) {
+  const size_t domain =
+      table.schema().attribute(sensitive_column).domain_size();
+  std::map<std::vector<int32_t>, std::vector<PersonId>> groups;
+  for (PersonId row = 0; row < table.num_rows(); ++row) {
+    std::vector<int32_t> key(qis.size());
+    for (size_t i = 0; i < qis.size(); ++i) {
+      key[i] = qis[i].hierarchy->GroupOf(table.at(row, qis[i].column),
+                                         static_cast<size_t>(node[i]));
+    }
+    groups[key].push_back(row);
+  }
+  Bucketization out(domain);
+  for (const auto& [key, members] : groups) {
+    Bucket b;
+    b.members = members;
+    b.histogram.assign(domain, 0);
+    for (PersonId p : members) {
+      ++b.histogram[static_cast<size_t>(table.at(p, sensitive_column))];
+    }
+    std::vector<std::string> labels;
+    for (size_t i = 0; i < qis.size(); ++i) {
+      labels.push_back(qis[i].hierarchy->GroupLabel(
+          key[i], static_cast<size_t>(node[i])));
+    }
+    b.qi_label = Join(labels, ", ");
+    CKSAFE_CHECK(out.AddBucket(std::move(b)).ok());
+  }
+  return out;
+}
+
+void ExpectMatchesReference(const Table& table,
+                            const std::vector<QuasiIdentifier>& qis,
+                            const LatticeNode& node, size_t sensitive_column,
+                            const std::string& label) {
+  const Bucketization expected =
+      ReferenceBucketizeAtNode(table, qis, node, sensitive_column);
+  auto actual = BucketizeAtNode(table, qis, node, sensitive_column);
+  ASSERT_TRUE(actual.ok()) << label << ": " << actual.status();
+  ASSERT_EQ(expected.num_buckets(), actual->num_buckets()) << label;
+  EXPECT_EQ(expected.num_tuples(), actual->num_tuples()) << label;
+  EXPECT_EQ(expected.sensitive_domain_size(), actual->sensitive_domain_size())
+      << label;
+  for (size_t i = 0; i < expected.num_buckets(); ++i) {
+    const Bucket& want = expected.bucket(i);
+    const Bucket& got = actual->bucket(i);
+    ASSERT_EQ(want.members, got.members) << label << " bucket " << i;
+    ASSERT_EQ(want.histogram, got.histogram) << label << " bucket " << i;
+    ASSERT_EQ(want.qi_label, got.qi_label) << label << " bucket " << i;
+  }
+}
+
+std::string NodeLabel(const LatticeNode& node) {
+  std::string out = "node [";
+  for (size_t i = 0; i < node.size(); ++i) {
+    out += (i > 0 ? "," : "") + std::to_string(node[i]);
+  }
+  return out + "]";
+}
+
+TEST(BucketizeOracleTest, MatchesMapGroupingOnEveryAdultNode) {
+  const uint64_t seed = testing::TestSeed(20261016);
+  SCOPED_TRACE(testing::SeedTrace(seed));
+  auto qis = AdultQuasiIdentifiers();
+  ASSERT_TRUE(qis.ok()) << qis.status();
+  const GeneralizationLattice lattice =
+      GeneralizationLattice::FromQuasiIdentifiers(*qis);
+  const std::vector<LatticeNode> nodes = lattice.AllNodes();
+  for (const size_t rows : {0u, 1u, 7u, 500u, 4000u}) {
+    const Table table = GenerateSyntheticAdult(rows, seed + rows);
+    for (const LatticeNode& node : nodes) {
+      ExpectMatchesReference(
+          table, *qis, node, kAdultOccupationColumn,
+          std::to_string(rows) + " rows, " + NodeLabel(node));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(BucketizeOracleTest, MatchesMapGroupingOnDeepFoundryLadders) {
+  const uint64_t seed = testing::TestSeed(20261017);
+  SCOPED_TRACE(testing::SeedTrace(seed));
+  Rng rng(seed);
+  const size_t trials = testing::TestIters(3);
+  for (size_t trial = 0; trial < trials; ++trial) {
+    // Six quasi-identifiers (Adult has four), numeric and categorical,
+    // uniform and skewed, under fanout-2 ladders up to six levels deep.
+    TableFoundryConfig config;
+    config.seed = rng.NextUint64();
+    config.num_rows = 200 + rng.NextBelow(400);
+    config.quasi_identifiers = {
+        ColumnSpec{"Code", 64, false, ValueSkew::kUniform, 1},
+        ColumnSpec{"Zip", 40, true, ValueSkew::kZipf, 2},
+        ColumnSpec{"Age", 100, false, ValueSkew::kClustered, 3},
+        ColumnSpec{"Job", 30, true, ValueSkew::kUniform, 1},
+        ColumnSpec{"Grp", 6, true, ValueSkew::kZipf, 1},
+        ColumnSpec{"Day", 12, false, ValueSkew::kUniform, 1}};
+    config.sensitive = ColumnSpec{"Dx", 7, true, ValueSkew::kZipf, 2};
+    config.correlate_sensitive = true;
+    auto table = TableFoundry::Generate(config);
+    ASSERT_TRUE(table.ok()) << table.status();
+    const size_t sensitive_column = config.quasi_identifiers.size();
+    HierarchyFoundryConfig ladders;
+    ladders.seed = rng.NextUint64();
+    ladders.fanout = 2;
+    ladders.max_levels = 6;
+    auto qis = HierarchyFoundry::MakeQuasiIdentifiers(*table, sensitive_column,
+                                                      ladders);
+    ASSERT_TRUE(qis.ok()) << qis.status();
+    ASSERT_EQ(qis->size(), config.quasi_identifiers.size());
+
+    // The lattice has tens of thousands of nodes: check its bottom, its top
+    // and a seeded sample of the rest.
+    std::vector<LatticeNode> nodes;
+    LatticeNode bottom(qis->size(), 0);
+    LatticeNode top;
+    for (const QuasiIdentifier& qi : *qis) {
+      top.push_back(static_cast<int>(qi.hierarchy->num_levels()) - 1);
+    }
+    nodes.push_back(bottom);
+    nodes.push_back(top);
+    for (size_t sample = 0; sample < 80; ++sample) {
+      LatticeNode node;
+      for (const QuasiIdentifier& qi : *qis) {
+        node.push_back(
+            static_cast<int>(rng.NextBelow(qi.hierarchy->num_levels())));
+      }
+      nodes.push_back(std::move(node));
+    }
+    for (const LatticeNode& node : nodes) {
+      ExpectMatchesReference(*table, *qis, node, sensitive_column,
+                             "trial " + std::to_string(trial) + ", " +
+                                 NodeLabel(node));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(BucketizeOracleTest, MatchesMapGroupingOnWideNumericRanges) {
+  const uint64_t seed = testing::TestSeed(20261018);
+  SCOPED_TRACE(testing::SeedTrace(seed));
+  Rng rng(seed);
+  // A timestamp-like and a zip-like column under the default ladder: their
+  // lower levels have far more groups than the table has rows. Each column
+  // draws from a few spread-out values, so buckets still collect rows.
+  const Schema schema({AttributeDef::Numeric("Stamp", 0, 10'000'000),
+                       AttributeDef::Numeric("Zip", 10'000, 99'999),
+                       AttributeDef::Categorical("Sex", {"F", "M"}),
+                       AttributeDef::Categorical("Dx", {"a", "b", "c"})});
+  std::vector<QuasiIdentifier> qis;
+  for (size_t column = 0; column < 3; ++column) {
+    qis.push_back({column, MakeDefaultHierarchy(schema.attribute(column))});
+  }
+  std::vector<int32_t> stamps(12);
+  std::vector<int32_t> zips(9);
+  for (int32_t& stamp : stamps) {
+    stamp = static_cast<int32_t>(rng.NextInRange(0, 10'000'000));
+  }
+  for (int32_t& zip : zips) {
+    zip = static_cast<int32_t>(rng.NextInRange(10'000, 99'999));
+  }
+  Table table(schema);
+  for (size_t row = 0; row < 200; ++row) {
+    const int32_t stamp = stamps[rng.NextBelow(stamps.size())];
+    const int32_t zip = zips[rng.NextBelow(zips.size())];
+    const auto sex = static_cast<int32_t>(rng.NextBelow(2));
+    const auto dx = static_cast<int32_t>(rng.NextBelow(3));
+    ASSERT_TRUE(table.AppendRow({stamp, zip, sex, dx}).ok());
+  }
+  const GeneralizationLattice lattice =
+      GeneralizationLattice::FromQuasiIdentifiers(qis);
+  for (const LatticeNode& node : lattice.AllNodes()) {
+    ExpectMatchesReference(table, qis, node, 3, NodeLabel(node));
+    if (HasFatalFailure()) return;
+  }
+}
+
+}  // namespace
+}  // namespace cksafe

@@ -7,9 +7,9 @@
 // for real (c,k)-safety over real tables, at 1, 2, and 8 threads. On top
 // of bit-identity, the shared sweep must actually share:
 // profiles_computed <= the sum of per-policy evaluations (collapsing to
-// the strictest policy's count on a domination chain), and the
-// MultiPolicyPublisher's per-tenant releases must equal dedicated
-// Publisher runs.
+// the strictest policy's count on a domination chain), and every field of
+// the MultiPolicyPublisher's per-tenant releases must equal a dedicated
+// Publisher run's, at 1, 2 and 8 threads under every utility objective.
 
 #include "cksafe/search/lattice_search.h"
 
@@ -229,12 +229,60 @@ TEST(MultiPolicySearchTest, DominationChainCollapsesProfilesToStrictest) {
   }
 }
 
+// Every PublishedRelease field of a tenant's release equals the dedicated
+// Publisher's, NotFound included.
+void ExpectSameRelease(const StatusOr<PublishedRelease>& expected,
+                       const StatusOr<PublishedRelease>& actual,
+                       const std::string& label) {
+  ASSERT_EQ(expected.ok(), actual.ok()) << label;
+  if (!expected.ok()) {
+    EXPECT_EQ(expected.status().code(), actual.status().code()) << label;
+    return;
+  }
+  EXPECT_EQ(expected->node, actual->node) << label;
+  const Bucketization& want = expected->bucketization;
+  const Bucketization& got = actual->bucketization;
+  ASSERT_EQ(want.num_buckets(), got.num_buckets()) << label;
+  EXPECT_EQ(want.sensitive_domain_size(), got.sensitive_domain_size()) << label;
+  EXPECT_EQ(want.num_tuples(), got.num_tuples()) << label;
+  for (size_t i = 0; i < want.num_buckets(); ++i) {
+    EXPECT_EQ(want.bucket(i).members, got.bucket(i).members) << label;
+    EXPECT_EQ(want.bucket(i).histogram, got.bucket(i).histogram) << label;
+    EXPECT_EQ(want.bucket(i).qi_label, got.bucket(i).qi_label) << label;
+  }
+  EXPECT_EQ(expected->utility.discernibility, actual->utility.discernibility)
+      << label;
+  EXPECT_EQ(expected->utility.avg_class_size, actual->utility.avg_class_size)
+      << label;
+  EXPECT_EQ(expected->utility.height, actual->utility.height) << label;
+  EXPECT_EQ(expected->utility.loss, actual->utility.loss) << label;
+  EXPECT_EQ(expected->worst_case.disclosure, actual->worst_case.disclosure)
+      << label;
+  EXPECT_EQ(expected->worst_case.log_r_min, actual->worst_case.log_r_min)
+      << label;
+  EXPECT_EQ(expected->worst_case.target, actual->worst_case.target) << label;
+  EXPECT_EQ(expected->worst_case.antecedents, actual->worst_case.antecedents)
+      << label;
+  EXPECT_EQ(expected->published_sensitive, actual->published_sensitive)
+      << label;
+  EXPECT_EQ(expected->minimal_safe_nodes, actual->minimal_safe_nodes) << label;
+  const LatticeSearchStats& want_stats = expected->search_stats;
+  const LatticeSearchStats& got_stats = actual->search_stats;
+  EXPECT_EQ(want_stats.nodes_visited, got_stats.nodes_visited) << label;
+  EXPECT_EQ(want_stats.evaluations, got_stats.evaluations) << label;
+  EXPECT_EQ(want_stats.implied_safe, got_stats.implied_safe) << label;
+  EXPECT_EQ(want_stats.seed_evaluations, got_stats.seed_evaluations) << label;
+  EXPECT_EQ(want_stats.seed_reused, got_stats.seed_reused) << label;
+}
+
+constexpr UtilityObjective kObjectives[] = {
+    UtilityObjective::kDiscernibility, UtilityObjective::kAvgClassSize,
+    UtilityObjective::kHeight, UtilityObjective::kLoss};
+
 TEST(MultiPolicyPublisherTest, TenantReleasesMatchDedicatedPublishers) {
   const Table adult = GenerateSyntheticAdult(240, 11);
   auto qis = AdultQuasiIdentifiers();
   ASSERT_TRUE(qis.ok()) << qis.status();
-  PublisherOptions base;
-  base.objective = UtilityObjective::kDiscernibility;
 
   struct Tenant {
     const char* name;
@@ -245,41 +293,39 @@ TEST(MultiPolicyPublisherTest, TenantReleasesMatchDedicatedPublishers) {
       {"strict", 0.7, 3}, {"medium", 0.8, 2}, {"loose", 0.9, 1},
       {"impossible", 0.05, 4}};
 
-  MultiPolicyPublisher multi(adult, *qis, kAdultOccupationColumn, base);
-  for (const Tenant& tenant : tenants) {
-    multi.AddTenant(tenant.name, tenant.c, tenant.k);
-  }
-  auto releases = multi.PublishAll();
-  ASSERT_TRUE(releases.ok()) << releases.status();
-  ASSERT_EQ(releases->size(), std::size(tenants));
-  EXPECT_GT(multi.last_search_stats().profiles_computed, 0u);
-  EXPECT_GE(multi.last_search_stats().verdicts,
-            multi.last_search_stats().profiles_computed);
-
-  for (size_t i = 0; i < std::size(tenants); ++i) {
-    const TenantRelease& tenant_release = (*releases)[i];
-    EXPECT_EQ(tenant_release.tenant, tenants[i].name);
-    PublisherOptions options = base;
-    options.c = tenants[i].c;
-    options.k = tenants[i].k;
-    const Publisher dedicated(options);
-    auto expected = dedicated.Publish(adult, *qis, kAdultOccupationColumn);
-    ASSERT_EQ(expected.ok(), tenant_release.release.ok()) << tenants[i].name;
-    if (!expected.ok()) {
-      EXPECT_EQ(expected.status().code(), tenant_release.release.status().code())
-          << tenants[i].name;
-      continue;
+  for (const UtilityObjective objective : kObjectives) {
+    PublisherOptions base;
+    base.objective = objective;
+    std::vector<StatusOr<PublishedRelease>> expected;
+    for (const Tenant& tenant : tenants) {
+      PublisherOptions options = base;
+      options.c = tenant.c;
+      options.k = tenant.k;
+      expected.push_back(
+          Publisher(options).Publish(adult, *qis, kAdultOccupationColumn));
     }
-    EXPECT_EQ(expected->node, tenant_release.release->node) << tenants[i].name;
-    EXPECT_EQ(expected->minimal_safe_nodes,
-              tenant_release.release->minimal_safe_nodes)
-        << tenants[i].name;
-    EXPECT_EQ(expected->worst_case.disclosure,
-              tenant_release.release->worst_case.disclosure)
-        << tenants[i].name;
-    EXPECT_EQ(expected->published_sensitive,
-              tenant_release.release->published_sensitive)
-        << tenants[i].name;
+
+    for (const size_t threads : {1u, 2u, 8u}) {
+      MultiPolicyPublisher multi(adult, *qis, kAdultOccupationColumn, base);
+      multi.mutable_search_options()->num_threads = threads;
+      for (const Tenant& tenant : tenants) {
+        multi.AddTenant(tenant.name, tenant.c, tenant.k);
+      }
+      auto releases = multi.PublishAll();
+      ASSERT_TRUE(releases.ok()) << releases.status();
+      ASSERT_EQ(releases->size(), std::size(tenants));
+      EXPECT_GT(multi.last_search_stats().profiles_computed, 0u);
+      EXPECT_GE(multi.last_search_stats().verdicts,
+                multi.last_search_stats().profiles_computed);
+
+      for (size_t i = 0; i < std::size(tenants); ++i) {
+        EXPECT_EQ((*releases)[i].tenant, tenants[i].name);
+        ExpectSameRelease(expected[i], (*releases)[i].release,
+                          UtilityObjectiveName(objective) +
+                              " threads=" + std::to_string(threads) + " " +
+                              tenants[i].name);
+      }
+    }
   }
 }
 
@@ -289,9 +335,7 @@ TEST(MultiPolicyPublisherTest, StreamingBatchesKeepTenantsConsistent) {
   const Table adult = GenerateSyntheticAdult(200, 3);
   auto qis = AdultQuasiIdentifiers();
   ASSERT_TRUE(qis.ok()) << qis.status();
-  PublisherOptions base;
 
-  Table initial(adult.schema());
   auto row_cells = [&](size_t row) {
     std::vector<int32_t> cells(adult.num_columns());
     for (size_t c = 0; c < adult.num_columns(); ++c) {
@@ -299,39 +343,47 @@ TEST(MultiPolicyPublisherTest, StreamingBatchesKeepTenantsConsistent) {
     }
     return cells;
   };
-  for (size_t r = 0; r < 120; ++r) {
-    ASSERT_TRUE(initial.AppendRow(row_cells(r)).ok());
-  }
 
-  MultiPolicyPublisher multi(std::move(initial), *qis,
-                             kAdultOccupationColumn, base);
-  multi.AddTenant("a", 0.8, 2);
-  multi.AddTenant("b", 0.9, 1);
+  for (const UtilityObjective objective : kObjectives) {
+    PublisherOptions base;
+    base.objective = objective;
+    for (const size_t threads : {1u, 2u, 8u}) {
+      Table initial(adult.schema());
+      for (size_t r = 0; r < 120; ++r) {
+        ASSERT_TRUE(initial.AppendRow(row_cells(r)).ok());
+      }
+      MultiPolicyPublisher multi(std::move(initial), *qis,
+                                 kAdultOccupationColumn, base);
+      multi.mutable_search_options()->num_threads = threads;
+      multi.AddTenant("a", 0.8, 2);
+      multi.AddTenant("b", 0.9, 1);
 
-  for (int batch = 0; batch < 2; ++batch) {
-    if (batch > 0) {
-      std::vector<std::vector<int32_t>> rows;
-      for (size_t r = 120; r < 200; ++r) rows.push_back(row_cells(r));
-      ASSERT_TRUE(multi.AddBatch(rows).ok());
-    }
-    auto releases = multi.PublishAll();
-    ASSERT_TRUE(releases.ok()) << releases.status();
-    for (const TenantRelease& tenant_release : *releases) {
-      PublisherOptions options = base;
-      options.c = tenant_release.policy.c;
-      options.k = tenant_release.policy.k;
-      auto expected = Publisher(options).Publish(multi.table(), *qis,
-                                                 kAdultOccupationColumn);
-      ASSERT_TRUE(expected.ok()) << expected.status();
-      ASSERT_TRUE(tenant_release.release.ok())
-          << tenant_release.release.status();
-      EXPECT_EQ(expected->node, tenant_release.release->node);
-      EXPECT_EQ(expected->published_sensitive,
-                tenant_release.release->published_sensitive);
+      for (int batch = 0; batch < 2; ++batch) {
+        if (batch > 0) {
+          std::vector<std::vector<int32_t>> rows;
+          for (size_t r = 120; r < 200; ++r) rows.push_back(row_cells(r));
+          ASSERT_TRUE(multi.AddBatch(rows).ok());
+        }
+        auto releases = multi.PublishAll();
+        ASSERT_TRUE(releases.ok()) << releases.status();
+        for (const TenantRelease& tenant_release : *releases) {
+          PublisherOptions options = base;
+          options.c = tenant_release.policy.c;
+          options.k = tenant_release.policy.k;
+          auto expected = Publisher(options).Publish(multi.table(), *qis,
+                                                     kAdultOccupationColumn);
+          ASSERT_TRUE(expected.ok()) << expected.status();
+          ExpectSameRelease(expected, tenant_release.release,
+                            UtilityObjectiveName(objective) +
+                                " threads=" + std::to_string(threads) +
+                                " batch=" + std::to_string(batch) + " " +
+                                tenant_release.tenant);
+        }
+      }
+      // The session cache persisted across tenants and batches.
+      EXPECT_GT(multi.cache().hits(), 0u);
     }
   }
-  // The session cache persisted across tenants and batches.
-  EXPECT_GT(multi.cache().hits(), 0u);
 }
 
 TEST(MultiPolicySearchTest, BatchProfilerIsAnswerNeutral) {
@@ -425,16 +477,7 @@ TEST(MultiPolicyPublisherTest, BatchedTableResolutionAmortizesSharedLookups) {
     auto expected =
         Publisher(options).Publish(adult, *qis, kAdultOccupationColumn);
     ASSERT_TRUE(expected.ok()) << expected.status();
-    ASSERT_TRUE(tenant_release.release.ok())
-        << tenant_release.release.status();
-    EXPECT_EQ(expected->node, tenant_release.release->node)
-        << tenant_release.tenant;
-    EXPECT_EQ(expected->minimal_safe_nodes,
-              tenant_release.release->minimal_safe_nodes)
-        << tenant_release.tenant;
-    EXPECT_EQ(expected->published_sensitive,
-              tenant_release.release->published_sensitive)
-        << tenant_release.tenant;
+    ExpectSameRelease(expected, tenant_release.release, tenant_release.tenant);
   }
 }
 

@@ -46,6 +46,7 @@ TEST(ServeStopRaceTest, SubmitRacingStopResolvesEveryAcceptedFuture) {
 
     std::atomic<bool> go{false};
     std::atomic<bool> halt{false};
+    std::atomic<size_t> accepted_count{0};
     std::vector<std::vector<std::future<StatusOr<QueryAnswer>>>> accepted(
         kSubmitters);
     std::vector<std::thread> submitters;
@@ -61,6 +62,7 @@ TEST(ServeStopRaceTest, SubmitRacingStopResolvesEveryAcceptedFuture) {
           auto submitted = router.Submit(query);
           if (submitted.ok()) {
             accepted[t].push_back(std::move(submitted).value());
+            accepted_count.fetch_add(1, std::memory_order_release);
           }
           // Rejections (queue full, router stopped) carry no future and
           // need no bookkeeping — backpressure is the caller's signal.
@@ -69,9 +71,16 @@ TEST(ServeStopRaceTest, SubmitRacingStopResolvesEveryAcceptedFuture) {
     }
 
     go.store(true, std::memory_order_release);
-    // Let the race build up a little in-flight work, then slam the door.
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(50 + rng.NextBelow(500)));
+    // Let the race build up a seeded amount of accepted work, then slam the
+    // door. Gating on the count, not on a sleep, keeps the race real however
+    // the host schedules the submitters; the deadline only bounds a hang.
+    const size_t target = 1 + rng.NextBelow(64);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (accepted_count.load(std::memory_order_acquire) < target &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
     router.Stop();
     halt.store(true, std::memory_order_release);
     for (auto& thread : submitters) thread.join();

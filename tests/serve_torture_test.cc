@@ -1,6 +1,6 @@
 // Snapshot-consistency torture test: N reader threads issue mixed
-// point/profile queries through the QueryRouter while a writer swaps
-// snapshots every few milliseconds.
+// point/profile queries through the QueryRouter while a writer swaps to the
+// next snapshot as soon as some reader has been served the current one.
 //
 // The contract under test is the RCU one: every served answer must be
 // consistent with EXACTLY ONE published snapshot — bit-identical to a
@@ -74,12 +74,25 @@ TEST(ServeTortureTest, AnswersMatchExactlyOnePublishedSnapshot) {
   store->Publish(references[1].snapshot);
   QueryRouter router(&directory);  // live worker thread
 
+  // Newest snapshot sequence any reader has been served. The writer paces
+  // its swaps on it, not on a sleep, so reads straddle every transition
+  // however the host schedules the threads; the deadline only bounds a hang.
+  std::atomic<uint64_t> newest_seen{0};
   std::atomic<bool> writer_done{false};
   std::thread writer([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    const auto await_served = [&](uint64_t sequence) {
+      while (newest_seen.load() < sequence &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    };
     for (size_t s = 2; s <= kSnapshots; ++s) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      await_served(s - 1);
       store->Publish(references[s].snapshot);
     }
+    await_served(kSnapshots);
     writer_done = true;
   });
 
@@ -133,6 +146,10 @@ TEST(ServeTortureTest, AnswersMatchExactlyOnePublishedSnapshot) {
         ASSERT_GE(sequence, last_sequence)
             << "a reader observed snapshots moving backwards";
         last_sequence = sequence;
+        uint64_t seen = newest_seen.load();
+        while (seen < sequence &&
+               !newest_seen.compare_exchange_weak(seen, sequence)) {
+        }
 
         // The answer must equal the reference for the ONE snapshot it
         // names — exact double equality, no tolerance.

@@ -73,6 +73,12 @@ class Bucketization {
   std::string ToString() const;
 
  private:
+  // Reads bucket_of_ to place every row.
+  friend StatusOr<Bucketization> RollUpBucketization(
+      const Table& table, const std::vector<QuasiIdentifier>& qis,
+      const Bucketization& child, const LatticeNode& node,
+      size_t sensitive_column);
+
   size_t sensitive_domain_size_;
   size_t num_tuples_ = 0;
   std::vector<Bucket> buckets_;
@@ -86,13 +92,24 @@ class Bucketization {
 /// by quasi-identifier in `qis` order. Each bucket lists its rows in
 /// ascending order, and its qi_label renders the generalized values.
 /// Sort-based: a stable sort of the row ids per quasi-identifier (last one
-/// first; a counting pass when its level has at most one group per row), then
-/// one scan that cuts the buckets. Memory is O(rows), whatever the
-/// quasi-identifiers' value ranges.
+/// first; a counting pass when its level has at most one group per row), a
+/// scan that cuts the buckets, and one that fills them. Memory is O(rows),
+/// whatever the quasi-identifiers' value ranges.
 StatusOr<Bucketization> BucketizeAtNode(const Table& table,
                                         const std::vector<QuasiIdentifier>& qis,
                                         const LatticeNode& node,
                                         size_t sensitive_column);
+
+/// BucketizeAtNode's result at `node`, rolled up from `child`, a
+/// bucketization of all of `table`'s rows at a node below `node`. By the
+/// nesting contract of AttributeHierarchy each child bucket lies inside one
+/// bucket at `node`, so BucketizeAtNode's sort runs over one representative
+/// row per child bucket, and the scan that fills the buckets follows the
+/// child's row -> bucket map.
+StatusOr<Bucketization> RollUpBucketization(
+    const Table& table, const std::vector<QuasiIdentifier>& qis,
+    const Bucketization& child, const LatticeNode& node,
+    size_t sensitive_column);
 
 /// All rows in a single bucket (the lattice's top / paper's B_⊤).
 StatusOr<Bucketization> BucketizeAllInOne(const Table& table,

@@ -122,61 +122,6 @@ class DisclosureCache {
   std::atomic<uint64_t> misses_{0};
 };
 
-/// Batch-scoped read view over a shared DisclosureCache.
-///
-/// One level of a lattice sweep profiles many candidate nodes whose
-/// bucketizations repeat the same histograms over and over; routing every
-/// bucket of every node through the sharded cache pays a shard mutex and a
-/// hash probe each time. A view amortizes that: Prepare() resolves each
-/// distinct (histogram, budget) against the shared cache ONCE — one pass
-/// over a bucket's MINIMIZE1 table covers every candidate sweep in the
-/// batch — and Get() then serves all of them from a private map with no
-/// locking at all.
-///
-/// Protocol: Thaw() (the initial state), single-threaded Prepare() calls,
-/// Freeze(), then any number of threads may Get() concurrently — frozen
-/// lookups are read-only, and a Get() for anything never Prepared (or at a
-/// larger budget) CHECK-fails instead of racing a mutation. Entries and
-/// counters persist across Thaw/Freeze cycles, so successive levels reuse
-/// earlier resolutions without touching the shared cache again.
-class Minimize1BatchView {
- public:
-  /// `shared` must outlive the view and may be concurrently used by others
-  /// (Prepare delegates to its thread-safe GetOrCompute).
-  explicit Minimize1BatchView(DisclosureCache* shared) : shared_(shared) {
-    CKSAFE_CHECK(shared != nullptr);
-  }
-
-  /// Ensures the view can serve `sorted_counts` up to budget `max_k`,
-  /// delegating to the shared cache only when this view has not resolved
-  /// the histogram (at a sufficient budget) before. CHECK-fails while
-  /// frozen.
-  void Prepare(const std::vector<uint32_t>& sorted_counts, size_t max_k);
-
-  void Freeze() { frozen_ = true; }
-  void Thaw() { frozen_ = false; }
-
-  /// Lock-free lookup; requires a prior Prepare of the same histogram at
-  /// a budget >= max_k (CHECK-enforced). Safe from any thread while the
-  /// view is frozen.
-  std::shared_ptr<const Minimize1Table> Get(
-      const std::vector<uint32_t>& sorted_counts, size_t max_k) const;
-
-  /// Prepare calls that reached the shared cache (distinct resolutions).
-  uint64_t shared_lookups() const { return shared_lookups_; }
-  /// Prepare calls absorbed locally — the amortized shard traffic.
-  uint64_t local_hits() const { return local_hits_; }
-
- private:
-  DisclosureCache* shared_;
-  bool frozen_ = false;
-  uint64_t shared_lookups_ = 0;
-  uint64_t local_hits_ = 0;
-  std::unordered_map<std::vector<uint32_t>,
-                     std::shared_ptr<const Minimize1Table>, CountsHash>
-      tables_;
-};
-
 /// Computes worst-case disclosure for one bucketization.
 ///
 /// The const methods only read immutable per-bucket statistics and go
@@ -190,15 +135,6 @@ class DisclosureAnalyzer {
   /// analyzer and be non-empty.
   explicit DisclosureAnalyzer(const Bucketization& bucketization,
                               DisclosureCache* cache = nullptr);
-
-  /// Batch-evaluation variant: table fetches go through `batch_tables`
-  /// (which must outlive the analyzer and be frozen — with every bucket
-  /// histogram Prepared at the budgets the queries will use — before any
-  /// concurrent queries run). `cache` keeps its role for callers that mix
-  /// per-node and batched paths.
-  DisclosureAnalyzer(const Bucketization& bucketization,
-                     DisclosureCache* cache,
-                     const Minimize1BatchView* batch_tables);
 
   /// Maximum disclosure w.r.t. L^k_basic (Definition 6) in O(|B| k^2 +
   /// H k^3) where H is the number of distinct bucket histograms.
@@ -259,9 +195,6 @@ class DisclosureAnalyzer {
   std::vector<BucketStats> stats_;
   mutable DisclosureCache local_cache_;
   DisclosureCache* cache_;
-  /// When set, Table() resolves through the frozen batch view instead of
-  /// the shard-locked cache (the batched lattice evaluation path).
-  const Minimize1BatchView* batch_tables_ = nullptr;
 };
 
 /// Materializes the atoms of one bucket's witness partition; atoms for

@@ -21,6 +21,12 @@
 namespace cksafe {
 
 /// Interface for one attribute's generalization ladder.
+///
+/// Nesting contract: each level-l group lies inside exactly one
+/// level-(l+1) group, so values grouped together stay together at every
+/// coarser level. RollUpBucketization relies on it to take a child bucket's
+/// coarser key from any one of its rows. IntervalHierarchy and
+/// TreeHierarchy reject ladders that break it at Create.
 class AttributeHierarchy {
  public:
   virtual ~AttributeHierarchy() = default;

@@ -140,9 +140,9 @@ using NodeProfiler =
 /// aligned results. The contract is pure batching: element i must equal
 /// what the sweep's NodeProfiler would return for node i, so a correct
 /// batch profiler never changes frontiers, order, or stats — it only
-/// amortizes shared setup (MINIMIZE1 table resolution, bucketization
-/// scratch) across the level. See MultiPolicyPublisher for the canonical
-/// implementation over a Minimize1BatchView.
+/// amortizes work across the level. See MultiPolicyPublisher for the
+/// canonical implementation: one parallel pass per level that bucketizes
+/// each node by rolling up a child from the level below.
 using NodeBatchProfiler =
     std::function<std::vector<std::optional<DisclosureProfile>>(
         const std::vector<LatticeNode>&, ThreadPool*)>;

@@ -14,12 +14,11 @@
 //     companion array (rev_pm), so a backend can decide "this branch can
 //     never improve again" from one scalar read.
 //
-// Backends: a scalar reference (always compiled, the bit-identity anchor),
-// an AVX2 path (compiled when the toolchain allows -mavx2, selected at
-// runtime via cpuid so the same binary runs on pre-AVX2 hosts), and a NEON
-// stub (aarch64; currently forwards to the scalar ops so the dispatch
-// seam is exercised on ARM before a tuned kernel lands). Selection order:
-// test override > CKSAFE_SIMD env var (scalar|avx2|neon|auto) > cpuid.
+// Backends: a scalar reference (always compiled, the bit-identity anchor)
+// and an AVX2 path (compiled when the toolchain allows -mavx2, selected at
+// runtime via cpuid so the same binary runs on pre-AVX2 hosts). Other
+// hosts, aarch64 included, run the scalar backend. Selection order: test
+// override > CKSAFE_SIMD env var (scalar|avx2|auto) > cpuid.
 //
 // Contract (asserted by simd_kernel_test and the differential fuzz): every
 // backend returns results *bit-identical* to the scalar reference — same
@@ -51,10 +50,9 @@ inline constexpr size_t kScanTile = 64;
 enum class SimdLevel : int {
   kScalar = 0,
   kAvx2 = 1,
-  kNeon = 2,
 };
 
-/// Human-readable backend name ("scalar", "avx2", "neon").
+/// Human-readable backend name ("scalar", "avx2").
 const char* SimdLevelName(SimdLevel level);
 
 /// Both DP cells of one fused MINIMIZE2 scan at budget h, with recorded

@@ -17,6 +17,9 @@
 // to a dedicated Publisher run (differential-tested). Assembly reuses the
 // sweep's bucketizations of the frontier nodes, scores each distinct
 // frontier node once, and runs the tenants in parallel on the sweep's pool.
+// The sweep itself is one parallel pass per lattice level: each node is
+// bucketized by rolling up its cheapest child and profiled against the
+// shared cache (DESIGN.md §11.4).
 
 #ifndef CKSAFE_STREAM_MULTI_POLICY_PUBLISHER_H_
 #define CKSAFE_STREAM_MULTI_POLICY_PUBLISHER_H_
@@ -72,12 +75,11 @@ class MultiPolicyPublisher {
     return last_search_stats_;
   }
 
-  /// MINIMIZE1 table traffic of the last PublishAll's batched profile
-  /// evaluation: every bucket of every profiled node requests a table
-  /// (prepare_calls), but only distinct unresolved histograms reach the
-  /// shard-locked shared cache (shared_lookups) — the rest are absorbed by
-  /// the level-batched Minimize1BatchView. prepare_calls - shared_lookups
-  /// is the amortization win.
+  /// MINIMIZE1 table traffic of the last PublishAll's sweep. Every bucket
+  /// of every profiled node requests a table from the shared cache
+  /// (prepare_calls); only the tables the cache did not hold yet are built
+  /// (shared_lookups: DisclosureCache misses during the sweep). The gap is
+  /// the reuse of tables across nodes, levels, tenants and publishes.
   struct BatchTableTraffic {
     uint64_t prepare_calls = 0;
     uint64_t shared_lookups = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
-#include <span>
 
 #include "cksafe/util/math_util.h"
 #include "cksafe/util/string_util.h"
@@ -146,12 +145,18 @@ Status ValidateSensitiveColumn(const Table& table, size_t sensitive_column) {
   return Status::OK();
 }
 
-}  // namespace
-
-StatusOr<Bucketization> BucketizeAtNode(const Table& table,
-                                        const std::vector<QuasiIdentifier>& qis,
-                                        const LatticeNode& node,
-                                        size_t sensitive_column) {
+// The grouping behind BucketizeAtNode and RollUpBucketization. Item j is a
+// set of rows sharing one key at `node`, read off its representative row
+// reps[j]; item_of_row maps each row to its item, or is null when every
+// row is its own item. Items are sorted by key, each run of equal keys is
+// cut into one bucket, and one ascending scan of the rows fills the
+// buckets' members and histograms.
+StatusOr<Bucketization> GroupAtNode(const Table& table,
+                                    const std::vector<QuasiIdentifier>& qis,
+                                    const LatticeNode& node,
+                                    size_t sensitive_column,
+                                    const std::vector<PersonId>& reps,
+                                    const std::vector<int32_t>* item_of_row) {
   CKSAFE_RETURN_IF_ERROR(ValidateSensitiveColumn(table, sensitive_column));
   if (node.size() != qis.size()) {
     return Status::InvalidArgument("node arity != number of quasi-identifiers");
@@ -167,76 +172,112 @@ StatusOr<Bucketization> BucketizeAtNode(const Table& table,
   }
   const size_t domain =
       table.schema().attribute(sensitive_column).domain_size();
-  const size_t rows = table.num_rows();
+  const size_t items = reps.size();
   const size_t num_qis = qis.size();
 
-  // groups[row * num_qis + i]: the row's group id for quasi-identifier i at
+  // keys[item * num_qis + i]: the item's group id for quasi-identifier i at
   // the node's level.
-  std::vector<int32_t> groups(rows * num_qis);
+  std::vector<int32_t> keys(items * num_qis);
   for (size_t i = 0; i < num_qis; ++i) {
     const std::vector<int32_t>& column = table.column(qis[i].column);
-    for (PersonId row = 0; row < rows; ++row) {
-      groups[row * num_qis + i] = qis[i].hierarchy->GroupOf(
-          column[row], static_cast<size_t>(node[i]));
+    for (size_t item = 0; item < items; ++item) {
+      keys[item * num_qis + i] = qis[i].hierarchy->GroupOf(
+          column[reps[item]], static_cast<size_t>(node[i]));
     }
   }
 
-  // Stable LSD sort of the row ids, last quasi-identifier first: rows end up
-  // in lexicographic key order, ascending within a key. A pass counts when
-  // the level has at most one group per row and compares otherwise, so no
-  // buffer grows with a quasi-identifier's value range.
-  std::vector<PersonId> order(rows);
-  std::iota(order.begin(), order.end(), PersonId{0});
-  std::vector<PersonId> sorted(rows);
+  // Stable LSD sort of the items, last quasi-identifier first: they end up
+  // in lexicographic key order. A pass counts when the level has at most
+  // one group per item and compares otherwise, so no buffer grows with a
+  // quasi-identifier's value range.
+  std::vector<uint32_t> order(items);
+  std::iota(order.begin(), order.end(), 0u);
+  std::vector<uint32_t> sorted(items);
   std::vector<uint32_t> next;
   for (size_t i = num_qis; i-- > 0;) {
-    const auto group = [&](PersonId row) { return groups[row * num_qis + i]; };
+    const auto group = [&](uint32_t item) { return keys[item * num_qis + i]; };
     const size_t num_groups =
         qis[i].hierarchy->NumGroups(static_cast<size_t>(node[i]));
-    if (num_groups > rows) {
-      std::stable_sort(order.begin(), order.end(), [&](PersonId a, PersonId b) {
+    if (num_groups > items) {
+      std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
         return group(a) < group(b);
       });
       continue;
     }
     next.assign(num_groups + 1, 0);
-    for (PersonId row : order) {
-      CKSAFE_CHECK_LT(static_cast<size_t>(group(row)), num_groups);
-      ++next[group(row) + 1];
+    for (uint32_t item : order) {
+      CKSAFE_CHECK_LT(static_cast<size_t>(group(item)), num_groups);
+      ++next[group(item) + 1];
     }
     std::partial_sum(next.begin(), next.end(), next.begin());
-    for (PersonId row : order) sorted[next[group(row)]++] = row;
+    for (uint32_t item : order) sorted[next[group(item)]++] = item;
     order.swap(sorted);
   }
 
-  // One scan cuts a bucket wherever the key changes.
-  const auto key_of = [&](PersonId row) {
-    return groups.data() + row * num_qis;
+  // One scan of the sorted items cuts a bucket wherever the key changes.
+  const auto key_of = [&](uint32_t item) {
+    return keys.data() + item * num_qis;
   };
-  const std::vector<int32_t>& sensitive = table.column(sensitive_column);
-  Bucketization out(domain);
-  for (size_t begin = 0, end = 0; begin < rows; begin = end) {
+  std::vector<uint32_t> bucket_of_item(items);
+  std::vector<Bucket> buckets;
+  for (size_t begin = 0, end = 0; begin < items; begin = end) {
     const int32_t* key = key_of(order[begin]);
-    end = begin + 1;
-    while (end < rows && std::equal(key, key + num_qis, key_of(order[end]))) {
-      ++end;
+    for (end = begin;
+         end < items && std::equal(key, key + num_qis, key_of(order[end]));
+         ++end) {
+      bucket_of_item[order[end]] = static_cast<uint32_t>(buckets.size());
     }
-    const std::span<const PersonId> members(order.data() + begin, end - begin);
     Bucket b;
-    b.members.assign(members.begin(), members.end());
     b.histogram.assign(domain, 0);
-    for (PersonId p : members) {
-      ++b.histogram[static_cast<size_t>(sensitive[p])];
-    }
     std::vector<std::string> labels;
-    for (size_t i = 0; i < qis.size(); ++i) {
+    for (size_t i = 0; i < num_qis; ++i) {
       labels.push_back(qis[i].hierarchy->GroupLabel(
           key[i], static_cast<size_t>(node[i])));
     }
     b.qi_label = Join(labels, ", ");
-    CKSAFE_RETURN_IF_ERROR(out.AddBucket(std::move(b)));
+    buckets.push_back(std::move(b));
   }
+  const std::vector<int32_t>& sensitive = table.column(sensitive_column);
+  for (PersonId row = 0; row < table.num_rows(); ++row) {
+    const size_t item = item_of_row == nullptr
+                            ? row
+                            : static_cast<size_t>((*item_of_row)[row]);
+    Bucket& b = buckets[bucket_of_item[item]];
+    b.members.push_back(row);
+    ++b.histogram[static_cast<size_t>(sensitive[row])];
+  }
+  Bucketization out(domain);
+  for (Bucket& b : buckets) CKSAFE_RETURN_IF_ERROR(out.AddBucket(std::move(b)));
   return out;
+}
+
+}  // namespace
+
+StatusOr<Bucketization> BucketizeAtNode(const Table& table,
+                                        const std::vector<QuasiIdentifier>& qis,
+                                        const LatticeNode& node,
+                                        size_t sensitive_column) {
+  std::vector<PersonId> rows(table.num_rows());
+  std::iota(rows.begin(), rows.end(), PersonId{0});
+  return GroupAtNode(table, qis, node, sensitive_column, rows, nullptr);
+}
+
+StatusOr<Bucketization> RollUpBucketization(
+    const Table& table, const std::vector<QuasiIdentifier>& qis,
+    const Bucketization& child, const LatticeNode& node,
+    size_t sensitive_column) {
+  if (child.num_tuples() != table.num_rows() ||
+      child.bucket_of_.size() != table.num_rows()) {
+    return Status::InvalidArgument(
+        "child bucketization does not partition the table's rows");
+  }
+  std::vector<PersonId> reps;
+  reps.reserve(child.num_buckets());
+  for (const Bucket& bucket : child.buckets()) {
+    reps.push_back(bucket.members[0]);
+  }
+  return GroupAtNode(table, qis, node, sensitive_column, reps,
+                     &child.bucket_of_);
 }
 
 StatusOr<Bucketization> BucketizeAllInOne(const Table& table,

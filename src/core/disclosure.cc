@@ -60,27 +60,6 @@ void DisclosureCache::Clear() {
   misses_.store(0, std::memory_order_relaxed);
 }
 
-void Minimize1BatchView::Prepare(const std::vector<uint32_t>& sorted_counts,
-                                 size_t max_k) {
-  CKSAFE_CHECK(!frozen_) << "Prepare on a frozen Minimize1BatchView";
-  auto it = tables_.find(sorted_counts);
-  if (it != tables_.end() && it->second->max_k() >= max_k) {
-    ++local_hits_;
-    return;
-  }
-  ++shared_lookups_;
-  tables_[sorted_counts] = shared_->GetOrCompute(sorted_counts, max_k);
-}
-
-std::shared_ptr<const Minimize1Table> Minimize1BatchView::Get(
-    const std::vector<uint32_t>& sorted_counts, size_t max_k) const {
-  const auto it = tables_.find(sorted_counts);
-  CKSAFE_CHECK(it != tables_.end())
-      << "Minimize1BatchView::Get of a histogram never Prepared";
-  CKSAFE_CHECK_GE(it->second->max_k(), max_k);
-  return it->second;
-}
-
 void AppendBucketWitnessAtoms(const std::vector<PersonId>& members,
                               const BucketStats& stats,
                               const std::vector<uint32_t>& partition,
@@ -224,18 +203,8 @@ DisclosureAnalyzer::DisclosureAnalyzer(const Bucketization& bucketization,
       << "cannot analyze an empty bucketization";
 }
 
-DisclosureAnalyzer::DisclosureAnalyzer(const Bucketization& bucketization,
-                                       DisclosureCache* cache,
-                                       const Minimize1BatchView* batch_tables)
-    : DisclosureAnalyzer(bucketization, cache) {
-  batch_tables_ = batch_tables;
-}
-
 std::shared_ptr<const Minimize1Table> DisclosureAnalyzer::Table(
     size_t bucket_index, size_t max_k) const {
-  if (batch_tables_ != nullptr) {
-    return batch_tables_->Get(stats_[bucket_index].counts, max_k);
-  }
   return cache_->GetOrCompute(stats_[bucket_index], max_k);
 }
 

@@ -55,7 +55,11 @@ std::vector<uint8_t> FrameSegmentPages(PageType type,
     PutLE(page + 4, payload_len, 2);
     page[6] = static_cast<uint8_t>(type);
     page[7] = flags;
-    std::memcpy(page + kPageHeaderSize, blob.data() + consumed, payload_len);
+    // An empty blob has no data() to copy from: memcpy from null is UB even
+    // for zero bytes.
+    if (payload_len > 0) {
+      std::memcpy(page + kPageHeaderSize, blob.data() + consumed, payload_len);
+    }
     PutLE(page + kChecksumOffset, PageChecksum(page, payload_len), 8);
     consumed += payload_len;
   }

@@ -11,7 +11,6 @@ namespace cksafe {
 // path disabled via CKSAFE_ENABLE_AVX2=OFF / a -mno-avx2 toolchain).
 const ScanKernels* GetScalarScanKernels();
 const ScanKernels* GetAvx2ScanKernels();
-const ScanKernels* GetNeonScanKernels();
 
 namespace {
 
@@ -29,12 +28,6 @@ bool CpuSupports(SimdLevel level) {
 #else
       return false;
 #endif
-    case SimdLevel::kNeon:
-#if defined(__aarch64__)
-      return true;  // NEON is architecturally mandatory on aarch64
-#else
-      return false;
-#endif
   }
   return false;
 }
@@ -45,16 +38,13 @@ const ScanKernels* CompiledKernels(SimdLevel level) {
       return GetScalarScanKernels();
     case SimdLevel::kAvx2:
       return GetAvx2ScanKernels();
-    case SimdLevel::kNeon:
-      return GetNeonScanKernels();
   }
   return nullptr;
 }
 
 SimdLevel Detect() {
-  if (SimdLevelUsable(SimdLevel::kAvx2)) return SimdLevel::kAvx2;
-  if (SimdLevelUsable(SimdLevel::kNeon)) return SimdLevel::kNeon;
-  return SimdLevel::kScalar;
+  return SimdLevelUsable(SimdLevel::kAvx2) ? SimdLevel::kAvx2
+                                           : SimdLevel::kScalar;
 }
 
 SimdLevel ResolveEnv(SimdLevel detected) {
@@ -62,12 +52,9 @@ SimdLevel ResolveEnv(SimdLevel detected) {
   if (env == nullptr || *env == '\0' || std::strcmp(env, "auto") == 0) {
     return detected;
   }
-  SimdLevel requested = SimdLevel::kScalar;
-  if (std::strcmp(env, "avx2") == 0) {
-    requested = SimdLevel::kAvx2;
-  } else if (std::strcmp(env, "neon") == 0) {
-    requested = SimdLevel::kNeon;
-  }
+  const SimdLevel requested = std::strcmp(env, "avx2") == 0
+                                  ? SimdLevel::kAvx2
+                                  : SimdLevel::kScalar;
   // Unknown strings and unusable requests degrade to scalar rather than
   // abort: the env override is an operator knob, not an API.
   return SimdLevelUsable(requested) ? requested : SimdLevel::kScalar;
@@ -81,8 +68,6 @@ const char* SimdLevelName(SimdLevel level) {
       return "scalar";
     case SimdLevel::kAvx2:
       return "avx2";
-    case SimdLevel::kNeon:
-      return "neon";
   }
   return "unknown";
 }

@@ -73,87 +73,92 @@ StatusOr<std::vector<TenantRelease>> MultiPolicyPublisher::PublishAll() {
     if (first_error.ok()) first_error = status;
   };
 
-  // Whole-level batching: the sweep hands each level's surviving nodes
-  // over at once, and the three phases below turn the per-bucket shard
-  // traffic of a per-node profiler into one shared-cache resolution per
-  // distinct histogram for the WHOLE level (and, since the view persists
-  // across levels, per publish). Each phase is answer-neutral — phase 3
-  // runs the exact sweeps a per-node profiler would — so the batch path
-  // inherits the bit-identity contract of FindMinimalSafeNodesMultiPolicy.
-  Minimize1BatchView batch_tables(&cache_);
+  // One parallel pass per lattice level: each node's task bucketizes the
+  // node and profiles it against the shared cache. A node rolls up from
+  // its cheapest child one level down. Every child of a node the sweep
+  // still profiles was itself profiled there: a child implied safe under
+  // every policy would make the node implied safe too. BucketizeAtNode
+  // covers the bottom node. A rollup equals BucketizeAtNode's result
+  // (bucketize_oracle_test), so the pass inherits the bit-identity contract
+  // of FindMinimalSafeNodesMultiPolicy.
+  //
   // Bucketizations of the profiled nodes safe under some policy, by lattice
   // code: every tenant's minimal safe nodes are among them.
   std::unordered_map<uint64_t, ScoredBucketization> safe_nodes;
-  struct NodeEval {
-    std::optional<Bucketization> bucketization;
-    std::optional<DisclosureAnalyzer> analyzer;
+  // The previous level's bucketizations: owned in `below_owned` for the
+  // unsafe nodes, borrowed from safe_nodes for the safe ones.
+  std::unordered_map<uint64_t, const Bucketization*> below;
+  std::vector<std::optional<Bucketization>> below_owned;
+  const auto bucketize =
+      [&](const LatticeNode& node) -> StatusOr<Bucketization> {
+    const Bucketization* cheapest = nullptr;
+    for (const LatticeNode& child : lattice.Children(node)) {
+      const auto it = below.find(lattice.Encode(child));
+      if (it != below.end() &&
+          (cheapest == nullptr ||
+           it->second->num_buckets() < cheapest->num_buckets())) {
+        cheapest = it->second;
+      }
+    }
+    if (cheapest == nullptr) {
+      return BucketizeAtNode(table_, qis_, node, sensitive_column_);
+    }
+    return RollUpBucketization(table_, qis_, *cheapest, node,
+                               sensitive_column_);
   };
-  const NodeBatchProfiler profile_batch =
-      [&](const std::vector<LatticeNode>& batch, ThreadPool* pool)
+  uint64_t table_requests = 0;
+  const NodeBatchProfiler profile_level =
+      [&](const std::vector<LatticeNode>& level, ThreadPool* pool)
       -> std::vector<std::optional<DisclosureProfile>> {
-    // Phase 1 (parallel): bucketize and compute bucket statistics — no
-    // table traffic yet. `evals` is pre-sized, so the analyzers' internal
-    // references to their sibling bucketizations stay stable.
-    std::vector<NodeEval> evals(batch.size());
-    ParallelFor(pool, batch.size(), [&](size_t i) {
-      auto bucketization =
-          BucketizeAtNode(table_, qis_, batch[i], sensitive_column_);
+    std::vector<std::optional<Bucketization>> bucketizations(level.size());
+    std::vector<std::optional<DisclosureProfile>> profiles(level.size());
+    ParallelFor(pool, level.size(), [&](size_t i) {
+      auto bucketization = bucketize(level[i]);
       if (!bucketization.ok()) {
         record_error(bucketization.status());
         return;
       }
-      evals[i].bucketization = *std::move(bucketization);
-      evals[i].analyzer.emplace(*evals[i].bucketization, &cache_,
-                                &batch_tables);
-    });
-    // Phase 2 (sequential): resolve every histogram the level needs, once
-    // each, at the one budget every sweep below uses (max_k + 1: the
-    // target atom joins the k antecedents).
-    batch_tables.Thaw();
-    for (const NodeEval& eval : evals) {
-      if (!eval.analyzer.has_value()) continue;
-      for (const BucketStats& stats : eval.analyzer->bucket_stats()) {
-        batch_tables.Prepare(stats.counts, max_k + 1);
-      }
-    }
-    batch_tables.Freeze();
-    // Phase 3 (parallel): the candidate sweeps, served lock-free from the
-    // frozen view. Classification reads only the implication curves, so
-    // the negation scan is skipped.
-    std::vector<std::optional<DisclosureProfile>> profiles(batch.size());
-    ParallelFor(pool, batch.size(), [&](size_t i) {
-      if (!evals[i].analyzer.has_value()) return;
+      bucketizations[i] = *std::move(bucketization);
+      // Classification reads only the implication curves, so the negation
+      // scan is skipped.
       thread_local Minimize2Workspace workspace;
-      profiles[i] =
-          evals[i].analyzer->Profile(max_k, &workspace,
-                                     /*with_negation=*/false);
+      profiles[i] = DisclosureAnalyzer(*bucketizations[i], &cache_)
+                        .Profile(max_k, &workspace, /*with_negation=*/false);
     });
-    for (size_t i = 0; i < batch.size(); ++i) {
+    below.clear();
+    for (size_t i = 0; i < level.size(); ++i) {
+      if (!profiles[i].has_value()) continue;
+      table_requests += bucketizations[i]->num_buckets();
+      const uint64_t code = lattice.Encode(level[i]);
       const auto safe = [&](const CkPolicy& policy) {
         return profiles[i]->IsCkSafe(policy.c, policy.k);
       };
-      if (!profiles[i].has_value() ||
-          std::none_of(policies_.begin(), policies_.end(), safe)) {
-        continue;
+      if (std::any_of(policies_.begin(), policies_.end(), safe)) {
+        const auto it = safe_nodes.emplace(
+            code,
+            ScoredBucketization{*std::move(bucketizations[i]), {}}).first;
+        below.emplace(code, &it->second.bucketization);
+      } else {
+        below.emplace(code, &*bucketizations[i]);
       }
-      safe_nodes.emplace(
-          lattice.Encode(batch[i]),
-          ScoredBucketization{*std::move(evals[i].bucketization), {}});
     }
+    // Moving the vector keeps its elements, and `below`'s pointers, in
+    // place; the level before is freed.
+    below_owned = std::move(bucketizations);
     return profiles;
   };
 
   // The batch profiler answers every level, so no per-node profiler is set.
   MultiPolicySearchOptions search_options;
   search_options.pool = workers.get();
-  search_options.batch_profiler = profile_batch;
+  search_options.batch_profiler = profile_level;
+  const uint64_t misses_before = cache_.misses();
   MultiPolicySearchResult search = FindMinimalSafeNodesMultiPolicy(
       lattice, NodeProfiler(), policies_, search_options);
   CKSAFE_RETURN_IF_ERROR(first_error);
   last_search_stats_ = search.stats;
-  last_table_traffic_ = BatchTableTraffic{
-      batch_tables.local_hits() + batch_tables.shared_lookups(),
-      batch_tables.shared_lookups()};
+  last_table_traffic_ =
+      BatchTableTraffic{table_requests, cache_.misses() - misses_before};
 
   // Utility once per distinct frontier node, then every tenant's release.
   const size_t num_tenants = policies_.size();

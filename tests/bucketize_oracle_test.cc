@@ -1,17 +1,21 @@
-// Differential oracle for BucketizeAtNode's sort-based grouping.
+// Differential oracles for BucketizeAtNode's sort-based grouping and for
+// RollUpBucketization.
 //
 // The reference below is the original map-based grouping: it keys every
 // row by the vector of its generalized group ids in a std::map, so buckets
 // come out in lexicographic key order with rows ascending inside each
 // bucket. BucketizeAtNode must return exactly that bucketization — the
-// same bucket order, members, histograms and qi_label — on every Adult
-// lattice node at several table sizes, on deep foundry ladders over more
-// quasi-identifiers than Adult has, and on quasi-identifiers whose value
-// ranges are far wider than the table is long.
+// same bucket order, members, histograms, qi_label and BucketOf — on every
+// Adult lattice node at several table sizes, on deep foundry ladders over
+// more quasi-identifiers than Adult has, and on quasi-identifiers whose
+// value ranges are far wider than the table is long. On the same lattices,
+// rolling up each child's bucketization must reproduce BucketizeAtNode at
+// the parent, also under ladders whose group ids are shuffled per level.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,24 +66,23 @@ Bucketization ReferenceBucketizeAtNode(const Table& table,
   return out;
 }
 
-void ExpectMatchesReference(const Table& table,
-                            const std::vector<QuasiIdentifier>& qis,
-                            const LatticeNode& node, size_t sensitive_column,
-                            const std::string& label) {
-  const Bucketization expected =
-      ReferenceBucketizeAtNode(table, qis, node, sensitive_column);
-  auto actual = BucketizeAtNode(table, qis, node, sensitive_column);
-  ASSERT_TRUE(actual.ok()) << label << ": " << actual.status();
-  ASSERT_EQ(expected.num_buckets(), actual->num_buckets()) << label;
-  EXPECT_EQ(expected.num_tuples(), actual->num_tuples()) << label;
-  EXPECT_EQ(expected.sensitive_domain_size(), actual->sensitive_domain_size())
+void ExpectSameBucketization(const Bucketization& expected,
+                             const Bucketization& actual, size_t rows,
+                             const std::string& label) {
+  ASSERT_EQ(expected.num_buckets(), actual.num_buckets()) << label;
+  EXPECT_EQ(expected.num_tuples(), actual.num_tuples()) << label;
+  EXPECT_EQ(expected.sensitive_domain_size(), actual.sensitive_domain_size())
       << label;
   for (size_t i = 0; i < expected.num_buckets(); ++i) {
     const Bucket& want = expected.bucket(i);
-    const Bucket& got = actual->bucket(i);
+    const Bucket& got = actual.bucket(i);
     ASSERT_EQ(want.members, got.members) << label << " bucket " << i;
     ASSERT_EQ(want.histogram, got.histogram) << label << " bucket " << i;
     ASSERT_EQ(want.qi_label, got.qi_label) << label << " bucket " << i;
+  }
+  for (PersonId row = 0; row < rows; ++row) {
+    ASSERT_EQ(*expected.BucketOf(row), *actual.BucketOf(row))
+        << label << " row " << row;
   }
 }
 
@@ -89,6 +92,31 @@ std::string NodeLabel(const LatticeNode& node) {
     out += (i > 0 ? "," : "") + std::to_string(node[i]);
   }
   return out + "]";
+}
+
+// Checks BucketizeAtNode at `node` against the map grouping, and the rollup
+// along every child -> node edge of `lattice` against BucketizeAtNode.
+void ExpectMatchesReference(const Table& table,
+                            const std::vector<QuasiIdentifier>& qis,
+                            const GeneralizationLattice& lattice,
+                            const LatticeNode& node, size_t sensitive_column,
+                            const std::string& label) {
+  auto actual = BucketizeAtNode(table, qis, node, sensitive_column);
+  ASSERT_TRUE(actual.ok()) << label << ": " << actual.status();
+  ExpectSameBucketization(
+      ReferenceBucketizeAtNode(table, qis, node, sensitive_column), *actual,
+      table.num_rows(), label);
+  if (::testing::Test::HasFatalFailure()) return;
+  for (const LatticeNode& child_node : lattice.Children(node)) {
+    const std::string edge = label + " rolled up from " + NodeLabel(child_node);
+    auto child = BucketizeAtNode(table, qis, child_node, sensitive_column);
+    ASSERT_TRUE(child.ok()) << edge << ": " << child.status();
+    auto rolled = RollUpBucketization(table, qis, *child, node,
+                                      sensitive_column);
+    ASSERT_TRUE(rolled.ok()) << edge << ": " << rolled.status();
+    ExpectSameBucketization(*actual, *rolled, table.num_rows(), edge);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 TEST(BucketizeOracleTest, MatchesMapGroupingOnEveryAdultNode) {
@@ -103,10 +131,35 @@ TEST(BucketizeOracleTest, MatchesMapGroupingOnEveryAdultNode) {
     const Table table = GenerateSyntheticAdult(rows, seed + rows);
     for (const LatticeNode& node : nodes) {
       ExpectMatchesReference(
-          table, *qis, node, kAdultOccupationColumn,
+          table, *qis, lattice, node, kAdultOccupationColumn,
           std::to_string(rows) + " rows, " + NodeLabel(node));
       if (HasFatalFailure()) return;
     }
+  }
+}
+
+TEST(BucketizeOracleTest, RollUpFollowsShuffledGroupIds) {
+  // Every ladder's group ids are shuffled per level: sorted by a coarser
+  // level's ids, the child buckets come out in an order unrelated to their
+  // own, so the rollup's bucket order must come from its own sort.
+  const uint64_t seed = testing::TestSeed(20261019);
+  SCOPED_TRACE(testing::SeedTrace(seed));
+  Rng rng(seed);
+  auto adult_qis = AdultQuasiIdentifiers();
+  ASSERT_TRUE(adult_qis.ok()) << adult_qis.status();
+  std::vector<QuasiIdentifier> qis;
+  for (const QuasiIdentifier& qi : *adult_qis) {
+    qis.push_back(QuasiIdentifier{
+        qi.column,
+        std::make_shared<testing::RelabeledHierarchy>(qi.hierarchy, &rng)});
+  }
+  const GeneralizationLattice lattice =
+      GeneralizationLattice::FromQuasiIdentifiers(qis);
+  const Table table = GenerateSyntheticAdult(500, seed);
+  for (const LatticeNode& node : lattice.AllNodes()) {
+    ExpectMatchesReference(table, qis, lattice, node, kAdultOccupationColumn,
+                           NodeLabel(node));
+    if (HasFatalFailure()) return;
   }
 }
 
@@ -143,7 +196,7 @@ TEST(BucketizeOracleTest, MatchesMapGroupingOnDeepFoundryLadders) {
     ASSERT_EQ(qis->size(), config.quasi_identifiers.size());
 
     // The lattice has tens of thousands of nodes: check its bottom, its top
-    // and a seeded sample of the rest.
+    // and a seeded sample of the rest, each with every edge into it.
     std::vector<LatticeNode> nodes;
     LatticeNode bottom(qis->size(), 0);
     LatticeNode top;
@@ -160,8 +213,10 @@ TEST(BucketizeOracleTest, MatchesMapGroupingOnDeepFoundryLadders) {
       }
       nodes.push_back(std::move(node));
     }
+    const GeneralizationLattice lattice =
+        GeneralizationLattice::FromQuasiIdentifiers(*qis);
     for (const LatticeNode& node : nodes) {
-      ExpectMatchesReference(*table, *qis, node, sensitive_column,
+      ExpectMatchesReference(*table, *qis, lattice, node, sensitive_column,
                              "trial " + std::to_string(trial) + ", " +
                                  NodeLabel(node));
       if (HasFatalFailure()) return;
@@ -203,7 +258,7 @@ TEST(BucketizeOracleTest, MatchesMapGroupingOnWideNumericRanges) {
   const GeneralizationLattice lattice =
       GeneralizationLattice::FromQuasiIdentifiers(qis);
   for (const LatticeNode& node : lattice.AllNodes()) {
-    ExpectMatchesReference(table, qis, node, 3, NodeLabel(node));
+    ExpectMatchesReference(table, qis, lattice, node, 3, NodeLabel(node));
     if (HasFatalFailure()) return;
   }
 }

@@ -200,41 +200,6 @@ TEST(FoundryPropertyTest, DuplicateTupleScalingIsMonotone) {
   }
 }
 
-// Wraps a ladder with shuffled group ids per level: the same partition of
-// the domain under different (still dense) group numbering.
-class RelabeledHierarchy : public AttributeHierarchy {
- public:
-  RelabeledHierarchy(std::shared_ptr<const AttributeHierarchy> base, Rng* rng)
-      : base_(std::move(base)) {
-    for (size_t level = 0; level < base_->num_levels(); ++level) {
-      std::vector<int32_t> perm(base_->NumGroups(level));
-      for (size_t g = 0; g < perm.size(); ++g) {
-        perm[g] = static_cast<int32_t>(g);
-      }
-      rng->Shuffle(&perm);
-      perms_.push_back(std::move(perm));
-    }
-  }
-
-  const AttributeDef& attribute() const override {
-    return base_->attribute();
-  }
-  size_t num_levels() const override { return base_->num_levels(); }
-  int32_t GroupOf(int32_t code, size_t level) const override {
-    return perms_[level][static_cast<size_t>(base_->GroupOf(code, level))];
-  }
-  size_t NumGroups(size_t level) const override {
-    return base_->NumGroups(level);
-  }
-  std::string GroupLabel(int32_t group, size_t level) const override {
-    return "relabeled_" + std::to_string(level) + "_" + std::to_string(group);
-  }
-
- private:
-  std::shared_ptr<const AttributeHierarchy> base_;
-  std::vector<std::vector<int32_t>> perms_;
-};
-
 TEST(FoundryPropertyTest, HierarchyGroupRelabelingIsBitIdentical) {
   const uint64_t seed = testing::TestSeed(0xf00d05ULL);
   SCOPED_TRACE(testing::SeedTrace(seed));
@@ -260,7 +225,7 @@ TEST(FoundryPropertyTest, HierarchyGroupRelabelingIsBitIdentical) {
     for (const QuasiIdentifier& qi : *qis) {
       renamed.push_back(QuasiIdentifier{
           qi.column,
-          std::make_shared<RelabeledHierarchy>(qi.hierarchy, &rng)});
+          std::make_shared<testing::RelabeledHierarchy>(qi.hierarchy, &rng)});
       // A mid-ladder level so group ids actually matter.
       node.push_back(static_cast<int>(qi.hierarchy->num_levels() / 2));
     }

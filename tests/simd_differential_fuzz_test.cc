@@ -34,9 +34,7 @@ class ScopedSimdLevel {
 
 std::vector<SimdLevel> UsableVectorLevels() {
   std::vector<SimdLevel> levels;
-  for (SimdLevel level : {SimdLevel::kAvx2, SimdLevel::kNeon}) {
-    if (SimdLevelUsable(level)) levels.push_back(level);
-  }
+  if (SimdLevelUsable(SimdLevel::kAvx2)) levels.push_back(SimdLevel::kAvx2);
   return levels;
 }
 

@@ -35,9 +35,7 @@ class ScopedSimdLevel {
 /// Every backend the binary + machine can actually run.
 std::vector<SimdLevel> UsableLevels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  for (SimdLevel level : {SimdLevel::kAvx2, SimdLevel::kNeon}) {
-    if (SimdLevelUsable(level)) levels.push_back(level);
-  }
+  if (SimdLevelUsable(SimdLevel::kAvx2)) levels.push_back(SimdLevel::kAvx2);
   return levels;
 }
 
@@ -226,12 +224,10 @@ TEST(SimdKernelTest, DispatchSurfaceDegradesToScalarNeverAborts) {
   EXPECT_TRUE(SimdLevelUsable(ActiveSimdLevel()));
   EXPECT_TRUE(SimdLevelUsable(SimdLevel::kScalar));
   EXPECT_STREQ(ScanKernelsFor(SimdLevel::kScalar).name, "scalar");
-  for (SimdLevel level : {SimdLevel::kAvx2, SimdLevel::kNeon}) {
-    if (!SimdLevelUsable(level)) {
-      EXPECT_STREQ(ScanKernelsFor(level).name, "scalar");
-      ScopedSimdLevel scoped(level);
-      EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
-    }
+  if (!SimdLevelUsable(SimdLevel::kAvx2)) {
+    EXPECT_STREQ(ScanKernelsFor(SimdLevel::kAvx2).name, "scalar");
+    ScopedSimdLevel scoped(SimdLevel::kAvx2);
+    EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
   }
   // x86 binaries compile the AVX2 backend unless the no-AVX2 build
   // disabled it; either way the name matches what dispatch resolved.

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,42 @@ inline size_t TestIters(size_t base) {
   const unsigned long long factor = std::strtoull(multiplier, nullptr, 0);
   return factor > 0 ? base * static_cast<size_t>(factor) : base;
 }
+
+/// Wraps a ladder with shuffled group ids per level: the same partition of
+/// the domain under different (still dense) group numbering, so a coarser
+/// level's id order is unrelated to a finer one's.
+class RelabeledHierarchy : public AttributeHierarchy {
+ public:
+  RelabeledHierarchy(std::shared_ptr<const AttributeHierarchy> base, Rng* rng)
+      : base_(std::move(base)) {
+    for (size_t level = 0; level < base_->num_levels(); ++level) {
+      std::vector<int32_t> perm(base_->NumGroups(level));
+      for (size_t g = 0; g < perm.size(); ++g) {
+        perm[g] = static_cast<int32_t>(g);
+      }
+      rng->Shuffle(&perm);
+      perms_.push_back(std::move(perm));
+    }
+  }
+
+  const AttributeDef& attribute() const override {
+    return base_->attribute();
+  }
+  size_t num_levels() const override { return base_->num_levels(); }
+  int32_t GroupOf(int32_t code, size_t level) const override {
+    return perms_[level][static_cast<size_t>(base_->GroupOf(code, level))];
+  }
+  size_t NumGroups(size_t level) const override {
+    return base_->NumGroups(level);
+  }
+  std::string GroupLabel(int32_t group, size_t level) const override {
+    return "relabeled_" + std::to_string(level) + "_" + std::to_string(group);
+  }
+
+ private:
+  std::shared_ptr<const AttributeHierarchy> base_;
+  std::vector<std::vector<int32_t>> perms_;
+};
 
 /// Disease codes of the hospital fixture, in schema order.
 enum HospitalDisease : int32_t {

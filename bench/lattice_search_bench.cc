@@ -49,10 +49,12 @@ void BM_IncognitoCkSafety(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(2));
   const GeneralizationLattice lattice =
       GeneralizationLattice::FromQuasiIdentifiers(AdultQis());
+  LatticeSearchOptions options;
+  options.use_pruning = pruning;
   for (auto _ : state) {
     DisclosureCache cache;
     auto result =
-        FindMinimalSafeNodes(lattice, CkSafetyPredicate(&cache, c, k), pruning);
+        FindMinimalSafeNodes(lattice, CkSafetyPredicate(&cache, c, k), options);
     benchmark::DoNotOptimize(result.minimal_safe_nodes.size());
     state.counters["evaluations"] =
         static_cast<double>(result.stats.evaluations);
@@ -82,7 +84,7 @@ void BM_ParallelIncognitoCkSafety(benchmark::State& state) {
 
   DisclosureCache baseline_cache;
   const LatticeSearchResult baseline = FindMinimalSafeNodes(
-      lattice, CkSafetyPredicate(&baseline_cache, c, k), true);
+      lattice, CkSafetyPredicate(&baseline_cache, c, k));
 
   // The caller participates in ParallelFor, so a total of `threads` workers
   // means a pool of threads - 1 (kept across iterations to amortize spawn).
@@ -139,7 +141,7 @@ void BM_IncognitoBaselines(benchmark::State& state) {
       default:
         predicate = CkSafetyPredicate(&cache, 0.6, 3);
     }
-    auto result = FindMinimalSafeNodes(lattice, predicate, true);
+    auto result = FindMinimalSafeNodes(lattice, predicate);
     benchmark::DoNotOptimize(result.minimal_safe_nodes.size());
   }
   state.SetLabel(which == 0   ? "k-anonymity (k=50)"

@@ -63,12 +63,10 @@ struct Fleet {
     for (size_t t = 0; t < kTenants; ++t) {
       const std::string tenant = "tenant" + std::to_string(t);
       tenants.push_back(tenant);
-      PublishSession session;
       for (size_t s = 0; s < kSequences; ++s) {
         const size_t rows = kRows + 100 * t + 50 * s;
         const Table table = GenerateSyntheticAdult(rows, /*seed=*/20070419 + t);
-        auto release =
-            publisher.Publish(table, *qis, kAdultOccupationColumn, &session);
+        auto release = publisher.Publish(table, *qis, kAdultOccupationColumn);
         CKSAFE_CHECK(release.ok()) << release.status();
         published[tenant].push_back(MakeReleaseSnapshot(s + 1, rows, *release));
       }
@@ -131,11 +129,9 @@ void BM_ColdStartPublish(benchmark::State& state) {
     Publisher publisher(options);
     ServingDirectory directory;
     for (size_t t = 0; t < kTenants; ++t) {
-      PublishSession session;
       const size_t rows = kRows + 100 * t + 50 * (kSequences - 1);
       const Table table = GenerateSyntheticAdult(rows, /*seed=*/20070419 + t);
-      auto release =
-          publisher.Publish(table, *qis, kAdultOccupationColumn, &session);
+      auto release = publisher.Publish(table, *qis, kAdultOccupationColumn);
       CKSAFE_CHECK(release.ok()) << release.status();
       directory.GetOrAddTenant("tenant" + std::to_string(t))
           ->Publish(MakeReleaseSnapshot(1, rows, *release));

@@ -69,19 +69,16 @@ struct ServingFixture {
   DisclosureCache naive_cache;
 
   ServingFixture() {
-    // Two releases of a growing stream: the warm-started publisher path
-    // the serving layer is fed by in production.
+    // Two releases of a growing stream.
     auto qis = AdultQuasiIdentifiers();
     CKSAFE_CHECK(qis.ok()) << qis.status();
     PublisherOptions options;
     options.c = 0.75;
     options.k = 3;
     Publisher publisher(options);
-    PublishSession session;
     for (const size_t rows : {kRows, kRows + kRows / 4}) {
       const Table table = GenerateSyntheticAdult(rows, /*seed=*/20070419);
-      auto release =
-          publisher.Publish(table, *qis, kAdultOccupationColumn, &session);
+      auto release = publisher.Publish(table, *qis, kAdultOccupationColumn);
       CKSAFE_CHECK(release.ok()) << release.status();
       variants.push_back(MakeReleaseSnapshot(1, rows, *release));
     }

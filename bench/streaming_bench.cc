@@ -1,10 +1,11 @@
 // Benchmarks for the incremental streaming engine (experiment E7 in
 // DESIGN.md): re-analysis cost after batched inserts, incremental vs. a
 // from-scratch DisclosureAnalyzer per batch (with and without a persistent
-// MINIMIZE1 cache), and warm- vs. cold-started sequential publishing.
-// Every incremental re-analysis result is CHECKed bit-identical to the
-// from-scratch answer before it is timed as a win; publish-path warm/cold
-// equivalence is asserted in tests/streaming_property_test.cc.
+// MINIMIZE1 cache), and sequential publishing through one publisher
+// session vs. a cold publish per prefix. Every incremental re-analysis
+// result is CHECKed bit-identical to the from-scratch answer before it is
+// timed as a win; the publish paths' equivalence is asserted in
+// tests/multi_policy_search_test.cc.
 
 #include <benchmark/benchmark.h>
 
@@ -19,7 +20,6 @@
 #include "cksafe/search/publisher.h"
 #include "cksafe/stream/incremental_analyzer.h"
 #include "cksafe/stream/multi_policy_publisher.h"
-#include "cksafe/stream/streaming_publisher.h"
 
 namespace cksafe {
 namespace {
@@ -185,13 +185,13 @@ BENCHMARK(BM_StreamingReanalysis)
     ->Args({1, 1, 500})
     ->Args({1, 2, 500});
 
-// Sequential publishing: warm-started (persistent PublishSession: shared
-// cache + seed frontier) vs. cold Publisher::Publish per prefix. Warm/cold
-// output equivalence is asserted per release by
-// StreamingPublisherTest.EachReleaseIsBitIdenticalToColdPublish; here only
+// Sequential publishing: a one-tenant MultiPolicyPublisher (AddBatch +
+// PublishAll over one session cache) vs. a cold Publisher::Publish per
+// prefix. Their release-for-release equivalence is asserted by
+// MultiPolicyPublisherTest.StreamingBatchesKeepTenantsConsistent; here only
 // success is CHECKed so the timed loop does not pay for a second publish.
 void BM_StreamingPublish(benchmark::State& state) {
-  const bool warm = state.range(0) == 1;
+  const bool session = state.range(0) == 1;
   constexpr size_t kPublishRows = 2000;
   constexpr size_t kBatch = 400;
   const Table full = GenerateSyntheticAdult(kPublishRows, 7);
@@ -210,17 +210,18 @@ void BM_StreamingPublish(benchmark::State& state) {
   uint64_t evaluations = 0;
   for (auto _ : state) {
     evaluations = 0;
-    if (warm) {
+    if (session) {
       Table initial(full.schema());
       for (size_t r = 0; r < kBatch; ++r) {
         CKSAFE_CHECK(initial.AppendRow(row_cells(r)).ok());
       }
-      StreamingPublisher stream(std::move(initial), AdultQis(),
-                                kAdultOccupationColumn, options);
+      MultiPolicyPublisher stream(std::move(initial), AdultQis(),
+                                  kAdultOccupationColumn, options);
+      stream.AddTenant("stream", options.c, options.k);
       for (size_t end = kBatch; end <= kPublishRows; end += kBatch) {
-        auto release = stream.PublishNext();
-        CKSAFE_CHECK(release.ok());
-        evaluations += release->release.search_stats.evaluations;
+        auto releases = stream.PublishAll();
+        CKSAFE_CHECK(releases.ok() && releases->front().release.ok());
+        evaluations += releases->front().release->search_stats.evaluations;
         if (end + kBatch <= kPublishRows) {
           std::vector<std::vector<int32_t>> rows;
           for (size_t r = end; r < end + kBatch; ++r) {
@@ -245,8 +246,8 @@ void BM_StreamingPublish(benchmark::State& state) {
     benchmark::DoNotOptimize(evaluations);
   }
   state.counters["evaluations"] = static_cast<double>(evaluations);
-  state.SetLabel(warm ? "warm session (shared cache + seed frontier)"
-                      : "cold publish per prefix");
+  state.SetLabel(session ? "one-tenant session (shared cache)"
+                         : "cold publish per prefix");
 }
 BENCHMARK(BM_StreamingPublish)->Unit(benchmark::kMillisecond)->Arg(1)->Arg(0);
 

@@ -1,9 +1,9 @@
 // Streaming release demo: the synthetic Adult table arrives in batches; a
-// StreamingPublisher re-publishes after each batch, warm-starting the
-// lattice search from the previous release's minimal-safe frontier and
-// reusing MINIMIZE1 tables across releases, while an IncrementalAnalyzer
-// tracks the worst-case disclosure of the live Figure-5 bucketization
-// tuple-by-tuple. Run: ./streaming_adult [rows] [batch]
+// one-tenant MultiPolicyPublisher re-publishes after each batch (AddBatch +
+// PublishAll), re-verifying every row while its session cache reuses
+// MINIMIZE1 tables across releases, and an IncrementalAnalyzer tracks the
+// worst-case disclosure of the live Figure-5 bucketization tuple-by-tuple.
+// Run: ./streaming_adult [rows] [batch]
 
 #include <algorithm>
 #include <cstdio>
@@ -15,7 +15,7 @@
 #include "cksafe/adult/adult.h"
 #include "cksafe/search/publisher.h"
 #include "cksafe/stream/incremental_analyzer.h"
-#include "cksafe/stream/streaming_publisher.h"
+#include "cksafe/stream/multi_policy_publisher.h"
 
 using namespace cksafe;
 
@@ -47,13 +47,14 @@ int main(int argc, char** argv) {
   IncrementalAnalyzer monitor(kAdultOccupationValues);
   std::unordered_map<int32_t, size_t> bucket_of_group;
 
-  StreamingPublisher stream(Table(full.schema()), *qis,
-                            kAdultOccupationColumn, options);
+  MultiPolicyPublisher stream(Table(full.schema()), *qis,
+                              kAdultOccupationColumn, options);
+  stream.AddTenant("stream", options.c, options.k);
   std::printf("streaming %zu synthetic Adult rows in batches of %zu "
               "(c=%.2f, k=%zu)\n\n",
               rows, batch, options.c, options.k);
-  std::printf("%8s %8s %10s %12s %14s %12s\n", "rows", "node", "monitor",
-              "disclosure", "evals(seed)", "cache hit%");
+  std::printf("%8s %8s %10s %12s %8s %12s\n", "rows", "node", "monitor",
+              "disclosure", "evals", "cache hit%");
 
   for (size_t start = 0; start < rows; ) {
     const size_t end = std::min(start + batch, rows);  // final batch may be short
@@ -82,24 +83,24 @@ int main(int argc, char** argv) {
     const double live = monitor.MaxDisclosureImplications(options.k).disclosure;
 
     if (stream.AddBatch(cells).ok() == false) return 1;
-    auto release = stream.PublishNext();
-    if (!release.ok()) {
-      std::fprintf(stderr, "release failed: %s\n",
-                   release.status().ToString().c_str());
+    auto releases = stream.PublishAll();
+    const Status status =
+        releases.ok() ? releases->front().release.status() : releases.status();
+    if (!status.ok()) {
+      std::fprintf(stderr, "release failed: %s\n", status.ToString().c_str());
       return 1;
     }
-    const auto& stats = release->release.search_stats;
-    const auto& cache = stream.session().cache;
+    const PublishedRelease& release = *releases->front().release;
+    const auto& cache = stream.cache();
     std::string node = "[";
-    for (size_t i = 0; i < release->release.node.size(); ++i) {
-      node += (i > 0 ? " " : "") + std::to_string(release->release.node[i]);
+    for (size_t i = 0; i < release.node.size(); ++i) {
+      node += (i > 0 ? " " : "") + std::to_string(release.node[i]);
     }
     node += "]";
     std::printf(
-        "%8zu %8s %10.4f %12.4f %9llu(%llu) %11.1f%%\n", release->num_rows,
-        node.c_str(), live, release->release.worst_case.disclosure,
-        static_cast<unsigned long long>(stats.evaluations),
-        static_cast<unsigned long long>(stats.seed_evaluations),
+        "%8zu %8s %10.4f %12.4f %8llu %11.1f%%\n", stream.table().num_rows(),
+        node.c_str(), live, release.worst_case.disclosure,
+        static_cast<unsigned long long>(release.search_stats.evaluations),
         100.0 * static_cast<double>(cache.hits()) /
             static_cast<double>(cache.hits() + cache.misses()));
     start = end;

@@ -33,7 +33,11 @@ class Table {
   /// code against the attribute domain is enforced at append time.
   int32_t at(PersonId row, size_t col) const;
 
-  /// Appends a row; `cells` must have one valid code per attribute.
+  /// OK iff `cells` has one valid code per attribute: InvalidArgument for
+  /// the wrong cell count, OutOfRange for a code outside its domain.
+  Status ValidateRow(const std::vector<int32_t>& cells) const;
+
+  /// Appends a row that passes ValidateRow; returns its error otherwise.
   Status AppendRow(const std::vector<int32_t>& cells);
 
   /// Appends a row given textual values (parsed via the schema).

@@ -48,19 +48,6 @@ struct LatticeSearchOptions {
   /// Optional externally owned pool (e.g. shared across searches). When
   /// null and num_threads > 1, the search spins up a transient pool.
   ThreadPool* pool = nullptr;
-
-  /// Warm start for sequential release: candidate nodes (typically the
-  /// previous release's minimal-safe frontier) evaluated before the
-  /// bottom-up sweep. Safe seeds prune all their strict ancestors exactly
-  /// like any safe node discovered by the sweep, and their evaluations are
-  /// memoized for the sweep itself — when the frontier is stable the sweep
-  /// re-evaluates only the strictly-below region. Seeding changes candidate
-  /// *order* only: minimal_safe_nodes is identical with any (or no) seed,
-  /// because seeds never enter the result directly — minimality is still
-  /// decided by the sweep (correctness does not assume safety is preserved
-  /// across releases). Requires use_pruning; nodes that do not validate
-  /// against the lattice are ignored.
-  std::vector<LatticeNode> seed_frontier;
 };
 
 /// Counters describing the work a search performed.
@@ -68,9 +55,6 @@ struct LatticeSearchStats {
   uint64_t nodes_visited = 0;   ///< nodes considered
   uint64_t evaluations = 0;     ///< predicate evaluations actually run
   uint64_t implied_safe = 0;    ///< nodes skipped by monotonicity pruning
-  uint64_t seed_evaluations = 0;  ///< of `evaluations`, spent on the warm
-                                  ///< start (0 without seed_frontier)
-  uint64_t seed_reused = 0;     ///< sweep evaluations answered by the memo
 };
 
 /// All ⪯-minimal safe nodes plus search statistics.
@@ -87,14 +71,9 @@ struct LatticeSearchResult {
 /// Deterministic: minimal_safe_nodes (content and order) and every
 /// LatticeSearchStats counter are identical whatever options.num_threads /
 /// options.pool are — see the determinism test and DESIGN.md §5.3.
-LatticeSearchResult FindMinimalSafeNodes(const GeneralizationLattice& lattice,
-                                         const NodePredicate& is_safe,
-                                         const LatticeSearchOptions& options);
-
-/// Sequential convenience overload (the seed API).
-LatticeSearchResult FindMinimalSafeNodes(const GeneralizationLattice& lattice,
-                                         const NodePredicate& is_safe,
-                                         bool use_pruning = true);
+LatticeSearchResult FindMinimalSafeNodes(
+    const GeneralizationLattice& lattice, const NodePredicate& is_safe,
+    const LatticeSearchOptions& options = {});
 
 /// Least index on `chain` whose node is safe, by binary search; nullopt if
 /// the chain's last node is unsafe. The chain must be ordered from specific
@@ -140,9 +119,9 @@ using NodeProfiler =
 /// aligned results. The contract is pure batching: element i must equal
 /// what the sweep's NodeProfiler would return for node i, so a correct
 /// batch profiler never changes frontiers, order, or stats — it only
-/// amortizes work across the level. See MultiPolicyPublisher for the
-/// canonical implementation: one parallel pass per level that bucketizes
-/// each node by rolling up a child from the level below.
+/// amortizes work across the level. See PublishPolicies (publisher.h) for
+/// the canonical implementation: one parallel pass per level that
+/// bucketizes each node by rolling up a child from the level below.
 using NodeBatchProfiler =
     std::function<std::vector<std::optional<DisclosureProfile>>(
         const std::vector<LatticeNode>&, ThreadPool*)>;

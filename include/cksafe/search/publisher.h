@@ -4,6 +4,8 @@
 // permuted sensitive values). This is the workflow Section 3.4 describes:
 // Incognito with the k-anonymity check replaced by the (c,k)-safety check,
 // then utility-based selection among the minimal safe bucketizations.
+// There is one implementation, PublishPolicies, which serves any number of
+// policies from one sweep; Publisher and MultiPolicyPublisher call it.
 
 #ifndef CKSAFE_SEARCH_PUBLISHER_H_
 #define CKSAFE_SEARCH_PUBLISHER_H_
@@ -29,20 +31,6 @@ struct PublisherOptions {
   UtilityObjective objective = UtilityObjective::kDiscernibility;
   /// Seed for the published within-bucket permutations.
   uint64_t seed = 0x5afe5afeULL;
-  /// Incognito-style pruning during the lattice search.
-  bool use_pruning = true;
-};
-
-/// Carry-over state for sequential releases of a growing table: the shared
-/// MINIMIZE1 table cache (histograms recur across releases, making §3.3.3's
-/// amortization real) and the previous release's minimal-safe frontier used
-/// to warm-start the next lattice search. Reuse is purely an optimization:
-/// every release is re-verified from the data it covers, so results are
-/// identical to publishing with a fresh session.
-struct PublishSession {
-  DisclosureCache cache;
-  std::vector<LatticeNode> seed_frontier;
-  uint64_t releases = 0;
 };
 
 /// Result of a successful publishing run.
@@ -59,44 +47,53 @@ struct PublishedRelease {
   LatticeSearchStats search_stats;
 };
 
-/// A minimal safe node's bucketization and its utility.
-struct ScoredBucketization {
-  Bucketization bucketization;
-  UtilityMetrics utility;
+/// MINIMIZE1 table traffic of one level pass. Every bucket of every
+/// profiled node requests a table from the shared cache (prepare_calls);
+/// only the tables the cache did not hold yet are built (shared_lookups:
+/// DisclosureCache misses during the sweep). The gap is the reuse of
+/// tables across nodes, levels, policies and publishes.
+struct BatchTableTraffic {
+  uint64_t prepare_calls = 0;
+  uint64_t shared_lookups = 0;
 };
 
-/// Selects the best-utility node among `search.minimal_safe_nodes` and
-/// assembles the release (the winner's bucketization and utility, its
-/// residual worst case, the published permutation). `frontier[i]` scores
-/// search.minimal_safe_nodes[i]; the caller computes each one once, so a
-/// node on several tenants' frontiers is bucketized and scored once.
-/// NotFound when the frontier is empty. Shared by Publisher and the
-/// multi-tenant MultiPolicyPublisher, so a tenant's release from a shared
-/// multi-policy search is bit-identical to a dedicated Publisher run by
-/// construction. Calls may run concurrently on one cache.
-StatusOr<PublishedRelease> BuildReleaseFromSearch(
-    const PublisherOptions& options, DisclosureCache* cache,
-    LatticeSearchResult search,
-    const std::vector<const ScoredBucketization*>& frontier);
+/// What one level pass published.
+struct PolicyReleases {
+  /// One per policy, in order; NotFound for a policy that no
+  /// generalization satisfies.
+  std::vector<StatusOr<PublishedRelease>> releases;
+  /// Shared-work counters of the sweep.
+  MultiPolicySearchStats search_stats;
+  BatchTableTraffic table_traffic;
+};
+
+/// The publish pipeline of Section 3.4 for every policy at once: ONE
+/// bottom-up Incognito sweep (FindMinimalSafeNodesMultiPolicy) run as one
+/// parallel pass per lattice level over `cache`, then, per policy, the
+/// minimal safe node with the best utility (`base.objective`, the first
+/// on ties), its residual worst case and its within-bucket permutation
+/// (`base.seed`); base.c and base.k are ignored. `num_threads` counts the
+/// calling thread. Releases are the same at every thread count and with
+/// any prior cache contents. InvalidArgument on an empty table, OutOfRange
+/// when the largest k exceeds the analysis budget; `policies` must not be
+/// empty.
+StatusOr<PolicyReleases> PublishPolicies(
+    const Table& table, const std::vector<QuasiIdentifier>& qis,
+    size_t sensitive_column, const PublisherOptions& base,
+    const std::vector<CkPolicy>& policies, DisclosureCache* cache,
+    size_t num_threads);
 
 /// Runs the search + selection + release pipeline.
 class Publisher {
  public:
   explicit Publisher(PublisherOptions options) : options_(options) {}
 
-  /// Returns NotFound when even the fully suppressed table exceeds the
-  /// disclosure threshold.
+  /// PublishPolicies with the one policy (c, k), on one thread and a
+  /// fresh cache. Returns NotFound when even the fully suppressed table
+  /// exceeds the disclosure threshold.
   StatusOr<PublishedRelease> Publish(const Table& table,
                                      const std::vector<QuasiIdentifier>& qis,
                                      size_t sensitive_column) const;
-
-  /// Sequential-release variant: reuses `session`'s table cache, warm-starts
-  /// the search from its frontier, and on success stores the new frontier
-  /// back. The release is identical to the session-less overload's.
-  StatusOr<PublishedRelease> Publish(const Table& table,
-                                     const std::vector<QuasiIdentifier>& qis,
-                                     size_t sensitive_column,
-                                     PublishSession* session) const;
 
   /// Renders the release for human inspection (bucket table + audit).
   static std::string Summary(const PublishedRelease& release,

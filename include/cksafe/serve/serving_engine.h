@@ -2,12 +2,13 @@
 // helpers, wired to the existing publishing pipelines.
 //
 // A ServingEngine owns one ServingDirectory and one QueryRouter over it.
-// Writers push releases produced by Publisher / StreamingPublisher /
-// MultiPolicyPublisher through the Publish* helpers, which freeze them as
-// ReleaseSnapshots and atomically swap them into the tenant's store;
-// readers call Ask (or router()->Submit for async fan-in) from any number
-// of threads. The engine is the piece the CLI's `serve` replay driver and
-// serving_bench build on.
+// Writers push releases produced by Publisher or MultiPolicyPublisher
+// (both run PublishPolicies, search/publisher.h) through PublishRelease or
+// PublishTenantReleases, which freeze them as ReleaseSnapshots and
+// atomically swap them into the tenant's store; readers call Ask (or
+// router()->Submit for async fan-in) from any number of threads. The
+// engine is the piece the CLI's `serve` replay driver and serving_bench
+// build on.
 //
 // Writer discipline: snapshots of one tenant must be published by one
 // writer at a time (the publisher loop) — sequences are assigned from the
@@ -26,7 +27,6 @@
 #include "cksafe/serve/release_snapshot.h"
 #include "cksafe/serve/snapshot_store.h"
 #include "cksafe/stream/multi_policy_publisher.h"
-#include "cksafe/stream/streaming_publisher.h"
 
 namespace cksafe {
 
@@ -73,11 +73,6 @@ class ServingEngine {
   /// adopted sequences must also be contiguous with the store's history.
   Status PublishSnapshot(const std::string& tenant,
                          std::shared_ptr<const ReleaseSnapshot> snapshot);
-
-  /// StreamingPublisher adapter: publishes release.release over
-  /// release.num_rows rows.
-  StatusOr<std::shared_ptr<const ReleaseSnapshot>> PublishStreaming(
-      const std::string& tenant, const StreamingRelease& release);
 
   /// MultiPolicyPublisher adapter: swaps in every tenant whose release
   /// succeeded and returns the published snapshots; tenants with a non-OK

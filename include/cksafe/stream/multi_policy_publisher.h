@@ -3,23 +3,18 @@
 // The ROADMAP's "heavy traffic, many scenarios" workload — and the
 // many-policies-over-one-table setting of the sequential/multi-release
 // literature (Riboni et al.; Xiao/Tao/Koudas, see PAPERS.md) — asks the
-// same table to be released under different privacy contracts per tenant.
-// Running one Publisher per tenant repeats the expensive part N times:
-// every lattice node is re-bucketized and re-swept per policy.
+// same table to be released under different privacy contracts per tenant,
+// and re-released as it grows.
 //
-// MultiPolicyPublisher instead runs ONE bottom-up Incognito sweep
-// (FindMinimalSafeNodesMultiPolicy): each node's disclosure profile is
-// computed once at max_i k_i and classified against every tenant policy,
-// with double-monotonicity pruning across policies. Tenants share one
-// DisclosureCache session across calls (and across AddBatch growth), and
-// each tenant's release is assembled by the same BuildReleaseFromSearch
-// the single-tenant Publisher uses — so per-tenant output is bit-identical
-// to a dedicated Publisher run (differential-tested). Assembly reuses the
-// sweep's bucketizations of the frontier nodes, scores each distinct
-// frontier node once, and runs the tenants in parallel on the sweep's pool.
-// The sweep itself is one parallel pass per lattice level: each node is
-// bucketized by rolling up its cheapest child and profiled against the
-// shared cache (DESIGN.md §11.4).
+// MultiPolicyPublisher holds the growing table, the tenants' policies and
+// one DisclosureCache session shared by every tenant and every publish.
+// PublishAll is one call of PublishPolicies (search/publisher.h): ONE
+// bottom-up Incognito sweep, run as one parallel pass per lattice level,
+// whose node profiles are classified against every tenant policy at once
+// (DESIGN.md §8.3, §11.4). Sequential release is AddBatch + PublishAll:
+// every release is re-verified over all rows so far, and the session cache
+// makes the recurring histograms cheap. A one-tenant, one-thread
+// MultiPolicyPublisher returns what Publisher::Publish returns.
 
 #ifndef CKSAFE_STREAM_MULTI_POLICY_PUBLISHER_H_
 #define CKSAFE_STREAM_MULTI_POLICY_PUBLISHER_H_
@@ -45,10 +40,7 @@ struct TenantRelease {
 class MultiPolicyPublisher {
  public:
   /// `base` supplies everything except (c,k), which is per tenant:
-  /// utility objective and permutation seed. base.use_pruning must stay
-  /// true — the shared sweep is inherently the pruned Incognito, and
-  /// PublishAll rejects the ablation setting rather than silently
-  /// diverging from what a dedicated Publisher would do with it.
+  /// utility objective and permutation seed.
   MultiPolicyPublisher(Table initial, std::vector<QuasiIdentifier> qis,
                        size_t sensitive_column, PublisherOptions base);
 
@@ -57,14 +49,16 @@ class MultiPolicyPublisher {
   size_t AddTenant(std::string tenant, double c, size_t k);
 
   /// Appends rows (cells per row, schema order) — the streaming growth
-  /// path, shared by all tenants.
+  /// path, shared by all tenants. All or nothing: when any row is invalid
+  /// the table is left unchanged.
   Status AddBatch(const std::vector<std::vector<int32_t>>& rows);
 
   /// Publishes every tenant's release from ONE shared multi-policy lattice
-  /// sweep over the current table. Per-tenant failures (NotFound for
-  /// unsatisfiable policies) land in the tenant's slot; the call itself
-  /// fails only on table-level errors. Releases are the same at every
-  /// thread count.
+  /// sweep over the current table (PublishPolicies). Per-tenant failures
+  /// (NotFound for unsatisfiable policies) land in the tenant's slot; the
+  /// call itself fails only on table-level errors, or with
+  /// InvalidArgument when no tenant is registered. Releases are the same
+  /// at every thread count.
   StatusOr<std::vector<TenantRelease>> PublishAll();
 
   size_t num_tenants() const { return policies_.size(); }
@@ -75,23 +69,16 @@ class MultiPolicyPublisher {
     return last_search_stats_;
   }
 
-  /// MINIMIZE1 table traffic of the last PublishAll's sweep. Every bucket
-  /// of every profiled node requests a table from the shared cache
-  /// (prepare_calls); only the tables the cache did not hold yet are built
-  /// (shared_lookups: DisclosureCache misses during the sweep). The gap is
-  /// the reuse of tables across nodes, levels, tenants and publishes.
-  struct BatchTableTraffic {
-    uint64_t prepare_calls = 0;
-    uint64_t shared_lookups = 0;
-  };
+  /// The nested name the benchmark harness (perfbench/) uses.
+  using BatchTableTraffic = cksafe::BatchTableTraffic;
+  /// MINIMIZE1 table traffic of the last PublishAll's sweep.
   const BatchTableTraffic& last_table_traffic() const {
     return last_table_traffic_;
   }
 
   /// Threading: num_threads sizes the one pool PublishAll owns for the
-  /// sweep and the release assembly. Only num_threads is read: PublishAll
-  /// installs its own pool and batch profiler, so setting `pool` or
-  /// `batch_profiler` here has no effect.
+  /// sweep and the release assembly. Only num_threads is read, so setting
+  /// `pool` or `batch_profiler` here has no effect.
   MultiPolicySearchOptions* mutable_search_options() {
     return &search_options_;
   }

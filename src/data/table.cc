@@ -14,7 +14,7 @@ int32_t Table::at(PersonId row, size_t col) const {
   return columns_[col][row];
 }
 
-Status Table::AppendRow(const std::vector<int32_t>& cells) {
+Status Table::ValidateRow(const std::vector<int32_t>& cells) const {
   if (cells.size() != schema_.num_attributes()) {
     return Status::InvalidArgument(
         StrFormat("row has %zu cells, schema has %zu attributes", cells.size(),
@@ -27,6 +27,11 @@ Status Table::AppendRow(const std::vector<int32_t>& cells) {
           schema_.attribute(i).name().c_str()));
     }
   }
+  return Status::OK();
+}
+
+Status Table::AppendRow(const std::vector<int32_t>& cells) {
+  CKSAFE_RETURN_IF_ERROR(ValidateRow(cells));
   for (size_t i = 0; i < cells.size(); ++i) columns_[i].push_back(cells[i]);
   ++num_rows_;
   return Status::OK();

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
 namespace cksafe {
@@ -53,41 +52,12 @@ LatticeSearchResult FindMinimalSafeNodes(const GeneralizationLattice& lattice,
 
   LatticeSearchResult result;
   if (options.use_pruning) {
-    // Warm start: evaluate the seed frontier up front. Safe seeds prune
-    // their strict ancestors; all verdicts are memoized so the sweep below
-    // never re-runs the predicate on a seed. Seeds are hints only — the
-    // minimal-safe set is still decided entirely by the sweep, so a stale
-    // frontier costs extra evaluations, never correctness.
-    std::unordered_set<uint64_t> implied_safe;
-    std::unordered_map<uint64_t, uint8_t> memo;
-    if (!options.seed_frontier.empty()) {
-      std::vector<LatticeNode> seeds;
-      for (const LatticeNode& node : options.seed_frontier) {
-        if (!lattice.Validate(node).ok()) continue;
-        if (memo.count(lattice.Encode(node)) > 0) continue;
-        memo.emplace(lattice.Encode(node), 0);  // placeholder, filled below
-        seeds.push_back(node);
-      }
-      const std::vector<uint8_t> safe = EvaluateBatch(seeds, is_safe, pool);
-      result.stats.evaluations += seeds.size();
-      result.stats.seed_evaluations += seeds.size();
-      for (size_t i = 0; i < seeds.size(); ++i) {
-        memo[lattice.Encode(seeds[i])] = safe[i];
-        if (safe[i]) MarkAncestorsSafe(lattice, seeds[i], &implied_safe);
-      }
-    }
-
     // Incognito sweep, one BFS level at a time. Ancestor marking only ever
     // targets strictly higher levels, so within one level the surviving
     // nodes' evaluations are independent: batching them over the pool
     // reproduces the sequential visit/evaluation/pruning counts exactly.
+    std::unordered_set<uint64_t> implied_safe;
     for (size_t h = 0; h <= lattice.MaxHeight(); ++h) {
-      // Survivors of the level in lexicographic order; verdicts for the
-      // non-memoized ones are batch-evaluated, then the level is consumed
-      // in its original order so minimal_safe_nodes (content AND order) is
-      // independent of the seed frontier.
-      std::vector<LatticeNode> level;
-      std::vector<int> verdict;  // -1 = needs evaluation
       std::vector<LatticeNode> batch;
       for (LatticeNode& node : lattice.NodesAtHeight(h)) {
         ++result.stats.nodes_visited;
@@ -95,26 +65,16 @@ LatticeSearchResult FindMinimalSafeNodes(const GeneralizationLattice& lattice,
           ++result.stats.implied_safe;
           continue;
         }
-        if (auto it = memo.find(lattice.Encode(node)); it != memo.end()) {
-          ++result.stats.seed_reused;
-          verdict.push_back(it->second);
-        } else {
-          ++result.stats.evaluations;
-          verdict.push_back(-1);
-          batch.push_back(node);
-        }
-        level.push_back(std::move(node));
+        ++result.stats.evaluations;
+        batch.push_back(std::move(node));
       }
       const std::vector<uint8_t> safe = EvaluateBatch(batch, is_safe, pool);
-      size_t next_evaluated = 0;
-      for (size_t i = 0; i < level.size(); ++i) {
-        const bool is_node_safe =
-            verdict[i] >= 0 ? verdict[i] != 0 : safe[next_evaluated++] != 0;
-        if (!is_node_safe) continue;
+      for (size_t i = 0; i < batch.size(); ++i) {
+        if (!safe[i]) continue;
         // Bottom-up invariant: a safe strict descendant would have marked
         // this node implied-safe, so this node is minimal.
-        result.minimal_safe_nodes.push_back(level[i]);
-        MarkAncestorsSafe(lattice, level[i], &implied_safe);
+        result.minimal_safe_nodes.push_back(batch[i]);
+        MarkAncestorsSafe(lattice, batch[i], &implied_safe);
       }
     }
     return result;
@@ -141,14 +101,6 @@ LatticeSearchResult FindMinimalSafeNodes(const GeneralizationLattice& lattice,
     if (!has_safe_child) result.minimal_safe_nodes.push_back(node);
   }
   return result;
-}
-
-LatticeSearchResult FindMinimalSafeNodes(const GeneralizationLattice& lattice,
-                                         const NodePredicate& is_safe,
-                                         bool use_pruning) {
-  LatticeSearchOptions options;
-  options.use_pruning = use_pruning;
-  return FindMinimalSafeNodes(lattice, is_safe, options);
 }
 
 MultiPolicySearchResult FindMinimalSafeNodesMultiPolicy(

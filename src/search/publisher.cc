@@ -1,22 +1,35 @@
 #include "cksafe/search/publisher.h"
 
+#include <algorithm>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
+
 #include "cksafe/util/string_util.h"
 #include "cksafe/util/text_table.h"
 
 namespace cksafe {
 
-StatusOr<PublishedRelease> Publisher::Publish(
-    const Table& table, const std::vector<QuasiIdentifier>& qis,
-    size_t sensitive_column) const {
-  PublishSession local_session;
-  return Publish(table, qis, sensitive_column, &local_session);
-}
+namespace {
 
-StatusOr<PublishedRelease> BuildReleaseFromSearch(
+// A minimal safe node's bucketization and its utility.
+struct ScoredBucketization {
+  Bucketization bucketization;
+  UtilityMetrics utility;
+};
+
+// Selects the best-utility node among `search.minimal_safe_nodes` and
+// assembles the release (the winner's bucketization and utility, its
+// residual worst case, the published permutation). `frontier[i]` scores
+// search.minimal_safe_nodes[i]. NotFound when the frontier is empty.
+// Calls may run concurrently on one cache.
+StatusOr<PublishedRelease> BuildRelease(
     const PublisherOptions& options, DisclosureCache* cache,
     LatticeSearchResult search,
     const std::vector<const ScoredBucketization*>& frontier) {
-  CKSAFE_CHECK(cache != nullptr);
   CKSAFE_CHECK_EQ(frontier.size(), search.minimal_safe_nodes.size());
   if (frontier.empty()) {
     return Status::NotFound(StrFormat(
@@ -48,58 +61,167 @@ StatusOr<PublishedRelease> BuildReleaseFromSearch(
   return release;
 }
 
-StatusOr<PublishedRelease> Publisher::Publish(
+}  // namespace
+
+StatusOr<PolicyReleases> PublishPolicies(
     const Table& table, const std::vector<QuasiIdentifier>& qis,
-    size_t sensitive_column, PublishSession* session) const {
-  CKSAFE_CHECK(session != nullptr);
+    size_t sensitive_column, const PublisherOptions& base,
+    const std::vector<CkPolicy>& policies, DisclosureCache* cache,
+    size_t num_threads) {
+  CKSAFE_CHECK(cache != nullptr);
+  CKSAFE_CHECK(!policies.empty());
   if (table.num_rows() == 0) {
     return Status::InvalidArgument("cannot publish an empty table");
   }
-  CKSAFE_RETURN_IF_ERROR(Minimize2Forward::ValidateBudget(options_.k));
+  size_t max_k = 0;
+  for (const CkPolicy& policy : policies) max_k = std::max(max_k, policy.k);
+  CKSAFE_RETURN_IF_ERROR(Minimize2Forward::ValidateBudget(max_k));
   const GeneralizationLattice lattice =
       GeneralizationLattice::FromQuasiIdentifiers(qis);
 
-  // One shared MINIMIZE1 cache across all nodes (and, via the session,
-  // across sequential releases): buckets recur across lattice nodes, so
-  // this is the paper's incremental-recomputation win.
-  DisclosureCache& cache = session->cache;
+  // One pool, owned for this call, runs the sweep and then the assembly.
+  std::unique_ptr<ThreadPool> workers;
+  if (num_threads > 1) workers = std::make_unique<ThreadPool>(num_threads - 1);
+
   Status first_error = Status::OK();
-  auto is_safe = [&](const LatticeNode& node) {
-    auto bucketization = BucketizeAtNode(table, qis, node, sensitive_column);
-    if (!bucketization.ok()) {
-      if (first_error.ok()) first_error = bucketization.status();
-      return false;
-    }
-    // One DP arena per worker thread: per-node evaluations reuse the row
-    // buffers instead of reallocating them (values are unaffected).
-    thread_local Minimize2Workspace workspace;
-    DisclosureAnalyzer analyzer(*bucketization, &cache);
-    return analyzer.IsCkSafe(options_.c, options_.k, &workspace);
+  std::mutex error_mu;
+  const auto record_error = [&](const Status& status) {
+    std::lock_guard<std::mutex> lock(error_mu);
+    if (first_error.ok()) first_error = status;
   };
 
-  LatticeSearchOptions search_options;
-  search_options.use_pruning = options_.use_pruning;
-  if (options_.use_pruning) search_options.seed_frontier = session->seed_frontier;
-  LatticeSearchResult search =
-      FindMinimalSafeNodes(lattice, is_safe, search_options);
+  // One parallel pass per lattice level: each node's task bucketizes the
+  // node and profiles it against the shared cache. A node rolls up from
+  // its cheapest child one level down. Every child of a node the sweep
+  // still profiles was itself profiled there: a child implied safe under
+  // every policy would make the node implied safe too. BucketizeAtNode
+  // covers the bottom node. A rollup equals BucketizeAtNode's result
+  // (bucketize_oracle_test), so the pass inherits the bit-identity contract
+  // of FindMinimalSafeNodesMultiPolicy.
+  //
+  // Bucketizations of the profiled nodes safe under some policy, by lattice
+  // code: every policy's minimal safe nodes are among them.
+  std::unordered_map<uint64_t, ScoredBucketization> safe_nodes;
+  // The previous level's bucketizations: owned in `below_owned` for the
+  // unsafe nodes, borrowed from safe_nodes for the safe ones.
+  std::unordered_map<uint64_t, const Bucketization*> below;
+  std::vector<std::optional<Bucketization>> below_owned;
+  const auto bucketize =
+      [&](const LatticeNode& node) -> StatusOr<Bucketization> {
+    const Bucketization* cheapest = nullptr;
+    for (const LatticeNode& child : lattice.Children(node)) {
+      const auto it = below.find(lattice.Encode(child));
+      if (it != below.end() &&
+          (cheapest == nullptr ||
+           it->second->num_buckets() < cheapest->num_buckets())) {
+        cheapest = it->second;
+      }
+    }
+    return cheapest == nullptr
+               ? BucketizeAtNode(table, qis, node, sensitive_column)
+               : RollUpBucketization(table, qis, *cheapest, node,
+                                     sensitive_column);
+  };
+  uint64_t table_requests = 0;
+  const NodeBatchProfiler profile_level =
+      [&](const std::vector<LatticeNode>& level, ThreadPool* pool)
+      -> std::vector<std::optional<DisclosureProfile>> {
+    std::vector<std::optional<Bucketization>> bucketizations(level.size());
+    std::vector<std::optional<DisclosureProfile>> profiles(level.size());
+    ParallelFor(pool, level.size(), [&](size_t i) {
+      auto bucketization = bucketize(level[i]);
+      if (!bucketization.ok()) {
+        record_error(bucketization.status());
+        return;
+      }
+      bucketizations[i] = *std::move(bucketization);
+      // Classification reads only the implication curves, so the negation
+      // scan is skipped.
+      thread_local Minimize2Workspace workspace;
+      profiles[i] = DisclosureAnalyzer(*bucketizations[i], cache)
+                        .Profile(max_k, &workspace, /*with_negation=*/false);
+    });
+    below.clear();
+    for (size_t i = 0; i < level.size(); ++i) {
+      if (!profiles[i].has_value()) continue;
+      table_requests += bucketizations[i]->num_buckets();
+      const uint64_t code = lattice.Encode(level[i]);
+      const auto safe = [&](const CkPolicy& policy) {
+        return profiles[i]->IsCkSafe(policy.c, policy.k);
+      };
+      if (std::any_of(policies.begin(), policies.end(), safe)) {
+        const auto it = safe_nodes.emplace(
+            code,
+            ScoredBucketization{*std::move(bucketizations[i]), {}}).first;
+        below.emplace(code, &it->second.bucketization);
+      } else {
+        below.emplace(code, &*bucketizations[i]);
+      }
+    }
+    // Moving the vector keeps its elements, and `below`'s pointers, in
+    // place; the level before is freed.
+    below_owned = std::move(bucketizations);
+    return profiles;
+  };
+
+  // The batch profiler answers every level, so no per-node profiler is set.
+  MultiPolicySearchOptions search_options;
+  search_options.pool = workers.get();
+  search_options.batch_profiler = profile_level;
+  const uint64_t misses_before = cache->misses();
+  MultiPolicySearchResult search = FindMinimalSafeNodesMultiPolicy(
+      lattice, NodeProfiler(), policies, search_options);
   CKSAFE_RETURN_IF_ERROR(first_error);
-  std::vector<ScoredBucketization> scored;
-  for (const LatticeNode& node : search.minimal_safe_nodes) {
-    CKSAFE_ASSIGN_OR_RETURN(
-        Bucketization bucketization,
-        BucketizeAtNode(table, qis, node, sensitive_column));
-    const UtilityMetrics utility =
-        ComputeUtility(table, qis, node, bucketization);
-    scored.push_back({std::move(bucketization), utility});
+  PolicyReleases published;
+  published.search_stats = search.stats;
+  published.table_traffic =
+      BatchTableTraffic{table_requests, cache->misses() - misses_before};
+
+  // Utility once per distinct frontier node, then every policy's release.
+  const size_t num_policies = policies.size();
+  std::vector<std::vector<const ScoredBucketization*>> frontiers(num_policies);
+  std::vector<std::pair<const LatticeNode*, ScoredBucketization*>> to_score;
+  std::unordered_set<uint64_t> seen;
+  for (size_t p = 0; p < num_policies; ++p) {
+    for (const LatticeNode& node : search.per_policy[p].minimal_safe_nodes) {
+      const uint64_t code = lattice.Encode(node);
+      const auto it = safe_nodes.find(code);
+      CKSAFE_CHECK(it != safe_nodes.end()) << "frontier node was not kept";
+      frontiers[p].push_back(&it->second);
+      if (seen.insert(code).second) to_score.emplace_back(&node, &it->second);
+    }
   }
-  std::vector<const ScoredBucketization*> frontier;
-  for (const ScoredBucketization& entry : scored) frontier.push_back(&entry);
+  ParallelFor(workers.get(), to_score.size(), [&](size_t i) {
+    ScoredBucketization& scored = *to_score[i].second;
+    scored.utility =
+        ComputeUtility(table, qis, *to_score[i].first, scored.bucketization);
+  });
+  std::vector<std::optional<StatusOr<PublishedRelease>>> assembled(
+      num_policies);
+  ParallelFor(workers.get(), num_policies, [&](size_t p) {
+    PublisherOptions options = base;
+    options.c = policies[p].c;
+    options.k = policies[p].k;
+    assembled[p] = BuildRelease(options, cache,
+                                std::move(search.per_policy[p]), frontiers[p]);
+  });
+  published.releases.reserve(num_policies);
+  for (std::optional<StatusOr<PublishedRelease>>& release : assembled) {
+    published.releases.push_back(*std::move(release));
+  }
+  return published;
+}
+
+StatusOr<PublishedRelease> Publisher::Publish(
+    const Table& table, const std::vector<QuasiIdentifier>& qis,
+    size_t sensitive_column) const {
+  DisclosureCache cache;
   CKSAFE_ASSIGN_OR_RETURN(
-      PublishedRelease release,
-      BuildReleaseFromSearch(options_, &cache, std::move(search), frontier));
-  session->seed_frontier = release.minimal_safe_nodes;
-  ++session->releases;
-  return release;
+      PolicyReleases published,
+      PublishPolicies(table, qis, sensitive_column, options_,
+                      {CkPolicy{options_.c, options_.k}}, &cache,
+                      /*num_threads=*/1));
+  return std::move(published.releases.front());
 }
 
 std::string Publisher::Summary(const PublishedRelease& release,

@@ -63,11 +63,6 @@ Status ServingEngine::PublishSnapshot(
   return Status::OK();
 }
 
-StatusOr<std::shared_ptr<const ReleaseSnapshot>> ServingEngine::PublishStreaming(
-    const std::string& tenant, const StreamingRelease& release) {
-  return PublishRelease(tenant, release.release, release.num_rows);
-}
-
 StatusOr<std::vector<std::shared_ptr<const ReleaseSnapshot>>>
 ServingEngine::PublishTenantReleases(const std::vector<TenantRelease>& releases,
                                      size_t num_rows) {

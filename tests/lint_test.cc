@@ -141,8 +141,29 @@ TEST(L1Test, UsedResultsAreNotFlagged) {
       auto v = Grab();
       return s;
     }
+    Status i(bool b) { return b ? Frob(5) : Frob(6); }
+    Status j(bool b) {
+      Status s = b ? Frob(7) : Frob(8);
+      return s;
+    }
   )cc");
   EXPECT_TRUE(RuleFindings(report, "L1").empty());
+}
+
+TEST(L1Test, DiscardedConditionalAndLabeledCallsAreFlagged) {
+  // A conditional that is itself the statement discards both branches;
+  // a call after a case or goto label starts a statement of its own.
+  const auto report = LintWithStatusHeader(R"cc(
+    void f(bool b, int x) {
+      b ? Frob(1) : Frob(2);
+      switch (x) {
+        case 1: Frob(3); break;
+        default: Frob(4);
+      }
+      done: Frob(5);
+    }
+  )cc");
+  EXPECT_EQ(RuleFindings(report, "L1").size(), 4u);
 }
 
 TEST(L1Test, HeaderDeclarationIsNotACall) {

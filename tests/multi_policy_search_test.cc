@@ -8,8 +8,9 @@
 // of bit-identity, the shared sweep must actually share:
 // profiles_computed <= the sum of per-policy evaluations (collapsing to
 // the strictest policy's count on a domination chain), and every field of
-// the MultiPolicyPublisher's per-tenant releases must equal a dedicated
-// Publisher run's, at 1, 2 and 8 threads under every utility objective.
+// the MultiPolicyPublisher's per-tenant releases, and of Publisher's, must
+// equal the node-at-a-time reference publisher's (testing_util.h), at 1, 2
+// and 8 threads under every utility objective.
 
 #include "cksafe/search/lattice_search.h"
 
@@ -38,8 +39,6 @@ void ExpectIdenticalResults(const LatticeSearchResult& expected,
   EXPECT_EQ(expected.stats.nodes_visited, actual.stats.nodes_visited) << label;
   EXPECT_EQ(expected.stats.evaluations, actual.stats.evaluations) << label;
   EXPECT_EQ(expected.stats.implied_safe, actual.stats.implied_safe) << label;
-  EXPECT_EQ(expected.stats.seed_evaluations, 0u) << label;
-  EXPECT_EQ(expected.stats.seed_reused, 0u) << label;
 }
 
 // A random synthetic profiler: disclosure decreases with (weighted) node
@@ -229,8 +228,8 @@ TEST(MultiPolicySearchTest, DominationChainCollapsesProfilesToStrictest) {
   }
 }
 
-// Every PublishedRelease field of a tenant's release equals the dedicated
-// Publisher's, NotFound included.
+// Every PublishedRelease field of a release equals the reference
+// publisher's, NotFound included.
 void ExpectSameRelease(const StatusOr<PublishedRelease>& expected,
                        const StatusOr<PublishedRelease>& actual,
                        const std::string& label) {
@@ -271,8 +270,6 @@ void ExpectSameRelease(const StatusOr<PublishedRelease>& expected,
   EXPECT_EQ(want_stats.nodes_visited, got_stats.nodes_visited) << label;
   EXPECT_EQ(want_stats.evaluations, got_stats.evaluations) << label;
   EXPECT_EQ(want_stats.implied_safe, got_stats.implied_safe) << label;
-  EXPECT_EQ(want_stats.seed_evaluations, got_stats.seed_evaluations) << label;
-  EXPECT_EQ(want_stats.seed_reused, got_stats.seed_reused) << label;
 }
 
 constexpr UtilityObjective kObjectives[] = {
@@ -301,8 +298,13 @@ TEST(MultiPolicyPublisherTest, TenantReleasesMatchDedicatedPublishers) {
       PublisherOptions options = base;
       options.c = tenant.c;
       options.k = tenant.k;
-      expected.push_back(
-          Publisher(options).Publish(adult, *qis, kAdultOccupationColumn));
+      expected.push_back(testing::ReferencePublish(
+          adult, *qis, kAdultOccupationColumn, options));
+      // The single-policy front end runs the same level pass.
+      ExpectSameRelease(
+          expected.back(),
+          Publisher(options).Publish(adult, *qis, kAdultOccupationColumn),
+          UtilityObjectiveName(objective) + " Publisher " + tenant.name);
     }
 
     for (const size_t threads : {1u, 2u, 8u}) {
@@ -331,7 +333,7 @@ TEST(MultiPolicyPublisherTest, TenantReleasesMatchDedicatedPublishers) {
 
 TEST(MultiPolicyPublisherTest, StreamingBatchesKeepTenantsConsistent) {
   // Growth via AddBatch: every PublishAll over the grown table must still
-  // match dedicated publishers over the same prefix.
+  // match the reference publisher over the same prefix.
   const Table adult = GenerateSyntheticAdult(200, 3);
   auto qis = AdultQuasiIdentifiers();
   ASSERT_TRUE(qis.ok()) << qis.status();
@@ -370,8 +372,8 @@ TEST(MultiPolicyPublisherTest, StreamingBatchesKeepTenantsConsistent) {
           PublisherOptions options = base;
           options.c = tenant_release.policy.c;
           options.k = tenant_release.policy.k;
-          auto expected = Publisher(options).Publish(multi.table(), *qis,
-                                                     kAdultOccupationColumn);
+          auto expected = testing::ReferencePublish(
+              multi.table(), *qis, kAdultOccupationColumn, options);
           ASSERT_TRUE(expected.ok()) << expected.status();
           ExpectSameRelease(expected, tenant_release.release,
                             UtilityObjectiveName(objective) +
@@ -447,7 +449,7 @@ TEST(MultiPolicyPublisherTest, SweepReusesSharedCacheTables) {
   // cache does not hold its histogram yet (shared_lookups, the cache's
   // misses during the sweep). On real data histograms recur heavily across
   // nodes and levels, so most requests must be served from the cache —
-  // while the releases stay exactly what dedicated publishers produce.
+  // while the releases stay exactly what the reference publisher produces.
   const Table adult = GenerateSyntheticAdult(180, 5);
   auto qis = AdultQuasiIdentifiers();
   ASSERT_TRUE(qis.ok()) << qis.status();
@@ -473,11 +475,86 @@ TEST(MultiPolicyPublisherTest, SweepReusesSharedCacheTables) {
     PublisherOptions options = base;
     options.c = tenant_release.policy.c;
     options.k = tenant_release.policy.k;
-    auto expected =
-        Publisher(options).Publish(adult, *qis, kAdultOccupationColumn);
+    auto expected = testing::ReferencePublish(adult, *qis,
+                                              kAdultOccupationColumn, options);
     ASSERT_TRUE(expected.ok()) << expected.status();
     ExpectSameRelease(expected, tenant_release.release, tenant_release.tenant);
   }
+}
+
+TEST(MultiPolicyPublisherTest, FailedAddBatchLeavesTheTableUnchanged) {
+  // AddBatch validates every row before appending any: a batch with one
+  // bad row must not grow the table, so resending the fixed batch cannot
+  // publish duplicates.
+  const Table adult = GenerateSyntheticAdult(303, 13);
+  auto qis = AdultQuasiIdentifiers();
+  ASSERT_TRUE(qis.ok()) << qis.status();
+  Table initial(adult.schema());
+  std::vector<std::vector<int32_t>> batch;
+  for (size_t r = 0; r < adult.num_rows(); ++r) {
+    std::vector<int32_t> cells(adult.num_columns());
+    for (size_t c = 0; c < adult.num_columns(); ++c) {
+      cells[c] = adult.at(static_cast<PersonId>(r), c);
+    }
+    if (r < 300) {
+      ASSERT_TRUE(initial.AppendRow(cells).ok());
+    } else {
+      batch.push_back(std::move(cells));
+    }
+  }
+  batch.back()[kAdultOccupationColumn] =
+      static_cast<int32_t>(kAdultOccupationValues);
+
+  MultiPolicyPublisher multi(std::move(initial), *qis, kAdultOccupationColumn,
+                             PublisherOptions());
+  multi.AddTenant("a", 0.8, 2);
+  multi.AddTenant("b", 0.9, 1);
+  auto before = multi.PublishAll();
+  ASSERT_TRUE(before.ok()) << before.status();
+
+  EXPECT_EQ(multi.AddBatch(batch).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(multi.table().num_rows(), 300u);
+  auto after = multi.PublishAll();
+  ASSERT_TRUE(after.ok()) << after.status();
+  for (size_t t = 0; t < before->size(); ++t) {
+    ExpectSameRelease((*before)[t].release, (*after)[t].release,
+                      (*before)[t].tenant);
+  }
+}
+
+TEST(MultiPolicyPublisherTest, TableLevelErrorsReachBothFrontEnds) {
+  // An empty table and an atom budget beyond the analysis cap fail the
+  // whole call, through Publisher and MultiPolicyPublisher alike; so does
+  // a PublishAll with no tenant to publish for.
+  auto qis = AdultQuasiIdentifiers();
+  ASSERT_TRUE(qis.ok()) << qis.status();
+  const Table adult = GenerateSyntheticAdult(120, 17);
+  const Table empty(adult.schema());
+  const size_t too_many = Minimize2Forward::kMaxAnalysisBudget + 1;
+
+  const auto publish = [&](const Table& table, size_t k) {
+    PublisherOptions options;
+    options.k = k;
+    return Publisher(options)
+        .Publish(table, *qis, kAdultOccupationColumn)
+        .status()
+        .code();
+  };
+  const auto publish_all = [&](const Table& table, size_t k) {
+    MultiPolicyPublisher multi(table, *qis, kAdultOccupationColumn,
+                               PublisherOptions());
+    multi.AddTenant("t", 0.7, k);
+    return multi.PublishAll().status().code();
+  };
+  EXPECT_EQ(publish(empty, 3), StatusCode::kInvalidArgument);
+  EXPECT_EQ(publish_all(empty, 3), StatusCode::kInvalidArgument);
+  EXPECT_EQ(publish(adult, too_many), StatusCode::kOutOfRange);
+  EXPECT_EQ(publish_all(adult, too_many), StatusCode::kOutOfRange);
+
+  MultiPolicyPublisher no_tenants(adult, *qis, kAdultOccupationColumn,
+                                  PublisherOptions());
+  EXPECT_EQ(no_tenants.PublishAll().status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -54,8 +54,10 @@ TEST(ParallelSearchTest, ThreadCountsAgreeOnRandomMonotonePredicates) {
     const NodePredicate is_safe =
         RandomFrontier(&rng, lattice.num_attributes(), lattice.MaxHeight());
     for (const bool use_pruning : {true, false}) {
+      LatticeSearchOptions sequential_options;
+      sequential_options.use_pruning = use_pruning;
       const LatticeSearchResult sequential =
-          FindMinimalSafeNodes(lattice, is_safe, use_pruning);
+          FindMinimalSafeNodes(lattice, is_safe, sequential_options);
       for (const size_t threads : {1u, 2u, 8u}) {
         LatticeSearchOptions options;
         options.use_pruning = use_pruning;

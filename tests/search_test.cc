@@ -57,8 +57,10 @@ TEST(LatticeSearchTest, MatchesExhaustiveOracle) {
 
 TEST(LatticeSearchTest, PruningDoesNotChangeTheAnswer) {
   GeneralizationLattice lattice({4, 3, 2});
-  const auto pruned = FindMinimalSafeNodes(lattice, FrontierSafe, true);
-  const auto full = FindMinimalSafeNodes(lattice, FrontierSafe, false);
+  LatticeSearchOptions exhaustive;
+  exhaustive.use_pruning = false;
+  const auto pruned = FindMinimalSafeNodes(lattice, FrontierSafe);
+  const auto full = FindMinimalSafeNodes(lattice, FrontierSafe, exhaustive);
   std::set<uint64_t> a, b;
   for (const auto& node : pruned.minimal_safe_nodes) a.insert(lattice.Encode(node));
   for (const auto& node : full.minimal_safe_nodes) b.insert(lattice.Encode(node));

@@ -4,23 +4,19 @@
 // insert/remove stream, IncrementalAnalyzer answers exactly — bit for bit,
 // not approximately — what a fresh DisclosureAnalyzer over the same
 // bucketization answers, and (on tiny tables, k <= 2) what the exact
-// world-enumeration oracle computes. The warm-started lattice search and
-// the StreamingPublisher are covered by the same standard: identical output
-// to their cold counterparts, with strictly less work on stable frontiers.
+// world-enumeration oracle computes. Sequential releases of a growing
+// table (MultiPolicyPublisher::AddBatch + PublishAll) are checked against
+// the reference publisher in multi_policy_search_test.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
-#include "cksafe/adult/adult.h"
 #include "cksafe/anon/bucketization.h"
 #include "cksafe/core/disclosure.h"
 #include "cksafe/exact/exact_engine.h"
-#include "cksafe/search/lattice_search.h"
-#include "cksafe/search/publisher.h"
 #include "cksafe/stream/incremental_analyzer.h"
-#include "cksafe/stream/streaming_publisher.h"
 #include "cksafe/util/random.h"
 #include "testing_util.h"
 
@@ -247,148 +243,6 @@ TEST(StreamingDifferentialTest, MatchesExactOracleOnTinyStreams) {
       }
     }
   }
-}
-
-// --- Warm-started lattice search ------------------------------------------
-
-NodePredicate HospitalCkSafety(const Table& table,
-                               const std::vector<QuasiIdentifier>& qis,
-                               DisclosureCache* cache, double c, size_t k) {
-  return [&table, &qis, cache, c, k](const LatticeNode& node) {
-    auto b = BucketizeAtNode(table, qis, node,
-                             testing::kHospitalSensitiveColumn);
-    CKSAFE_CHECK(b.ok());
-    return DisclosureAnalyzer(*b, cache).IsCkSafe(c, k);
-  };
-}
-
-std::vector<QuasiIdentifier> HospitalQis(const Table& table) {
-  std::vector<QuasiIdentifier> qis(3);
-  qis[0] = {0, ShareHierarchy(TreeHierarchy::SuppressionOnly(
-                   table.schema().attribute(0)))};
-  auto age = IntervalHierarchy::Create(table.schema().attribute(1), {1, 3},
-                                       /*add_suppressed_top=*/true);
-  CKSAFE_CHECK(age.ok());
-  qis[1] = {1, ShareHierarchy(*std::move(age))};
-  qis[2] = {2, ShareHierarchy(TreeHierarchy::SuppressionOnly(
-                   table.schema().attribute(2)))};
-  return qis;
-}
-
-TEST(WarmStartSearchTest, SeededSearchIsIdenticalAndDoesLessWork) {
-  const Table table = testing::MakeHospitalTable();
-  const auto qis = HospitalQis(table);
-  const GeneralizationLattice lattice =
-      GeneralizationLattice::FromQuasiIdentifiers(qis);
-
-  DisclosureCache cache;
-  const NodePredicate is_safe =
-      HospitalCkSafety(table, qis, &cache, 0.75, 1);
-  const LatticeSearchResult cold =
-      FindMinimalSafeNodes(lattice, is_safe, LatticeSearchOptions{});
-  ASSERT_FALSE(cold.minimal_safe_nodes.empty());
-
-  // Seed with the converged frontier: identical nodes (content and order),
-  // and the sweep itself never re-evaluates a seed.
-  LatticeSearchOptions warm;
-  warm.seed_frontier = cold.minimal_safe_nodes;
-  const LatticeSearchResult seeded =
-      FindMinimalSafeNodes(lattice, is_safe, warm);
-  EXPECT_EQ(seeded.minimal_safe_nodes, cold.minimal_safe_nodes);
-  EXPECT_EQ(seeded.stats.seed_evaluations, cold.minimal_safe_nodes.size());
-  EXPECT_EQ(seeded.stats.seed_reused, cold.minimal_safe_nodes.size());
-  EXPECT_LE(seeded.stats.evaluations, cold.stats.evaluations +
-                                          seeded.stats.seed_evaluations);
-
-  // A garbage seed (unsafe node, wrong arity) costs evaluations but cannot
-  // change the result.
-  LatticeSearchOptions noisy;
-  noisy.seed_frontier = {lattice.Bottom(), {9, 9, 9, 9, 9}};
-  const LatticeSearchResult junk =
-      FindMinimalSafeNodes(lattice, is_safe, noisy);
-  EXPECT_EQ(junk.minimal_safe_nodes, cold.minimal_safe_nodes);
-}
-
-TEST(WarmStartSearchTest, StableFrontierSkipsTheLatticeTop) {
-  // With the previous frontier safe and unchanged, everything strictly
-  // above it prunes; the warm sweep evaluates only nodes not above the
-  // frontier.
-  const Table table = testing::MakeHospitalTable();
-  const auto qis = HospitalQis(table);
-  const GeneralizationLattice lattice =
-      GeneralizationLattice::FromQuasiIdentifiers(qis);
-  DisclosureCache cache;
-  const NodePredicate is_safe =
-      HospitalCkSafety(table, qis, &cache, 0.75, 1);
-  const LatticeSearchResult cold =
-      FindMinimalSafeNodes(lattice, is_safe, LatticeSearchOptions{});
-
-  LatticeSearchOptions warm;
-  warm.seed_frontier = cold.minimal_safe_nodes;
-  const LatticeSearchResult seeded =
-      FindMinimalSafeNodes(lattice, is_safe, warm);
-  // Work in the sweep proper (total minus warm start) must shrink.
-  EXPECT_LT(seeded.stats.evaluations - seeded.stats.seed_evaluations,
-            cold.stats.evaluations);
-  EXPECT_GE(seeded.stats.implied_safe, cold.stats.implied_safe);
-}
-
-// --- Streaming publisher --------------------------------------------------
-
-TEST(StreamingPublisherTest, EachReleaseIsBitIdenticalToColdPublish) {
-  const Table adult = GenerateSyntheticAdult(240, 11);
-  auto qis = AdultQuasiIdentifiers();
-  ASSERT_TRUE(qis.ok());
-  PublisherOptions options;
-  options.c = 0.85;
-  options.k = 2;
-
-  // Start from the first 120 rows, then stream 3 batches of 40.
-  Table initial(adult.schema());
-  size_t cursor = 0;
-  auto row_cells = [&](size_t row) {
-    std::vector<int32_t> cells(adult.num_columns());
-    for (size_t c = 0; c < adult.num_columns(); ++c) {
-      cells[c] = adult.at(static_cast<PersonId>(row), c);
-    }
-    return cells;
-  };
-  for (; cursor < 120; ++cursor) {
-    ASSERT_TRUE(initial.AppendRow(row_cells(cursor)).ok());
-  }
-
-  StreamingPublisher stream(std::move(initial), *qis, kAdultOccupationColumn,
-                            options);
-  const Publisher cold_publisher(options);
-  for (int batch = 0; batch < 4; ++batch) {
-    if (batch > 0) {
-      std::vector<std::vector<int32_t>> rows;
-      for (int i = 0; i < 40 && cursor < adult.num_rows(); ++i, ++cursor) {
-        rows.push_back(row_cells(cursor));
-      }
-      ASSERT_TRUE(stream.AddBatch(rows).ok());
-    }
-    auto warm = stream.PublishNext();
-    ASSERT_TRUE(warm.ok()) << warm.status();
-    EXPECT_EQ(warm->sequence, static_cast<size_t>(batch));
-    EXPECT_EQ(warm->num_rows, stream.table().num_rows());
-
-    auto cold = cold_publisher.Publish(stream.table(), *qis,
-                                       kAdultOccupationColumn);
-    ASSERT_TRUE(cold.ok()) << cold.status();
-    EXPECT_EQ(warm->release.node, cold->node);
-    EXPECT_EQ(warm->release.minimal_safe_nodes, cold->minimal_safe_nodes);
-    EXPECT_EQ(warm->release.worst_case.disclosure,
-              cold->worst_case.disclosure);
-    EXPECT_EQ(warm->release.published_sensitive, cold->published_sensitive);
-    // The warm search may not do more sweep work than the cold one.
-    EXPECT_LE(warm->release.search_stats.evaluations -
-                  warm->release.search_stats.seed_evaluations,
-              cold->search_stats.evaluations);
-  }
-  EXPECT_EQ(stream.session().releases, 4u);
-  // The session cache persisted across releases.
-  EXPECT_GT(stream.session().cache.hits(), 0u);
 }
 
 }  // namespace

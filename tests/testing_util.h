@@ -1,5 +1,6 @@
 // Shared fixtures for the cksafe test suite: the paper's running example
-// (Figures 1-3) and random instance generators for property tests.
+// (Figures 1-3), random instance generators for property tests, and the
+// reference publisher every publish differential compares against.
 
 #ifndef CKSAFE_TESTS_TESTING_UTIL_H_
 #define CKSAFE_TESTS_TESTING_UTIL_H_
@@ -7,11 +8,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cksafe/anon/bucketization.h"
+#include "cksafe/core/disclosure.h"
 #include "cksafe/data/table.h"
+#include "cksafe/search/lattice_search.h"
+#include "cksafe/search/publisher.h"
 #include "cksafe/util/random.h"
 
 namespace cksafe {
@@ -197,6 +202,52 @@ inline std::vector<std::vector<uint32_t>> RandomHistograms(
     }
   }
   return histograms;
+}
+
+/// The node-at-a-time publisher of Section 3.4, kept as the oracle for
+/// PublishPolicies: Incognito (FindMinimalSafeNodes) with a fresh
+/// BucketizeAtNode and a point IsCkSafe check per node, then every
+/// minimal safe node bucketized again and scored, and the best one (the
+/// first on ties) released. It shares the kernel, the bucketizer and the
+/// utility metrics with the level pass, but not the sweep, the rollups,
+/// the profiles or the release assembly.
+inline StatusOr<PublishedRelease> ReferencePublish(
+    const Table& table, const std::vector<QuasiIdentifier>& qis,
+    size_t sensitive_column, const PublisherOptions& options) {
+  DisclosureCache cache;
+  const NodePredicate is_safe = [&](const LatticeNode& node) {
+    auto bucketization = BucketizeAtNode(table, qis, node, sensitive_column);
+    CKSAFE_CHECK(bucketization.ok()) << bucketization.status().ToString();
+    return DisclosureAnalyzer(*bucketization, &cache)
+        .IsCkSafe(options.c, options.k);
+  };
+  LatticeSearchResult search = FindMinimalSafeNodes(
+      GeneralizationLattice::FromQuasiIdentifiers(qis), is_safe);
+  if (search.minimal_safe_nodes.empty()) {
+    return Status::NotFound("no safe generalization");
+  }
+  std::optional<PublishedRelease> best;
+  for (const LatticeNode& node : search.minimal_safe_nodes) {
+    auto bucketization = BucketizeAtNode(table, qis, node, sensitive_column);
+    CKSAFE_CHECK(bucketization.ok()) << bucketization.status().ToString();
+    const UtilityMetrics utility =
+        ComputeUtility(table, qis, node, *bucketization);
+    if (best.has_value() &&
+        UtilityScore(utility, options.objective) >=
+            UtilityScore(best->utility, options.objective)) {
+      continue;
+    }
+    best = PublishedRelease{node, *std::move(bucketization), utility, {}, {},
+                            {}, {}};
+  }
+  best->worst_case = DisclosureAnalyzer(best->bucketization, &cache)
+                         .MaxDisclosureImplications(options.k);
+  Rng rng(options.seed);
+  best->published_sensitive =
+      best->bucketization.SamplePublishedAssignment(&rng);
+  best->minimal_safe_nodes = std::move(search.minimal_safe_nodes);
+  best->search_stats = search.stats;
+  return *std::move(best);
 }
 
 }  // namespace testing

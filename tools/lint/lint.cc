@@ -106,6 +106,19 @@ struct FileTokens {
   std::vector<Token> tokens;
 };
 
+// Given `toks[close]` == ")" or "]", returns the index of its matching
+// opener, or -1 when unbalanced.
+int OpenOf(const std::vector<Token>& toks, int close) {
+  const std::string_view open = toks[close].text == ")" ? "(" : "[";
+  int depth = 0;
+  for (int j = close; j >= 0; --j) {
+    if (toks[j].kind != TokenKind::kPunct) continue;
+    if (toks[j].text == toks[close].text) ++depth;
+    if (toks[j].text == open && --depth == 0) return j;
+  }
+  return -1;
+}
+
 // Walks backwards from the callee identifier at `callee` over a postfix
 // chain (obj.member->Method, ns::Class::Fn, Make().Then) and returns the
 // index of the chain's first token.
@@ -125,18 +138,7 @@ int ChainStart(const std::vector<Token>& toks, int callee) {
       if (toks[q].IsPunct(")") || toks[q].IsPunct("]")) {
         // Back over a balanced (...) or [...] group, then over the
         // identifier that precedes it if any (a call or index).
-        const std::string_view close = toks[q].text;
-        const std::string_view open = (close == ")") ? "(" : "[";
-        int depth = 0;
-        int j = q;
-        for (; j >= 0; --j) {
-          if (toks[j].kind == TokenKind::kComment) continue;
-          if (toks[j].text == close && toks[j].kind == TokenKind::kPunct)
-            ++depth;
-          if (toks[j].text == open && toks[j].kind == TokenKind::kPunct) {
-            if (--depth == 0) break;
-          }
-        }
+        const int j = OpenOf(toks, q);
         if (j < 0) return start;
         const int before = PrevSignificant(toks, j);
         if (before >= 0 && toks[before].kind == TokenKind::kIdentifier) {
@@ -149,6 +151,70 @@ int ChainStart(const std::vector<Token>& toks, int callee) {
       return start;
     }
     return start;
+  }
+}
+
+// Returns the `?` that the `:` at `colon` closes, or -1 when the colon
+// ends a case or goto label.
+int QuestionOf(const std::vector<Token>& toks, int colon) {
+  int nested = 0;
+  for (int j = PrevSignificant(toks, colon); j >= 0;
+       j = PrevSignificant(toks, j)) {
+    const Token& t = toks[j];
+    if (t.IsPunct(")") || t.IsPunct("]")) {
+      j = OpenOf(toks, j);
+      if (j < 0) return -1;
+      continue;
+    }
+    if (t.IsPunct(";") || t.IsPunct("{") || t.IsPunct("}") ||
+        t.IsPunct("(") || t.IsPunct("[")) {
+      return -1;
+    }
+    if (t.IsPunct(":")) ++nested;
+    if (t.IsPunct("?") && nested-- == 0) return j;
+  }
+  return -1;
+}
+
+// Returns the index of the token before the conditional expression whose
+// `?` is at `question` (-1 at the start of the file). The condition
+// extends back to the first token a logical-or-expression cannot hold: an
+// assignment, a separator, an opening bracket, `return`/`throw`, or the
+// `)` closing a control clause.
+int ConditionalStart(const std::vector<Token>& toks, int question) {
+  for (int j = question;;) {
+    const int p = PrevSignificant(toks, j);
+    if (p < 0) return p;
+    const Token& t = toks[p];
+    if (t.IsPunct(")") || t.IsPunct("]")) {
+      j = OpenOf(toks, p);
+      if (j < 0) return p;
+      const int before = PrevSignificant(toks, j);
+      if (t.IsPunct(")") && before >= 0 &&
+          (toks[before].IsIdent("if") || toks[before].IsIdent("while") ||
+           toks[before].IsIdent("for") || toks[before].IsIdent("switch"))) {
+        return p;
+      }
+      continue;
+    }
+    if (t.IsPunct("=")) {
+      // The lexer splits `==`, `!=`, `<=` and `>=` into two punctuators.
+      const int q = PrevSignificant(toks, p);
+      if (q < 0 || !(toks[q].IsPunct("=") || toks[q].IsPunct("!") ||
+                     toks[q].IsPunct("<") || toks[q].IsPunct(">"))) {
+        return p;
+      }
+      j = q;
+      continue;
+    }
+    if (t.IsPunct(";") || t.IsPunct("{") || t.IsPunct("}") ||
+        t.IsPunct(":") || t.IsPunct("?") || t.IsPunct(",") ||
+        t.IsPunct("(") || t.IsPunct("[") || t.IsIdent("return") ||
+        t.IsIdent("co_return") || t.IsIdent("throw") || t.IsIdent("else") ||
+        t.IsIdent("do")) {
+      return p;
+    }
+    j = p;
   }
 }
 
@@ -272,7 +338,14 @@ void RunUncheckedStatus(const std::vector<FileTokens>& lexed,
       if (after < 0 || !toks[after].IsPunct(";")) continue;
 
       const int start = ChainStart(toks, i);
-      const int pre = PrevSignificant(toks, start);
+      int pre = PrevSignificant(toks, start);
+      // A call ending a conditional is discarded only when the whole
+      // conditional is: judge the token before it instead.
+      while (pre >= 0 && toks[pre].IsPunct(":")) {
+        const int question = QuestionOf(toks, pre);
+        if (question < 0) break;  // a case or goto label
+        pre = ConditionalStart(toks, question);
+      }
       bool discarded = false;
       bool voided = false;
       if (pre < 0) {

@@ -254,7 +254,7 @@ BENCHMARK(BM_StreamingPublish)->Unit(benchmark::kMillisecond)->Arg(1)->Arg(0);
 // E11 thread matrix: the multi-tenant streaming publish at 1/2/4/8 worker
 // threads. Each iteration grows the table by one batch and republishes all
 // tenants through MultiPolicyPublisher, which runs each lattice level as
-// one parallel pass over the pool (rollup bucketization, then a profile
+// one parallel pass over the pool (histogram rollup, then a profile
 // against the shared cache). Output is CHECKed against a 1-thread baseline
 // publisher every iteration; compare real_time across the threads argument
 // for the scaling, and table_requests against tables_built for the shared

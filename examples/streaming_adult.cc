@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   // everything else suppressed) maintained incrementally.
   const LatticeNode fig5 = AdultFigure5Node();
   IncrementalAnalyzer monitor(kAdultOccupationValues);
-  std::unordered_map<int32_t, size_t> bucket_of_group;
+  std::unordered_map<int64_t, size_t> bucket_of_group;
 
   MultiPolicyPublisher stream(Table(full.schema()), *qis,
                               kAdultOccupationColumn, options);
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
     for (size_t r = start; r < end; ++r) {
       cells.push_back(row_cells(r));
       const int32_t age = full.at(static_cast<PersonId>(r), kAdultAgeColumn);
-      const int32_t group =
+      const int64_t group =
           (*qis)[0].hierarchy->GroupOf(age, static_cast<size_t>(fig5[0]));
       const int32_t s =
           full.at(static_cast<PersonId>(r), kAdultOccupationColumn);

@@ -10,6 +10,7 @@
 #define CKSAFE_ANON_BUCKETIZATION_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,12 +74,6 @@ class Bucketization {
   std::string ToString() const;
 
  private:
-  // Reads bucket_of_ to place every row.
-  friend StatusOr<Bucketization> RollUpBucketization(
-      const Table& table, const std::vector<QuasiIdentifier>& qis,
-      const Bucketization& child, const LatticeNode& node,
-      size_t sensitive_column);
-
   size_t sensitive_domain_size_;
   size_t num_tuples_ = 0;
   std::vector<Bucket> buckets_;
@@ -92,24 +87,58 @@ class Bucketization {
 /// by quasi-identifier in `qis` order. Each bucket lists its rows in
 /// ascending order, and its qi_label renders the generalized values.
 /// Sort-based: a stable sort of the row ids per quasi-identifier (last one
-/// first; a counting pass when its level has at most one group per row), a
-/// scan that cuts the buckets, and one that fills them. Memory is O(rows),
-/// whatever the quasi-identifiers' value ranges.
+/// first; a counting pass when its level has at most one group per row)
+/// and a scan that cuts the buckets. Memory is O(rows), whatever the
+/// quasi-identifiers' value ranges.
 StatusOr<Bucketization> BucketizeAtNode(const Table& table,
                                         const std::vector<QuasiIdentifier>& qis,
                                         const LatticeNode& node,
                                         size_t sensitive_column);
 
-/// BucketizeAtNode's result at `node`, rolled up from `child`, a
-/// bucketization of all of `table`'s rows at a node below `node`. By the
-/// nesting contract of AttributeHierarchy each child bucket lies inside one
-/// bucket at `node`, so BucketizeAtNode's sort runs over one representative
-/// row per child bucket, and the scan that fills the buckets follows the
-/// child's row -> bucket map.
-StatusOr<Bucketization> RollUpBucketization(
-    const Table& table, const std::vector<QuasiIdentifier>& qis,
-    const Bucketization& child, const LatticeNode& node,
-    size_t sensitive_column);
+/// What the disclosure analysis reads of BucketizeAtNode's result, without
+/// building it: for each bucket, in the same order, its lowest row and its
+/// sensitive histogram, in one flat array. There are no member lists, no
+/// labels and no row -> bucket map. The lowest row keys the bucket in the
+/// next rollup.
+class NodeHistograms {
+ public:
+  /// The histograms at `node`, grouped from the rows.
+  static StatusOr<NodeHistograms> AtNode(
+      const Table& table, const std::vector<QuasiIdentifier>& qis,
+      const LatticeNode& node, size_t sensitive_column);
+
+  /// AtNode's result at `node`, rolled up from `child`, the histograms of
+  /// all of `table`'s rows at a node below `node`. By the nesting contract
+  /// of AttributeHierarchy each child bucket lies inside one bucket at
+  /// `node`, so BucketizeAtNode's sort runs over the child buckets' lowest
+  /// rows and each bucket sums its child buckets' histograms; no row is
+  /// scanned. InvalidArgument when `child` does not cover the table's rows.
+  static StatusOr<NodeHistograms> RollUp(
+      const Table& table, const std::vector<QuasiIdentifier>& qis,
+      const NodeHistograms& child, const LatticeNode& node,
+      size_t sensitive_column);
+
+  size_t num_buckets() const { return data_.size() / stride(); }
+  size_t sensitive_domain_size() const { return domain_; }
+  size_t num_tuples() const { return num_tuples_; }
+  /// The bucket's lowest row: BucketizeAtNode's members[0].
+  PersonId first_row(size_t bucket) const { return data_[bucket * stride()]; }
+  /// The bucket's histogram, indexed by sensitive code.
+  std::span<const uint32_t> histogram(size_t bucket) const {
+    return {data_.data() + bucket * stride() + 1, domain_};
+  }
+
+ private:
+  NodeHistograms(size_t domain, size_t num_buckets)
+      : domain_(domain), data_(num_buckets * (domain + 1), 0) {}
+
+  size_t stride() const { return domain_ + 1; }
+
+  size_t domain_;
+  size_t num_tuples_ = 0;
+  // Per bucket: its lowest row, then its histogram.
+  std::vector<uint32_t> data_;
+};
 
 /// All rows in a single bucket (the lattice's top / paper's B_⊤).
 StatusOr<Bucketization> BucketizeAllInOne(const Table& table,

@@ -6,6 +6,7 @@
 #define CKSAFE_CORE_BUCKET_STATS_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,7 +34,7 @@ struct BucketStats {
   uint32_t TopSum(size_t j) const;
 
   /// Builds stats from a histogram indexed by sensitive code.
-  static BucketStats FromHistogram(const std::vector<uint32_t>& histogram);
+  static BucketStats FromHistogram(std::span<const uint32_t> histogram);
 
   /// Delta-friendly updates for streaming: adds/removes one occurrence of
   /// `code`, restoring the (count descending, code ascending) order and the
@@ -64,6 +65,7 @@ struct CountsHash {
 
 /// Stats for every bucket of a bucketization, in bucket order.
 std::vector<BucketStats> ComputeBucketStats(const Bucketization& b);
+std::vector<BucketStats> ComputeBucketStats(const NodeHistograms& h);
 
 }  // namespace cksafe
 

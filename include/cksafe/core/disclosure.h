@@ -168,12 +168,10 @@ class DisclosureAnalyzer {
   /// sweep (the per-k values read off columns of the same DP — see
   /// Minimize2Forward::LogRMinAt). Element k of each curve is bit-identical
   /// to the corresponding point query's .disclosure, and implication_log_r
-  /// carries the exact log-ratio curve. `with_negation` = false skips the
-  /// negation scan (hot-path profilers only classify the implication
-  /// curve).
+  /// carries the exact log-ratio curve. The implication half is
+  /// ImplicationProfile over bucket_stats().
   DisclosureProfile Profile(size_t max_k,
-                            Minimize2Workspace* workspace = nullptr,
-                            bool with_negation = true) const;
+                            Minimize2Workspace* workspace = nullptr) const;
 
   /// Thin views over the one-sweep profile machinery (Figure 5 series).
   std::vector<double> ImplicationCurve(
@@ -183,19 +181,21 @@ class DisclosureAnalyzer {
   const std::vector<BucketStats>& bucket_stats() const { return stats_; }
 
  private:
-  std::shared_ptr<const Minimize1Table> Table(size_t bucket_index,
-                                              size_t max_k) const;
-
-  /// Per-bucket MINIMIZE2 inputs with tables pinned at budget `max_k`,
-  /// written into *inputs (a workspace buffer reused across nodes).
-  void Minimize2Inputs(size_t max_k,
-                       std::vector<Minimize2Bucket>* inputs) const;
-
   const Bucketization& bucketization_;
   std::vector<BucketStats> stats_;
   mutable DisclosureCache local_cache_;
   DisclosureCache* cache_;
 };
+
+/// The implication half of a DisclosureProfile (implication and
+/// implication_log_r; negation stays empty) for the buckets `stats`, in
+/// bucket order, from one MINIMIZE2 sweep over tables from `cache`. Needs
+/// no members or labels, so a lattice pass can profile a node from its
+/// histograms alone. DisclosureAnalyzer::Profile calls it, so the two are
+/// bit-identical. `stats` must not be empty.
+DisclosureProfile ImplicationProfile(const std::vector<BucketStats>& stats,
+                                     size_t max_k, DisclosureCache* cache,
+                                     Minimize2Workspace* workspace = nullptr);
 
 /// Materializes the atoms of one bucket's witness partition; atoms for
 /// person j use the bucket's top-k_j value codes. Appends to `out`,

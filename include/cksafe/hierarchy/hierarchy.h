@@ -24,8 +24,8 @@ namespace cksafe {
 ///
 /// Nesting contract: each level-l group lies inside exactly one
 /// level-(l+1) group, so values grouped together stay together at every
-/// coarser level. RollUpBucketization relies on it to take a child bucket's
-/// coarser key from any one of its rows. IntervalHierarchy and
+/// coarser level. NodeHistograms::RollUp relies on it to take a child
+/// bucket's coarser key from its lowest row. IntervalHierarchy and
 /// TreeHierarchy reject ladders that break it at Create.
 class AttributeHierarchy {
  public:
@@ -37,14 +37,18 @@ class AttributeHierarchy {
   /// Number of levels, >= 1. Level 0 is the identity mapping.
   virtual size_t num_levels() const = 0;
 
-  /// Group id of `code` at `level`. Group ids are dense in [0, NumGroups).
-  virtual int32_t GroupOf(int32_t code, size_t level) const = 0;
+  /// Group id of `code` at `level`. Group ids are dense in [0, NumGroups),
+  /// and 64-bit: an int32 value range can hold 2^32 distinct values.
+  virtual int64_t GroupOf(int32_t code, size_t level) const = 0;
 
   /// Number of distinct groups at `level`.
   virtual size_t NumGroups(size_t level) const = 0;
 
+  /// Number of base values `group` covers at `level`.
+  virtual size_t GroupSize(int64_t group, size_t level) const = 0;
+
   /// Rendering of a group ("[20-39]", "Married", "*").
-  virtual std::string GroupLabel(int32_t group, size_t level) const = 0;
+  virtual std::string GroupLabel(int64_t group, size_t level) const = 0;
 };
 
 /// Interval ladder for numeric attributes: level i groups values into
@@ -64,9 +68,10 @@ class IntervalHierarchy : public AttributeHierarchy {
   size_t num_levels() const override {
     return widths_.size() + (suppressed_top_ ? 1 : 0);
   }
-  int32_t GroupOf(int32_t code, size_t level) const override;
+  int64_t GroupOf(int32_t code, size_t level) const override;
   size_t NumGroups(size_t level) const override;
-  std::string GroupLabel(int32_t group, size_t level) const override;
+  size_t GroupSize(int64_t group, size_t level) const override;
+  std::string GroupLabel(int64_t group, size_t level) const override;
 
  private:
   IntervalHierarchy() = default;
@@ -96,17 +101,20 @@ class TreeHierarchy : public AttributeHierarchy {
 
   const AttributeDef& attribute() const override { return attribute_; }
   size_t num_levels() const override { return group_of_.size(); }
-  int32_t GroupOf(int32_t code, size_t level) const override;
+  int64_t GroupOf(int32_t code, size_t level) const override;
   size_t NumGroups(size_t level) const override;
-  std::string GroupLabel(int32_t group, size_t level) const override;
+  size_t GroupSize(int64_t group, size_t level) const override;
+  std::string GroupLabel(int64_t group, size_t level) const override;
 
  private:
   TreeHierarchy() = default;
 
   AttributeDef attribute_{AttributeDef::Numeric("", 0, 0)};
-  // group_of_[level][code] -> group id; labels_[level][group] -> label.
+  // group_of_[level][code] -> group id; labels_[level][group] -> label;
+  // sizes_[level][group] -> number of codes in the group.
   std::vector<std::vector<int32_t>> group_of_;
   std::vector<std::vector<std::string>> labels_;
+  std::vector<std::vector<size_t>> sizes_;
 };
 
 /// A quasi-identifying column paired with its ladder.

@@ -120,8 +120,8 @@ using NodeProfiler =
 /// what the sweep's NodeProfiler would return for node i, so a correct
 /// batch profiler never changes frontiers, order, or stats — it only
 /// amortizes work across the level. See PublishPolicies (publisher.h) for
-/// the canonical implementation: one parallel pass per level that
-/// bucketizes each node by rolling up a child from the level below.
+/// the canonical implementation: one parallel pass per level that rolls
+/// each node's bucket histograms up from a child on the level below.
 using NodeBatchProfiler =
     std::function<std::vector<std::optional<DisclosureProfile>>(
         const std::vector<LatticeNode>&, ThreadPool*)>;

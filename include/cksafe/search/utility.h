@@ -34,7 +34,10 @@ enum class UtilityObjective {
   kLoss,            ///< UtilityMetrics::loss
 };
 
-/// Computes all metrics for `table` generalized to `node`.
+/// Computes all metrics for `table` generalized to `node`; `bucketization`
+/// holds every row of `table`, grouped at `node` (BucketizeAtNode's
+/// result). Reads group sizes off the ladders, so the cost is O(rows), not
+/// O(value range).
 UtilityMetrics ComputeUtility(const Table& table,
                               const std::vector<QuasiIdentifier>& qis,
                               const LatticeNode& node,

@@ -145,18 +145,8 @@ Status ValidateSensitiveColumn(const Table& table, size_t sensitive_column) {
   return Status::OK();
 }
 
-// The grouping behind BucketizeAtNode and RollUpBucketization. Item j is a
-// set of rows sharing one key at `node`, read off its representative row
-// reps[j]; item_of_row maps each row to its item, or is null when every
-// row is its own item. Items are sorted by key, each run of equal keys is
-// cut into one bucket, and one ascending scan of the rows fills the
-// buckets' members and histograms.
-StatusOr<Bucketization> GroupAtNode(const Table& table,
-                                    const std::vector<QuasiIdentifier>& qis,
-                                    const LatticeNode& node,
-                                    size_t sensitive_column,
-                                    const std::vector<PersonId>& reps,
-                                    const std::vector<int32_t>* item_of_row) {
+Status ValidateNode(const Table& table, const std::vector<QuasiIdentifier>& qis,
+                    const LatticeNode& node, size_t sensitive_column) {
   CKSAFE_RETURN_IF_ERROR(ValidateSensitiveColumn(table, sensitive_column));
   if (node.size() != qis.size()) {
     return Status::InvalidArgument("node arity != number of quasi-identifiers");
@@ -170,18 +160,34 @@ StatusOr<Bucketization> GroupAtNode(const Table& table,
       return Status::OutOfRange("generalization level out of range");
     }
   }
-  const size_t domain =
-      table.schema().attribute(sensitive_column).domain_size();
+  return Status::OK();
+}
+
+// Items in generalized-key order, cut into buckets: bucket b holds the
+// items order[cuts[b]], ..., order[cuts[b + 1] - 1], and keys[item *
+// num_qis + i] is the item's group id for quasi-identifier i.
+struct KeyRuns {
+  std::vector<int64_t> keys;
+  std::vector<uint32_t> order;
+  std::vector<uint32_t> cuts;
+
+  size_t num_buckets() const { return cuts.size() - 1; }
+};
+
+// The grouping behind BucketizeAtNode and NodeHistograms. Item j is a set
+// of rows sharing one key at `node`, read off its representative row
+// reps[j]. A stable sort leaves the items in key order, so items with
+// equal keys keep their order in `reps`.
+KeyRuns SortByKey(const Table& table, const std::vector<QuasiIdentifier>& qis,
+                  const LatticeNode& node, const std::vector<PersonId>& reps) {
   const size_t items = reps.size();
   const size_t num_qis = qis.size();
-
-  // keys[item * num_qis + i]: the item's group id for quasi-identifier i at
-  // the node's level.
-  std::vector<int32_t> keys(items * num_qis);
+  KeyRuns runs;
+  runs.keys.resize(items * num_qis);
   for (size_t i = 0; i < num_qis; ++i) {
     const std::vector<int32_t>& column = table.column(qis[i].column);
     for (size_t item = 0; item < items; ++item) {
-      keys[item * num_qis + i] = qis[i].hierarchy->GroupOf(
+      runs.keys[item * num_qis + i] = qis[i].hierarchy->GroupOf(
           column[reps[item]], static_cast<size_t>(node[i]));
     }
   }
@@ -190,12 +196,15 @@ StatusOr<Bucketization> GroupAtNode(const Table& table,
   // in lexicographic key order. A pass counts when the level has at most
   // one group per item and compares otherwise, so no buffer grows with a
   // quasi-identifier's value range.
-  std::vector<uint32_t> order(items);
+  std::vector<uint32_t>& order = runs.order;
+  order.resize(items);
   std::iota(order.begin(), order.end(), 0u);
   std::vector<uint32_t> sorted(items);
   std::vector<uint32_t> next;
   for (size_t i = num_qis; i-- > 0;) {
-    const auto group = [&](uint32_t item) { return keys[item * num_qis + i]; };
+    const auto group = [&](uint32_t item) {
+      return runs.keys[item * num_qis + i];
+    };
     const size_t num_groups =
         qis[i].hierarchy->NumGroups(static_cast<size_t>(node[i]));
     if (num_groups > items) {
@@ -207,48 +216,28 @@ StatusOr<Bucketization> GroupAtNode(const Table& table,
     next.assign(num_groups + 1, 0);
     for (uint32_t item : order) {
       CKSAFE_CHECK_LT(static_cast<size_t>(group(item)), num_groups);
-      ++next[group(item) + 1];
+      ++next[static_cast<size_t>(group(item)) + 1];
     }
     std::partial_sum(next.begin(), next.end(), next.begin());
-    for (uint32_t item : order) sorted[next[group(item)]++] = item;
+    for (uint32_t item : order) {
+      sorted[next[static_cast<size_t>(group(item))]++] = item;
+    }
     order.swap(sorted);
   }
 
   // One scan of the sorted items cuts a bucket wherever the key changes.
   const auto key_of = [&](uint32_t item) {
-    return keys.data() + item * num_qis;
+    return runs.keys.data() + item * num_qis;
   };
-  std::vector<uint32_t> bucket_of_item(items);
-  std::vector<Bucket> buckets;
-  for (size_t begin = 0, end = 0; begin < items; begin = end) {
-    const int32_t* key = key_of(order[begin]);
-    for (end = begin;
-         end < items && std::equal(key, key + num_qis, key_of(order[end]));
-         ++end) {
-      bucket_of_item[order[end]] = static_cast<uint32_t>(buckets.size());
+  runs.cuts.push_back(0);
+  for (size_t j = 1; j <= items; ++j) {
+    if (j == items || !std::equal(key_of(order[j - 1]),
+                                  key_of(order[j - 1]) + num_qis,
+                                  key_of(order[j]))) {
+      runs.cuts.push_back(static_cast<uint32_t>(j));
     }
-    Bucket b;
-    b.histogram.assign(domain, 0);
-    std::vector<std::string> labels;
-    for (size_t i = 0; i < num_qis; ++i) {
-      labels.push_back(qis[i].hierarchy->GroupLabel(
-          key[i], static_cast<size_t>(node[i])));
-    }
-    b.qi_label = Join(labels, ", ");
-    buckets.push_back(std::move(b));
   }
-  const std::vector<int32_t>& sensitive = table.column(sensitive_column);
-  for (PersonId row = 0; row < table.num_rows(); ++row) {
-    const size_t item = item_of_row == nullptr
-                            ? row
-                            : static_cast<size_t>((*item_of_row)[row]);
-    Bucket& b = buckets[bucket_of_item[item]];
-    b.members.push_back(row);
-    ++b.histogram[static_cast<size_t>(sensitive[row])];
-  }
-  Bucketization out(domain);
-  for (Bucket& b : buckets) CKSAFE_RETURN_IF_ERROR(out.AddBucket(std::move(b)));
-  return out;
+  return runs;
 }
 
 }  // namespace
@@ -257,27 +246,82 @@ StatusOr<Bucketization> BucketizeAtNode(const Table& table,
                                         const std::vector<QuasiIdentifier>& qis,
                                         const LatticeNode& node,
                                         size_t sensitive_column) {
+  CKSAFE_RETURN_IF_ERROR(ValidateNode(table, qis, node, sensitive_column));
+  const size_t domain =
+      table.schema().attribute(sensitive_column).domain_size();
   std::vector<PersonId> rows(table.num_rows());
   std::iota(rows.begin(), rows.end(), PersonId{0});
-  return GroupAtNode(table, qis, node, sensitive_column, rows, nullptr);
+  const KeyRuns runs = SortByKey(table, qis, node, rows);
+  const std::vector<int32_t>& sensitive = table.column(sensitive_column);
+  Bucketization out(domain);
+  for (size_t b = 0; b < runs.num_buckets(); ++b) {
+    // The rows started ascending and the sort is stable, so each run lists
+    // its bucket's rows in ascending order.
+    Bucket bucket;
+    bucket.members.assign(runs.order.begin() + runs.cuts[b],
+                          runs.order.begin() + runs.cuts[b + 1]);
+    bucket.histogram.assign(domain, 0);
+    for (PersonId row : bucket.members) {
+      ++bucket.histogram[static_cast<size_t>(sensitive[row])];
+    }
+    const int64_t* key = runs.keys.data() + bucket.members[0] * qis.size();
+    std::vector<std::string> labels;
+    for (size_t i = 0; i < qis.size(); ++i) {
+      labels.push_back(qis[i].hierarchy->GroupLabel(
+          key[i], static_cast<size_t>(node[i])));
+    }
+    bucket.qi_label = Join(labels, ", ");
+    CKSAFE_RETURN_IF_ERROR(out.AddBucket(std::move(bucket)));
+  }
+  return out;
 }
 
-StatusOr<Bucketization> RollUpBucketization(
+StatusOr<NodeHistograms> NodeHistograms::AtNode(
     const Table& table, const std::vector<QuasiIdentifier>& qis,
-    const Bucketization& child, const LatticeNode& node,
+    const LatticeNode& node, size_t sensitive_column) {
+  CKSAFE_RETURN_IF_ERROR(ValidateSensitiveColumn(table, sensitive_column));
+  // Every row its own bucket lies inside one bucket at any node.
+  NodeHistograms rows(table.schema().attribute(sensitive_column).domain_size(),
+                      table.num_rows());
+  const std::vector<int32_t>& sensitive = table.column(sensitive_column);
+  for (PersonId row = 0; row < table.num_rows(); ++row) {
+    rows.data_[row * rows.stride()] = row;
+    ++rows.data_[row * rows.stride() + 1 + static_cast<size_t>(sensitive[row])];
+  }
+  rows.num_tuples_ = table.num_rows();
+  return RollUp(table, qis, rows, node, sensitive_column);
+}
+
+StatusOr<NodeHistograms> NodeHistograms::RollUp(
+    const Table& table, const std::vector<QuasiIdentifier>& qis,
+    const NodeHistograms& child, const LatticeNode& node,
     size_t sensitive_column) {
+  CKSAFE_RETURN_IF_ERROR(ValidateNode(table, qis, node, sensitive_column));
+  const size_t domain =
+      table.schema().attribute(sensitive_column).domain_size();
   if (child.num_tuples() != table.num_rows() ||
-      child.bucket_of_.size() != table.num_rows()) {
+      child.sensitive_domain_size() != domain) {
     return Status::InvalidArgument(
-        "child bucketization does not partition the table's rows");
+        "child histograms do not cover the table's rows");
   }
-  std::vector<PersonId> reps;
-  reps.reserve(child.num_buckets());
-  for (const Bucket& bucket : child.buckets()) {
-    reps.push_back(bucket.members[0]);
+  std::vector<PersonId> reps(child.num_buckets());
+  for (size_t item = 0; item < reps.size(); ++item) {
+    reps[item] = child.first_row(item);
   }
-  return GroupAtNode(table, qis, node, sensitive_column, reps,
-                     &child.bucket_of_);
+  const KeyRuns runs = SortByKey(table, qis, node, reps);
+  NodeHistograms out(domain, runs.num_buckets());
+  out.num_tuples_ = child.num_tuples_;
+  for (size_t b = 0; b < runs.num_buckets(); ++b) {
+    uint32_t* bucket = out.data_.data() + b * out.stride();
+    bucket[0] = std::numeric_limits<uint32_t>::max();
+    for (size_t j = runs.cuts[b]; j < runs.cuts[b + 1]; ++j) {
+      const uint32_t item = runs.order[j];
+      bucket[0] = std::min(bucket[0], reps[item]);
+      const std::span<const uint32_t> counts = child.histogram(item);
+      for (size_t s = 0; s < domain; ++s) bucket[1 + s] += counts[s];
+    }
+  }
+  return out;
 }
 
 StatusOr<Bucketization> BucketizeAllInOne(const Table& table,

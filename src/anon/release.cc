@@ -49,7 +49,7 @@ StatusOr<GeneralizedRelease> BuildGeneralizedRelease(
       std::vector<std::string> row;
       row.reserve(qis.size() + 1);
       for (size_t i = 0; i < qis.size(); ++i) {
-        const int32_t group = qis[i].hierarchy->GroupOf(
+        const int64_t group = qis[i].hierarchy->GroupOf(
             table.at(person, qis[i].column), static_cast<size_t>(node[i]));
         row.push_back(qis[i].hierarchy->GroupLabel(
             group, static_cast<size_t>(node[i])));

@@ -1,7 +1,6 @@
 #include "cksafe/core/bucket_stats.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "cksafe/util/check.h"
 
@@ -11,36 +10,28 @@ uint32_t BucketStats::TopSum(size_t j) const {
   return prefix[std::min(j, d())];
 }
 
-BucketStats BucketStats::FromHistogram(const std::vector<uint32_t>& histogram) {
-  BucketStats stats;
+BucketStats BucketStats::FromHistogram(std::span<const uint32_t> histogram) {
+  // One sort key per present value: count descending, then code ascending.
+  size_t d = 0;
+  for (uint32_t count : histogram) d += count != 0 ? 1 : 0;
+  std::vector<uint64_t> keys;
+  keys.reserve(d);
   for (size_t code = 0; code < histogram.size(); ++code) {
     if (histogram[code] == 0) continue;
-    stats.counts.push_back(histogram[code]);
-    stats.value_codes.push_back(static_cast<int32_t>(code));
-    stats.n += histogram[code];
+    keys.push_back(uint64_t{~histogram[code]} << 32 | code);
   }
-  // Sort by count descending, value code ascending.
-  std::vector<size_t> order(stats.counts.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (stats.counts[a] != stats.counts[b]) {
-      return stats.counts[a] > stats.counts[b];
-    }
-    return stats.value_codes[a] < stats.value_codes[b];
-  });
-  std::vector<uint32_t> sorted_counts(order.size());
-  std::vector<int32_t> sorted_codes(order.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    sorted_counts[i] = stats.counts[order[i]];
-    sorted_codes[i] = stats.value_codes[order[i]];
-  }
-  stats.counts = std::move(sorted_counts);
-  stats.value_codes = std::move(sorted_codes);
-
-  stats.prefix.resize(stats.counts.size() + 1);
-  stats.prefix[0] = 0;
-  for (size_t j = 0; j < stats.counts.size(); ++j) {
-    stats.prefix[j + 1] = stats.prefix[j] + stats.counts[j];
+  std::sort(keys.begin(), keys.end());
+  BucketStats stats;
+  stats.counts.reserve(d);
+  stats.value_codes.reserve(d);
+  stats.prefix.reserve(d + 1);
+  stats.prefix.push_back(0);
+  for (uint64_t key : keys) {
+    const uint32_t count = ~static_cast<uint32_t>(key >> 32);
+    stats.counts.push_back(count);
+    stats.value_codes.push_back(static_cast<int32_t>(key & 0xffffffffu));
+    stats.n += count;
+    stats.prefix.push_back(stats.n);
   }
   return stats;
 }
@@ -118,6 +109,15 @@ std::vector<BucketStats> ComputeBucketStats(const Bucketization& b) {
   stats.reserve(b.num_buckets());
   for (const Bucket& bucket : b.buckets()) {
     stats.push_back(BucketStats::FromHistogram(bucket.histogram));
+  }
+  return stats;
+}
+
+std::vector<BucketStats> ComputeBucketStats(const NodeHistograms& h) {
+  std::vector<BucketStats> stats;
+  stats.reserve(h.num_buckets());
+  for (size_t b = 0; b < h.num_buckets(); ++b) {
+    stats.push_back(BucketStats::FromHistogram(h.histogram(b)));
   }
   return stats;
 }

@@ -194,6 +194,42 @@ std::vector<double> NegationCurveOverBuckets(
   return curve;
 }
 
+namespace {
+
+// Per-bucket MINIMIZE2 inputs with tables pinned at budget `max_k`,
+// written into *inputs (a workspace buffer reused across nodes). The
+// shared_ptrs pin the tables for the whole computation even if a
+// concurrent analyzer upgrades the cache.
+void FillMinimize2Inputs(const std::vector<BucketStats>& stats, size_t max_k,
+                         DisclosureCache* cache,
+                         std::vector<Minimize2Bucket>* inputs) {
+  inputs->resize(stats.size());
+  for (size_t i = 0; i < stats.size(); ++i) {
+    (*inputs)[i].table = cache->GetOrCompute(stats[i], max_k);
+    (*inputs)[i].ratio = static_cast<double>(stats[i].n) /
+                         static_cast<double>(stats[i].counts[0]);
+  }
+}
+
+}  // namespace
+
+DisclosureProfile ImplicationProfile(const std::vector<BucketStats>& stats,
+                                     size_t max_k, DisclosureCache* cache,
+                                     Minimize2Workspace* workspace) {
+  Minimize2Workspace local;
+  Minimize2Workspace& ws = workspace != nullptr ? *workspace : local;
+  // Budget max_k + 1: the target atom A joins the antecedents in its own
+  // bucket.
+  FillMinimize2Inputs(stats, max_k + 1, cache, &ws.inputs);
+  Minimize2Forward& dp = ws.SweepForBudget(max_k);
+  dp.Recompute(ws.inputs, 0);
+  DisclosureProfile profile;
+  profile.implication_log_r = ImplicationLogRatioCurveFromSweep(dp);
+  profile.implication = ImplicationCurveFromSweep(dp);
+  ws.inputs.clear();  // release table pins, keep capacity
+  return profile;
+}
+
 DisclosureAnalyzer::DisclosureAnalyzer(const Bucketization& bucketization,
                                        DisclosureCache* cache)
     : bucketization_(bucketization),
@@ -203,29 +239,11 @@ DisclosureAnalyzer::DisclosureAnalyzer(const Bucketization& bucketization,
       << "cannot analyze an empty bucketization";
 }
 
-std::shared_ptr<const Minimize1Table> DisclosureAnalyzer::Table(
-    size_t bucket_index, size_t max_k) const {
-  return cache_->GetOrCompute(stats_[bucket_index], max_k);
-}
-
-void DisclosureAnalyzer::Minimize2Inputs(
-    size_t max_k, std::vector<Minimize2Bucket>* inputs) const {
-  // Budget max_k = k + 1: the target atom A joins the k antecedents in its
-  // own bucket. The shared_ptrs pin the tables for the whole computation
-  // even if a concurrent analyzer upgrades the cache.
-  inputs->resize(stats_.size());
-  for (size_t i = 0; i < stats_.size(); ++i) {
-    (*inputs)[i].table = Table(i, max_k);
-    (*inputs)[i].ratio = static_cast<double>(stats_[i].n) /
-                         static_cast<double>(stats_[i].counts[0]);
-  }
-}
-
 WorstCaseDisclosure DisclosureAnalyzer::MaxDisclosureImplications(
     size_t k, Minimize2Workspace* workspace) const {
   Minimize2Workspace local;
   Minimize2Workspace& ws = workspace != nullptr ? *workspace : local;
-  Minimize2Inputs(k + 1, &ws.inputs);
+  FillMinimize2Inputs(stats_, k + 1, cache_, &ws.inputs);
   Minimize2Forward& dp = ws.SweepForBudget(k);
   dp.Recompute(ws.inputs, 0);
   const LogProb log_r_min = dp.LogRMin();
@@ -261,7 +279,7 @@ bool DisclosureAnalyzer::IsCkSafe(double c, size_t k,
   // exact where the linear disclosure saturates at 1.0 (DESIGN.md §9.3).
   Minimize2Workspace local;
   Minimize2Workspace& ws = workspace != nullptr ? *workspace : local;
-  Minimize2Inputs(k + 1, &ws.inputs);
+  FillMinimize2Inputs(stats_, k + 1, cache_, &ws.inputs);
   Minimize2Forward& dp = ws.SweepForBudget(k);
   dp.Recompute(ws.inputs, 0);
   const LogProb log_r_min = dp.LogRMin();
@@ -274,7 +292,7 @@ std::vector<double> DisclosureAnalyzer::PerBucketDisclosure(
     size_t k, Minimize2Workspace* workspace) const {
   Minimize2Workspace local;
   Minimize2Workspace& ws = workspace != nullptr ? *workspace : local;
-  Minimize2Inputs(k + 1, &ws.inputs);
+  FillMinimize2Inputs(stats_, k + 1, cache_, &ws.inputs);
   Minimize2Forward& prefix = ws.SweepForBudget(k);
   prefix.Recompute(ws.inputs, 0);
   ComputeNoASuffix(ws.inputs, k, &ws.suffix);
@@ -285,37 +303,17 @@ std::vector<double> DisclosureAnalyzer::PerBucketDisclosure(
   return result;
 }
 
-DisclosureProfile DisclosureAnalyzer::Profile(size_t max_k,
-                                              Minimize2Workspace* workspace,
-                                              bool with_negation) const {
-  Minimize2Workspace local;
-  Minimize2Workspace& ws = workspace != nullptr ? *workspace : local;
-  Minimize2Inputs(max_k + 1, &ws.inputs);
-  Minimize2Forward& dp = ws.SweepForBudget(max_k);
-  dp.Recompute(ws.inputs, 0);
-
-  DisclosureProfile profile;
-  profile.implication_log_r = ImplicationLogRatioCurveFromSweep(dp);
-  profile.implication = ImplicationCurveFromSweep(dp);
-  if (with_negation) {
-    std::vector<const BucketStats*> stats(stats_.size());
-    for (size_t i = 0; i < stats_.size(); ++i) stats[i] = &stats_[i];
-    profile.negation = NegationCurveOverBuckets(stats, max_k);
-  }
-  ws.inputs.clear();  // release table pins, keep capacity
+DisclosureProfile DisclosureAnalyzer::Profile(
+    size_t max_k, Minimize2Workspace* workspace) const {
+  DisclosureProfile profile =
+      ImplicationProfile(stats_, max_k, cache_, workspace);
+  profile.negation = NegationCurve(max_k);
   return profile;
 }
 
 std::vector<double> DisclosureAnalyzer::ImplicationCurve(
     size_t max_k, Minimize2Workspace* workspace) const {
-  Minimize2Workspace local;
-  Minimize2Workspace& ws = workspace != nullptr ? *workspace : local;
-  Minimize2Inputs(max_k + 1, &ws.inputs);
-  Minimize2Forward& dp = ws.SweepForBudget(max_k);
-  dp.Recompute(ws.inputs, 0);
-  std::vector<double> curve = ImplicationCurveFromSweep(dp);
-  ws.inputs.clear();  // release table pins, keep capacity
-  return curve;
+  return ImplicationProfile(stats_, max_k, cache_, workspace).implication;
 }
 
 std::vector<double> DisclosureAnalyzer::NegationCurve(size_t max_k) const {

@@ -34,7 +34,8 @@ AttributeDef AttributeDef::Categorical(std::string name,
 }
 
 size_t AttributeDef::domain_size() const {
-  return static_cast<size_t>(max_value_ - min_value_ + 1);
+  // In 64 bits: [INT32_MIN, INT32_MAX] holds 2^32 values.
+  return static_cast<size_t>(int64_t{max_value_} - min_value_ + 1);
 }
 
 StatusOr<int32_t> AttributeDef::CodeOf(std::string_view text) const {

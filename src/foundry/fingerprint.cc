@@ -31,7 +31,7 @@ uint64_t FingerprintHierarchy(const AttributeHierarchy& hierarchy) {
   for (size_t level = 0; level < hierarchy.num_levels(); ++level) {
     fp.MixSize(hierarchy.NumGroups(level));
     for (int32_t code = min_code; code <= max_code; ++code) {
-      fp.MixInt32(hierarchy.GroupOf(code, level));
+      fp.MixInt32(static_cast<int32_t>(hierarchy.GroupOf(code, level)));
     }
   }
   return fp.digest();

@@ -1,5 +1,6 @@
 #include "cksafe/hierarchy/hierarchy.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -32,30 +33,45 @@ StatusOr<IntervalHierarchy> IntervalHierarchy::Create(
   return h;
 }
 
-int32_t IntervalHierarchy::GroupOf(int32_t code, size_t level) const {
+int64_t IntervalHierarchy::GroupOf(int32_t code, size_t level) const {
   CKSAFE_CHECK_LT(level, num_levels());
   CKSAFE_CHECK(attribute_.IsValidCode(code)) << "code" << code;
   if (suppressed_top_ && level == widths_.size()) return 0;
-  return (code - attribute_.min_value()) / widths_[level];
+  // In 64 bits: an int32 value range can be wider than INT32_MAX.
+  return (int64_t{code} - attribute_.min_value()) / widths_[level];
 }
 
 size_t IntervalHierarchy::NumGroups(size_t level) const {
   CKSAFE_CHECK_LT(level, num_levels());
   if (suppressed_top_ && level == widths_.size()) return 1;
-  const int32_t span = attribute_.max_value() - attribute_.min_value() + 1;
-  return static_cast<size_t>((span + widths_[level] - 1) / widths_[level]);
+  const size_t width = static_cast<size_t>(widths_[level]);
+  return (attribute_.domain_size() + width - 1) / width;
 }
 
-std::string IntervalHierarchy::GroupLabel(int32_t group, size_t level) const {
+size_t IntervalHierarchy::GroupSize(int64_t group, size_t level) const {
+  CKSAFE_CHECK_LT(level, num_levels());
+  CKSAFE_CHECK_GE(group, 0);
+  CKSAFE_CHECK_LT(static_cast<size_t>(group), NumGroups(level));
+  if (suppressed_top_ && level == widths_.size()) {
+    return attribute_.domain_size();
+  }
+  // Every interval is full width except the last, cut off at the maximum.
+  const size_t width = static_cast<size_t>(widths_[level]);
+  const size_t offset = static_cast<size_t>(group) * width;
+  return std::min(width, attribute_.domain_size() - offset);
+}
+
+std::string IntervalHierarchy::GroupLabel(int64_t group, size_t level) const {
   CKSAFE_CHECK_LT(level, num_levels());
   CKSAFE_CHECK_GE(group, 0);
   CKSAFE_CHECK_LT(static_cast<size_t>(group), NumGroups(level));
   if (suppressed_top_ && level == widths_.size()) return "*";
-  const int32_t w = widths_[level];
-  const int32_t lo = attribute_.min_value() + group * w;
+  const int64_t w = widths_[level];
+  const int64_t lo = attribute_.min_value() + group * w;
   if (w == 1) return std::to_string(lo);
-  const int32_t hi = std::min(lo + w - 1, attribute_.max_value());
-  return StrFormat("[%d-%d]", lo, hi);
+  const int64_t hi = std::min<int64_t>(lo + w - 1, attribute_.max_value());
+  return StrFormat("[%lld-%lld]", static_cast<long long>(lo),
+                   static_cast<long long>(hi));
 }
 
 StatusOr<TreeHierarchy> TreeHierarchy::Create(
@@ -75,6 +91,7 @@ StatusOr<TreeHierarchy> TreeHierarchy::Create(
   }
   h.group_of_.push_back(std::move(identity));
   h.labels_.push_back(std::move(identity_labels));
+  h.sizes_.emplace_back(domain, 1);
 
   for (size_t li = 0; li < levels.size(); ++li) {
     const auto& groups = levels[li];
@@ -112,8 +129,11 @@ StatusOr<TreeHierarchy> TreeHierarchy::Create(
             attribute.LabelOf(static_cast<int32_t>(c)).c_str()));
       }
     }
+    std::vector<size_t> sizes(groups.size(), 0);
+    for (int32_t group : mapping) ++sizes[static_cast<size_t>(group)];
     h.group_of_.push_back(std::move(mapping));
     h.labels_.push_back(std::move(labels));
+    h.sizes_.push_back(std::move(sizes));
   }
   h.attribute_ = std::move(attribute);
   return h;
@@ -147,7 +167,7 @@ std::shared_ptr<const AttributeHierarchy> MakeDefaultHierarchy(
   return ShareHierarchy(*std::move(hierarchy));
 }
 
-int32_t TreeHierarchy::GroupOf(int32_t code, size_t level) const {
+int64_t TreeHierarchy::GroupOf(int32_t code, size_t level) const {
   CKSAFE_CHECK_LT(level, num_levels());
   CKSAFE_CHECK(attribute_.IsValidCode(code)) << "code" << code;
   return group_of_[level][static_cast<size_t>(code)];
@@ -158,7 +178,14 @@ size_t TreeHierarchy::NumGroups(size_t level) const {
   return labels_[level].size();
 }
 
-std::string TreeHierarchy::GroupLabel(int32_t group, size_t level) const {
+size_t TreeHierarchy::GroupSize(int64_t group, size_t level) const {
+  CKSAFE_CHECK_LT(level, num_levels());
+  CKSAFE_CHECK_GE(group, 0);
+  CKSAFE_CHECK_LT(static_cast<size_t>(group), sizes_[level].size());
+  return sizes_[level][static_cast<size_t>(group)];
+}
+
+std::string TreeHierarchy::GroupLabel(int64_t group, size_t level) const {
   CKSAFE_CHECK_LT(level, num_levels());
   CKSAFE_CHECK_GE(group, 0);
   CKSAFE_CHECK_LT(static_cast<size_t>(group), labels_[level].size());

@@ -5,7 +5,6 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "cksafe/util/string_util.h"
@@ -90,77 +89,59 @@ StatusOr<PolicyReleases> PublishPolicies(
     if (first_error.ok()) first_error = status;
   };
 
-  // One parallel pass per lattice level: each node's task bucketizes the
-  // node and profiles it against the shared cache. A node rolls up from
-  // its cheapest child one level down. Every child of a node the sweep
-  // still profiles was itself profiled there: a child implied safe under
-  // every policy would make the node implied safe too. BucketizeAtNode
-  // covers the bottom node. A rollup equals BucketizeAtNode's result
-  // (bucketize_oracle_test), so the pass inherits the bit-identity contract
-  // of FindMinimalSafeNodesMultiPolicy.
+  // One parallel pass per lattice level: each node's task groups the node
+  // into bucket histograms and profiles them against the shared cache. No
+  // member lists or labels are built: a node rolls up its cheapest child
+  // one level down. Every child of a node the sweep still profiles was
+  // itself profiled there: a child implied safe under every policy would
+  // make the node implied safe too. AtNode covers the bottom node. A
+  // rollup's histograms, in order, equal BucketizeAtNode's
+  // (bucketize_oracle_test), and ImplicationProfile is the implication
+  // half of DisclosureAnalyzer::Profile, so the pass inherits the
+  // bit-identity contract of FindMinimalSafeNodesMultiPolicy.
   //
-  // Bucketizations of the profiled nodes safe under some policy, by lattice
-  // code: every policy's minimal safe nodes are among them.
-  std::unordered_map<uint64_t, ScoredBucketization> safe_nodes;
-  // The previous level's bucketizations: owned in `below_owned` for the
-  // unsafe nodes, borrowed from safe_nodes for the safe ones.
-  std::unordered_map<uint64_t, const Bucketization*> below;
-  std::vector<std::optional<Bucketization>> below_owned;
-  const auto bucketize =
-      [&](const LatticeNode& node) -> StatusOr<Bucketization> {
-    const Bucketization* cheapest = nullptr;
+  // The previous level's histograms, by lattice code.
+  std::unordered_map<uint64_t, NodeHistograms> below;
+  const auto group = [&](const LatticeNode& node) -> StatusOr<NodeHistograms> {
+    const NodeHistograms* cheapest = nullptr;
     for (const LatticeNode& child : lattice.Children(node)) {
       const auto it = below.find(lattice.Encode(child));
       if (it != below.end() &&
           (cheapest == nullptr ||
-           it->second->num_buckets() < cheapest->num_buckets())) {
-        cheapest = it->second;
+           it->second.num_buckets() < cheapest->num_buckets())) {
+        cheapest = &it->second;
       }
     }
-    return cheapest == nullptr
-               ? BucketizeAtNode(table, qis, node, sensitive_column)
-               : RollUpBucketization(table, qis, *cheapest, node,
-                                     sensitive_column);
+    if (cheapest == nullptr) {
+      return NodeHistograms::AtNode(table, qis, node, sensitive_column);
+    }
+    return NodeHistograms::RollUp(table, qis, *cheapest, node,
+                                  sensitive_column);
   };
   uint64_t table_requests = 0;
   const NodeBatchProfiler profile_level =
       [&](const std::vector<LatticeNode>& level, ThreadPool* pool)
       -> std::vector<std::optional<DisclosureProfile>> {
-    std::vector<std::optional<Bucketization>> bucketizations(level.size());
+    std::vector<std::optional<NodeHistograms>> histograms(level.size());
     std::vector<std::optional<DisclosureProfile>> profiles(level.size());
     ParallelFor(pool, level.size(), [&](size_t i) {
-      auto bucketization = bucketize(level[i]);
-      if (!bucketization.ok()) {
-        record_error(bucketization.status());
+      auto grouped = group(level[i]);
+      if (!grouped.ok()) {
+        record_error(grouped.status());
         return;
       }
-      bucketizations[i] = *std::move(bucketization);
-      // Classification reads only the implication curves, so the negation
-      // scan is skipped.
+      histograms[i] = *std::move(grouped);
+      // Classification reads only the implication curves.
       thread_local Minimize2Workspace workspace;
-      profiles[i] = DisclosureAnalyzer(*bucketizations[i], cache)
-                        .Profile(max_k, &workspace, /*with_negation=*/false);
+      profiles[i] = ImplicationProfile(ComputeBucketStats(*histograms[i]),
+                                       max_k, cache, &workspace);
     });
     below.clear();
     for (size_t i = 0; i < level.size(); ++i) {
       if (!profiles[i].has_value()) continue;
-      table_requests += bucketizations[i]->num_buckets();
-      const uint64_t code = lattice.Encode(level[i]);
-      const auto safe = [&](const CkPolicy& policy) {
-        return profiles[i]->IsCkSafe(policy.c, policy.k);
-      };
-      if (std::any_of(policies.begin(), policies.end(), safe)) {
-        const auto it = safe_nodes.emplace(
-            code,
-            ScoredBucketization{*std::move(bucketizations[i]), {}}).first;
-        below.emplace(code, &it->second.bucketization);
-      } else {
-        below.emplace(code, &*bucketizations[i]);
-      }
+      table_requests += histograms[i]->num_buckets();
+      below.emplace(lattice.Encode(level[i]), *std::move(histograms[i]));
     }
-    // Moving the vector keeps its elements, and `below`'s pointers, in
-    // place; the level before is freed.
-    below_owned = std::move(bucketizations);
     return profiles;
   };
 
@@ -171,39 +152,50 @@ StatusOr<PolicyReleases> PublishPolicies(
   const uint64_t misses_before = cache->misses();
   MultiPolicySearchResult search = FindMinimalSafeNodesMultiPolicy(
       lattice, NodeProfiler(), policies, search_options);
+  below.clear();
   CKSAFE_RETURN_IF_ERROR(first_error);
   PolicyReleases published;
   published.search_stats = search.stats;
   published.table_traffic =
       BatchTableTraffic{table_requests, cache->misses() - misses_before};
 
-  // Utility once per distinct frontier node, then every policy's release.
+  // Only frontier nodes are published: bucketize and score each distinct
+  // one once, in parallel, then assemble every policy's release.
   const size_t num_policies = policies.size();
-  std::vector<std::vector<const ScoredBucketization*>> frontiers(num_policies);
-  std::vector<std::pair<const LatticeNode*, ScoredBucketization*>> to_score;
-  std::unordered_set<uint64_t> seen;
+  std::vector<std::vector<size_t>> frontiers(num_policies);
+  std::vector<const LatticeNode*> distinct;
+  std::unordered_map<uint64_t, size_t> index_of;
   for (size_t p = 0; p < num_policies; ++p) {
     for (const LatticeNode& node : search.per_policy[p].minimal_safe_nodes) {
-      const uint64_t code = lattice.Encode(node);
-      const auto it = safe_nodes.find(code);
-      CKSAFE_CHECK(it != safe_nodes.end()) << "frontier node was not kept";
-      frontiers[p].push_back(&it->second);
-      if (seen.insert(code).second) to_score.emplace_back(&node, &it->second);
+      const auto [it, inserted] =
+          index_of.emplace(lattice.Encode(node), distinct.size());
+      if (inserted) distinct.push_back(&node);
+      frontiers[p].push_back(it->second);
     }
   }
-  ParallelFor(workers.get(), to_score.size(), [&](size_t i) {
-    ScoredBucketization& scored = *to_score[i].second;
-    scored.utility =
-        ComputeUtility(table, qis, *to_score[i].first, scored.bucketization);
+  std::vector<std::optional<ScoredBucketization>> scored(distinct.size());
+  ParallelFor(workers.get(), distinct.size(), [&](size_t i) {
+    auto bucketization =
+        BucketizeAtNode(table, qis, *distinct[i], sensitive_column);
+    if (!bucketization.ok()) {
+      record_error(bucketization.status());
+      return;
+    }
+    const UtilityMetrics utility =
+        ComputeUtility(table, qis, *distinct[i], *bucketization);
+    scored[i] = ScoredBucketization{*std::move(bucketization), utility};
   });
+  CKSAFE_RETURN_IF_ERROR(first_error);
   std::vector<std::optional<StatusOr<PublishedRelease>>> assembled(
       num_policies);
   ParallelFor(workers.get(), num_policies, [&](size_t p) {
     PublisherOptions options = base;
     options.c = policies[p].c;
     options.k = policies[p].k;
+    std::vector<const ScoredBucketization*> frontier;
+    for (size_t i : frontiers[p]) frontier.push_back(&*scored[i]);
     assembled[p] = BuildRelease(options, cache,
-                                std::move(search.per_policy[p]), frontiers[p]);
+                                std::move(search.per_policy[p]), frontier);
   });
   published.releases.reserve(num_policies);
   for (std::optional<StatusOr<PublishedRelease>>& release : assembled) {

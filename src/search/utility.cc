@@ -20,28 +20,32 @@ UtilityMetrics ComputeUtility(const Table& table,
 
   // Loss metric: for each record and quasi-identifier, the fraction
   // (group size - 1) / (domain size - 1) of the base domain its published
-  // group covers.
+  // group covers. A bucket's rows share their groups, so each bucket's
+  // fraction is computed once, but the sum runs over the records in table
+  // order, which fixes its rounding.
   if (table.num_rows() > 0 && !qis.empty()) {
+    CKSAFE_CHECK_EQ(bucketization.num_tuples(), table.num_rows());
+    std::vector<uint32_t> bucket_of(table.num_rows());
+    for (size_t b = 0; b < bucketization.num_buckets(); ++b) {
+      for (PersonId row : bucketization.bucket(b).members) {
+        bucket_of[row] = static_cast<uint32_t>(b);
+      }
+    }
+    std::vector<double> fraction(bucketization.num_buckets());
     double total = 0.0;
     for (size_t q = 0; q < qis.size(); ++q) {
       const AttributeHierarchy& h = *qis[q].hierarchy;
       const size_t level = static_cast<size_t>(node[q]);
-      const AttributeDef& attr = h.attribute();
-      const size_t domain = attr.domain_size();
-      // group id -> number of base values it covers.
-      std::vector<uint32_t> group_size(h.NumGroups(level), 0);
-      for (size_t c = 0; c < domain; ++c) {
-        const int32_t code = attr.min_value() + static_cast<int32_t>(c);
-        ++group_size[static_cast<size_t>(h.GroupOf(code, level))];
-      }
+      const size_t domain = h.attribute().domain_size();
       if (domain <= 1) continue;
-      const std::vector<int32_t>& column = table.column(qis[q].column);
-      for (int32_t code : column) {
-        const uint32_t size =
-            group_size[static_cast<size_t>(h.GroupOf(code, level))];
-        total += static_cast<double>(size - 1) /
-                 static_cast<double>(domain - 1);
+      for (size_t b = 0; b < fraction.size(); ++b) {
+        const int32_t code =
+            table.at(bucketization.bucket(b).members[0], qis[q].column);
+        const size_t size = h.GroupSize(h.GroupOf(code, level), level);
+        fraction[b] = static_cast<double>(size - 1) /
+                      static_cast<double>(domain - 1);
       }
+      for (uint32_t b : bucket_of) total += fraction[b];
     }
     metrics.loss = total / (static_cast<double>(table.num_rows()) *
                             static_cast<double>(qis.size()));

@@ -21,7 +21,7 @@ TEST(BucketStatsTest, SortsCountsDescendingWithStableCodes) {
   // histogram indexed by code: code 0 -> 1, code 1 -> 4, code 2 -> 0,
   // code 3 -> 4, code 4 -> 2.
   const BucketStats stats =
-      BucketStats::FromHistogram({1, 4, 0, 4, 2});
+      BucketStats::FromHistogram(std::vector<uint32_t>{1, 4, 0, 4, 2});
   EXPECT_EQ(stats.n, 11u);
   EXPECT_EQ(stats.counts, (std::vector<uint32_t>{4, 4, 2, 1}));
   // Ties broken by ascending code: code 1 before code 3.
@@ -36,9 +36,12 @@ TEST(BucketStatsTest, CacheKeyIgnoresValueIdentity) {
   // Two histograms with the same count multiset share a key (and hence a
   // MINIMIZE1 table); a different multiset does not. The key is the sorted
   // count vector itself, so equality is exact vector equality.
-  const BucketStats a = BucketStats::FromHistogram({3, 1, 0});
-  const BucketStats b = BucketStats::FromHistogram({0, 1, 3});
-  const BucketStats c = BucketStats::FromHistogram({2, 2, 0});
+  const BucketStats a =
+      BucketStats::FromHistogram(std::vector<uint32_t>{3, 1, 0});
+  const BucketStats b =
+      BucketStats::FromHistogram(std::vector<uint32_t>{0, 1, 3});
+  const BucketStats c =
+      BucketStats::FromHistogram(std::vector<uint32_t>{2, 2, 0});
   EXPECT_EQ(a.counts, b.counts);
   EXPECT_NE(a.counts, c.counts);
 
@@ -114,7 +117,8 @@ TEST(BucketStatsTest, AddValueMatchesFromHistogramRebuild) {
 
 TEST(DisclosureCacheTest, UpgradesTablesToLargerBudgets) {
   DisclosureCache cache;
-  const BucketStats stats = BucketStats::FromHistogram({3, 2, 1});
+  const BucketStats stats =
+      BucketStats::FromHistogram(std::vector<uint32_t>{3, 2, 1});
   const auto small = cache.GetOrCompute(stats, 2);
   EXPECT_EQ(small->max_k(), 2u);
   EXPECT_EQ(cache.misses(), 1u);
@@ -142,7 +146,8 @@ TEST(DisclosureCacheTest, UpgradeDoesNotInvalidateOutstandingTables) {
   // still hold a reference to it (the documented lifetime hazard). Tables
   // are now refcounted, so a pre-upgrade handle stays valid and correct.
   DisclosureCache cache;
-  const BucketStats stats = BucketStats::FromHistogram({4, 3, 2, 1});
+  const BucketStats stats =
+      BucketStats::FromHistogram(std::vector<uint32_t>{4, 3, 2, 1});
   const auto before = cache.GetOrCompute(stats, 2);
   const double p0 = before->MinProbability(0);
   const double p2 = before->MinProbability(2);

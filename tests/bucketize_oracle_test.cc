@@ -1,5 +1,5 @@
 // Differential oracles for BucketizeAtNode's sort-based grouping and for
-// RollUpBucketization.
+// the NodeHistograms the publish pass profiles.
 //
 // The reference below is the original map-based grouping: it keys every
 // row by the vector of its generalized group ids in a std::map, so buckets
@@ -9,18 +9,24 @@
 // Adult lattice node at several table sizes, on deep foundry ladders over
 // more quasi-identifiers than Adult has, and on quasi-identifiers whose
 // value ranges are far wider than the table is long. On the same lattices,
-// rolling up each child's bucketization must reproduce BucketizeAtNode at
-// the parent, also under ladders whose group ids are shuffled per level.
+// NodeHistograms grouped from the rows, and rolled up from each child's,
+// must reproduce BucketizeAtNode's bucket order, histograms and first
+// members at the parent, also under ladders whose group ids are shuffled
+// per level; and a profile read off the histograms must equal a full
+// analyzer's.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "cksafe/adult/adult.h"
 #include "cksafe/anon/bucketization.h"
+#include "cksafe/core/disclosure.h"
 #include "cksafe/foundry/hierarchy_foundry.h"
 #include "cksafe/foundry/table_foundry.h"
 #include "cksafe/hierarchy/hierarchy.h"
@@ -38,9 +44,9 @@ Bucketization ReferenceBucketizeAtNode(const Table& table,
                                        size_t sensitive_column) {
   const size_t domain =
       table.schema().attribute(sensitive_column).domain_size();
-  std::map<std::vector<int32_t>, std::vector<PersonId>> groups;
+  std::map<std::vector<int64_t>, std::vector<PersonId>> groups;
   for (PersonId row = 0; row < table.num_rows(); ++row) {
-    std::vector<int32_t> key(qis.size());
+    std::vector<int64_t> key(qis.size());
     for (size_t i = 0; i < qis.size(); ++i) {
       key[i] = qis[i].hierarchy->GroupOf(table.at(row, qis[i].column),
                                          static_cast<size_t>(node[i]));
@@ -86,6 +92,24 @@ void ExpectSameBucketization(const Bucketization& expected,
   }
 }
 
+// Histograms must match BucketizeAtNode's buckets: the same order, the
+// same histograms, and each bucket's lowest row as its first member.
+void ExpectSameHistograms(const Bucketization& expected,
+                          const NodeHistograms& actual,
+                          const std::string& label) {
+  ASSERT_EQ(expected.num_buckets(), actual.num_buckets()) << label;
+  EXPECT_EQ(expected.num_tuples(), actual.num_tuples()) << label;
+  EXPECT_EQ(expected.sensitive_domain_size(), actual.sensitive_domain_size())
+      << label;
+  for (size_t i = 0; i < expected.num_buckets(); ++i) {
+    const Bucket& want = expected.bucket(i);
+    const std::span<const uint32_t> got = actual.histogram(i);
+    ASSERT_EQ(want.members[0], actual.first_row(i)) << label << " bucket " << i;
+    ASSERT_EQ(want.histogram, std::vector<uint32_t>(got.begin(), got.end()))
+        << label << " bucket " << i;
+  }
+}
+
 std::string NodeLabel(const LatticeNode& node) {
   std::string out = "node [";
   for (size_t i = 0; i < node.size(); ++i) {
@@ -94,8 +118,9 @@ std::string NodeLabel(const LatticeNode& node) {
   return out + "]";
 }
 
-// Checks BucketizeAtNode at `node` against the map grouping, and the rollup
-// along every child -> node edge of `lattice` against BucketizeAtNode.
+// Checks BucketizeAtNode at `node` against the map grouping, and the
+// histograms at `node`, from the rows and rolled up along every
+// child -> node edge of `lattice`, against BucketizeAtNode.
 void ExpectMatchesReference(const Table& table,
                             const std::vector<QuasiIdentifier>& qis,
                             const GeneralizationLattice& lattice,
@@ -107,14 +132,19 @@ void ExpectMatchesReference(const Table& table,
       ReferenceBucketizeAtNode(table, qis, node, sensitive_column), *actual,
       table.num_rows(), label);
   if (::testing::Test::HasFatalFailure()) return;
+  auto histograms = NodeHistograms::AtNode(table, qis, node, sensitive_column);
+  ASSERT_TRUE(histograms.ok()) << label << ": " << histograms.status();
+  ExpectSameHistograms(*actual, *histograms, label + " from the rows");
+  if (::testing::Test::HasFatalFailure()) return;
   for (const LatticeNode& child_node : lattice.Children(node)) {
     const std::string edge = label + " rolled up from " + NodeLabel(child_node);
-    auto child = BucketizeAtNode(table, qis, child_node, sensitive_column);
+    auto child =
+        NodeHistograms::AtNode(table, qis, child_node, sensitive_column);
     ASSERT_TRUE(child.ok()) << edge << ": " << child.status();
-    auto rolled = RollUpBucketization(table, qis, *child, node,
-                                      sensitive_column);
+    auto rolled =
+        NodeHistograms::RollUp(table, qis, *child, node, sensitive_column);
     ASSERT_TRUE(rolled.ok()) << edge << ": " << rolled.status();
-    ExpectSameBucketization(*actual, *rolled, table.num_rows(), edge);
+    ExpectSameHistograms(*actual, *rolled, edge);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -228,38 +258,96 @@ TEST(BucketizeOracleTest, MatchesMapGroupingOnWideNumericRanges) {
   const uint64_t seed = testing::TestSeed(20261018);
   SCOPED_TRACE(testing::SeedTrace(seed));
   Rng rng(seed);
-  // A timestamp-like and a zip-like column under the default ladder: their
-  // lower levels have far more groups than the table has rows. Each column
-  // draws from a few spread-out values, so buckets still collect rows.
+  // A timestamp-like, a zip-like and a full-int32 column under the default
+  // ladder: their lower levels have far more groups than the table has
+  // rows, and the last one holds 2^32 values, more than an int32 counts.
+  // Each column draws from a few spread-out values, so buckets still
+  // collect rows.
+  constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
   const Schema schema({AttributeDef::Numeric("Stamp", 0, 10'000'000),
                        AttributeDef::Numeric("Zip", 10'000, 99'999),
                        AttributeDef::Categorical("Sex", {"F", "M"}),
+                       AttributeDef::Numeric("Wide", kMin, kMax),
                        AttributeDef::Categorical("Dx", {"a", "b", "c"})});
   std::vector<QuasiIdentifier> qis;
-  for (size_t column = 0; column < 3; ++column) {
+  for (size_t column = 0; column < 4; ++column) {
     qis.push_back({column, MakeDefaultHierarchy(schema.attribute(column))});
   }
   std::vector<int32_t> stamps(12);
   std::vector<int32_t> zips(9);
+  std::vector<int32_t> wides = {kMin, kMax, -1, 0};
   for (int32_t& stamp : stamps) {
     stamp = static_cast<int32_t>(rng.NextInRange(0, 10'000'000));
   }
   for (int32_t& zip : zips) {
     zip = static_cast<int32_t>(rng.NextInRange(10'000, 99'999));
   }
+  for (size_t i = 0; i < 3; ++i) {
+    wides.push_back(static_cast<int32_t>(rng.NextInRange(kMin, kMax)));
+  }
   Table table(schema);
   for (size_t row = 0; row < 200; ++row) {
     const int32_t stamp = stamps[rng.NextBelow(stamps.size())];
     const int32_t zip = zips[rng.NextBelow(zips.size())];
     const auto sex = static_cast<int32_t>(rng.NextBelow(2));
+    const int32_t wide = wides[rng.NextBelow(wides.size())];
     const auto dx = static_cast<int32_t>(rng.NextBelow(3));
-    ASSERT_TRUE(table.AppendRow({stamp, zip, sex, dx}).ok());
+    ASSERT_TRUE(table.AppendRow({stamp, zip, sex, wide, dx}).ok());
   }
   const GeneralizationLattice lattice =
       GeneralizationLattice::FromQuasiIdentifiers(qis);
   for (const LatticeNode& node : lattice.AllNodes()) {
-    ExpectMatchesReference(table, qis, lattice, node, 3, NodeLabel(node));
+    ExpectMatchesReference(table, qis, lattice, node, 4, NodeLabel(node));
     if (HasFatalFailure()) return;
+  }
+}
+
+TEST(BucketizeOracleTest, RollUpRejectsAChildThatDoesNotCoverTheRows) {
+  const uint64_t seed = testing::TestSeed(20261020);
+  SCOPED_TRACE(testing::SeedTrace(seed));
+  auto qis = AdultQuasiIdentifiers();
+  ASSERT_TRUE(qis.ok()) << qis.status();
+  const Table table = GenerateSyntheticAdult(200, seed);
+  const Table shorter = GenerateSyntheticAdult(150, seed);
+  const LatticeNode bottom(qis->size(), 0);
+  auto child =
+      NodeHistograms::AtNode(shorter, *qis, bottom, kAdultOccupationColumn);
+  ASSERT_TRUE(child.ok()) << child.status();
+  LatticeNode node = bottom;
+  node[0] = 1;
+  auto rolled = NodeHistograms::RollUp(table, *qis, *child, node,
+                                       kAdultOccupationColumn);
+  EXPECT_EQ(rolled.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(BucketizeOracleTest, HistogramProfileMatchesAnalyzerOnEveryAdultNode) {
+  // The publish pass profiles a node from its histograms alone: the curves
+  // must equal a full analyzer's over BucketizeAtNode, bit for bit.
+  const uint64_t seed = testing::TestSeed(20261021);
+  SCOPED_TRACE(testing::SeedTrace(seed));
+  auto qis = AdultQuasiIdentifiers();
+  ASSERT_TRUE(qis.ok()) << qis.status();
+  const GeneralizationLattice lattice =
+      GeneralizationLattice::FromQuasiIdentifiers(*qis);
+  const Table table = GenerateSyntheticAdult(600, seed);
+  constexpr size_t kMaxK = 5;
+  DisclosureCache cache;
+  for (const LatticeNode& node : lattice.AllNodes()) {
+    auto bucketization =
+        BucketizeAtNode(table, *qis, node, kAdultOccupationColumn);
+    ASSERT_TRUE(bucketization.ok()) << bucketization.status();
+    auto histograms =
+        NodeHistograms::AtNode(table, *qis, node, kAdultOccupationColumn);
+    ASSERT_TRUE(histograms.ok()) << histograms.status();
+    const DisclosureProfile expected =
+        DisclosureAnalyzer(*bucketization).Profile(kMaxK);
+    const DisclosureProfile actual =
+        ImplicationProfile(ComputeBucketStats(*histograms), kMaxK, &cache);
+    EXPECT_EQ(expected.implication, actual.implication) << NodeLabel(node);
+    EXPECT_EQ(expected.implication_log_r, actual.implication_log_r)
+        << NodeLabel(node);
+    EXPECT_TRUE(actual.negation.empty()) << NodeLabel(node);
   }
 }
 

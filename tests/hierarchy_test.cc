@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "cksafe/anon/bucketization.h"
 #include "testing_util.h"
 
@@ -46,6 +48,30 @@ TEST(IntervalHierarchyTest, GroupsAndLabels) {
   // Last interval is clipped to the domain max.
   EXPECT_EQ(h->GroupLabel(static_cast<int32_t>(h->NumGroups(2)) - 1, 2),
             "[87-90]");
+
+  // Group sizes: full width but the clipped last interval, the whole
+  // domain at the top.
+  EXPECT_EQ(h->GroupSize(0, 0), 1u);
+  EXPECT_EQ(h->GroupSize(0, 2), 10u);
+  EXPECT_EQ(h->GroupSize(static_cast<int64_t>(h->NumGroups(2)) - 1, 2), 4u);
+  EXPECT_EQ(h->GroupSize(0, 5), 74u);
+}
+
+TEST(IntervalHierarchyTest, FullInt32RangeComputesIn64Bits) {
+  constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+  const AttributeDef wide = AttributeDef::Numeric("Wide", kMin, kMax);
+  EXPECT_EQ(wide.domain_size(), size_t{1} << 32);
+  auto h = IntervalHierarchy::Create(wide, {1, 1 << 30}, true);
+  ASSERT_TRUE(h.ok());
+  EXPECT_EQ(h->NumGroups(0), size_t{1} << 32);
+  EXPECT_EQ(h->GroupOf(kMax, 0), (int64_t{1} << 32) - 1);
+  EXPECT_EQ(h->GroupLabel(h->GroupOf(kMax, 0), 0), "2147483647");
+  EXPECT_EQ(h->GroupOf(kMin, 1), 0);
+  EXPECT_EQ(h->GroupOf(kMax, 1), 3);
+  EXPECT_EQ(h->GroupLabel(3, 1), "[1073741824-2147483647]");
+  EXPECT_EQ(h->GroupSize(3, 1), size_t{1} << 30);
+  EXPECT_EQ(h->GroupSize(0, 2), size_t{1} << 32);
 }
 
 TEST(IntervalHierarchyTest, LevelsNest) {
@@ -92,6 +118,9 @@ TEST(TreeHierarchyTest, GroupsLabelsAndNesting) {
   EXPECT_NE(h->GroupOf(0, 1), h->GroupOf(3, 1));
   EXPECT_EQ(h->GroupLabel(h->GroupOf(3, 1), 1), "Never-married");
   EXPECT_EQ(h->GroupLabel(0, 2), "*");
+  EXPECT_EQ(h->GroupSize(h->GroupOf(0, 1), 1), 3u);
+  EXPECT_EQ(h->GroupSize(h->GroupOf(3, 1), 1), 1u);
+  EXPECT_EQ(h->GroupSize(0, 2), 4u);
 }
 
 TEST(TreeHierarchyTest, RejectsIncompleteOrOverlappingLevels) {

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <limits>
+#include <memory>
 #include <set>
 
 #include "cksafe/anon/diversity.h"
@@ -259,6 +262,108 @@ TEST(PublisherTest, SeedChangesPermutationNotBuckets) {
   ASSERT_TRUE(rb.ok());
   EXPECT_EQ(ra->node, rb->node);
   EXPECT_TRUE(ra->bucketization.IsConsistentAssignment(rb->published_sensitive));
+}
+
+// Forwards to a ladder and counts GroupOf calls.
+class CountingHierarchy : public AttributeHierarchy {
+ public:
+  explicit CountingHierarchy(std::shared_ptr<const AttributeHierarchy> base)
+      : base_(std::move(base)) {}
+
+  const AttributeDef& attribute() const override {
+    return base_->attribute();
+  }
+  size_t num_levels() const override { return base_->num_levels(); }
+  int64_t GroupOf(int32_t code, size_t level) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    return base_->GroupOf(code, level);
+  }
+  size_t NumGroups(size_t level) const override {
+    return base_->NumGroups(level);
+  }
+  size_t GroupSize(int64_t group, size_t level) const override {
+    return base_->GroupSize(group, level);
+  }
+  std::string GroupLabel(int64_t group, size_t level) const override {
+    return base_->GroupLabel(group, level);
+  }
+
+  size_t calls() const { return calls_.load(std::memory_order_relaxed); }
+
+ private:
+  std::shared_ptr<const AttributeHierarchy> base_;
+  mutable std::atomic<size_t> calls_{0};
+};
+
+// A table whose first column takes a few values spread over [lo, hi] (a
+// timestamp read from a CSV), with Sex and a four-valued Dx.
+Table MakeSpreadTable(int32_t lo, int32_t hi,
+                      const std::vector<int32_t>& values, Rng* rng) {
+  Table table(Schema({AttributeDef::Numeric("Stamp", lo, hi),
+                      AttributeDef::Categorical("Sex", {"F", "M"}),
+                      AttributeDef::Categorical("Dx", {"a", "b", "c", "d"})}));
+  for (size_t row = 0; row < 200; ++row) {
+    const int32_t stamp = values[rng->NextBelow(values.size())];
+    const auto sex = static_cast<int32_t>(rng->NextBelow(2));
+    const auto dx = static_cast<int32_t>(rng->NextBelow(4));
+    CKSAFE_CHECK(table.AppendRow({stamp, sex, dx}).ok());
+  }
+  return table;
+}
+
+TEST(PublisherTest, WideValueRangeCostsRowsNotValues) {
+  // Six stamps spread over two billion values: scoring a node must read
+  // group sizes off the ladder, not visit the value range.
+  const uint64_t seed = testing::TestSeed(20261022);
+  SCOPED_TRACE(testing::SeedTrace(seed));
+  Rng rng(seed);
+  std::vector<int32_t> stamps(6);
+  for (int32_t& stamp : stamps) {
+    stamp = static_cast<int32_t>(rng.NextInRange(0, 2'000'000'000));
+  }
+  const Table table = MakeSpreadTable(0, 2'000'000'000, stamps, &rng);
+  const auto stamp = std::make_shared<CountingHierarchy>(
+      MakeDefaultHierarchy(table.schema().attribute(0)));
+  const std::vector<QuasiIdentifier> qis = {
+      {0, stamp}, {1, MakeDefaultHierarchy(table.schema().attribute(1))}};
+  PublisherOptions options;
+  options.c = 0.9;
+  options.k = 1;
+  auto release = Publisher(options).Publish(table, qis, 2);
+  ASSERT_TRUE(release.ok()) << release.status();
+  EXPECT_GE(release->utility.loss, 0.0);
+  EXPECT_LE(release->utility.loss, 1.0);
+  // Grouping, bucketizing and scoring call GroupOf a few times per row
+  // and node of the 10-node lattice; visiting the range would call it two
+  // billion times.
+  EXPECT_LE(stamp->calls(), 10 * 10 * table.num_rows());
+}
+
+TEST(PublisherTest, FullInt32RangeColumnPublishes) {
+  // A span wider than INT32_MAX needs 64-bit interval arithmetic and
+  // group ids.
+  const uint64_t seed = testing::TestSeed(20261023);
+  SCOPED_TRACE(testing::SeedTrace(seed));
+  Rng rng(seed);
+  constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+  const Table table = MakeSpreadTable(
+      kMin, kMax, {kMin, -2'000'000'000, -7, 5, 2'000'000'000, kMax}, &rng);
+  const std::vector<QuasiIdentifier> qis = {
+      {0, MakeDefaultHierarchy(table.schema().attribute(0))},
+      {1, MakeDefaultHierarchy(table.schema().attribute(1))}};
+  PublisherOptions options;
+  options.c = 0.9;
+  options.k = 1;
+  auto release = Publisher(options).Publish(table, qis, 2);
+  ASSERT_TRUE(release.ok()) << release.status();
+  EXPECT_TRUE(release->bucketization.IsConsistentAssignment(
+      release->published_sensitive));
+  EXPECT_GE(release->utility.loss, 0.0);
+  EXPECT_LE(release->utility.loss, 1.0);
+  auto expected = BucketizeAtNode(table, qis, release->node, 2);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_EQ(expected->ToString(), release->bucketization.ToString());
 }
 
 }  // namespace

@@ -63,12 +63,17 @@ class RelabeledHierarchy : public AttributeHierarchy {
   RelabeledHierarchy(std::shared_ptr<const AttributeHierarchy> base, Rng* rng)
       : base_(std::move(base)) {
     for (size_t level = 0; level < base_->num_levels(); ++level) {
-      std::vector<int32_t> perm(base_->NumGroups(level));
+      std::vector<int64_t> perm(base_->NumGroups(level));
       for (size_t g = 0; g < perm.size(); ++g) {
-        perm[g] = static_cast<int32_t>(g);
+        perm[g] = static_cast<int64_t>(g);
       }
       rng->Shuffle(&perm);
+      std::vector<int64_t> inverse(perm.size());
+      for (size_t g = 0; g < perm.size(); ++g) {
+        inverse[static_cast<size_t>(perm[g])] = static_cast<int64_t>(g);
+      }
       perms_.push_back(std::move(perm));
+      inverses_.push_back(std::move(inverse));
     }
   }
 
@@ -76,19 +81,24 @@ class RelabeledHierarchy : public AttributeHierarchy {
     return base_->attribute();
   }
   size_t num_levels() const override { return base_->num_levels(); }
-  int32_t GroupOf(int32_t code, size_t level) const override {
+  int64_t GroupOf(int32_t code, size_t level) const override {
     return perms_[level][static_cast<size_t>(base_->GroupOf(code, level))];
   }
   size_t NumGroups(size_t level) const override {
     return base_->NumGroups(level);
   }
-  std::string GroupLabel(int32_t group, size_t level) const override {
+  size_t GroupSize(int64_t group, size_t level) const override {
+    return base_->GroupSize(inverses_[level][static_cast<size_t>(group)],
+                            level);
+  }
+  std::string GroupLabel(int64_t group, size_t level) const override {
     return "relabeled_" + std::to_string(level) + "_" + std::to_string(group);
   }
 
  private:
   std::shared_ptr<const AttributeHierarchy> base_;
-  std::vector<std::vector<int32_t>> perms_;
+  std::vector<std::vector<int64_t>> perms_;
+  std::vector<std::vector<int64_t>> inverses_;
 };
 
 /// Disease codes of the hospital fixture, in schema order.
@@ -209,8 +219,8 @@ inline std::vector<std::vector<uint32_t>> RandomHistograms(
 /// BucketizeAtNode and a point IsCkSafe check per node, then every
 /// minimal safe node bucketized again and scored, and the best one (the
 /// first on ties) released. It shares the kernel, the bucketizer and the
-/// utility metrics with the level pass, but not the sweep, the rollups,
-/// the profiles or the release assembly.
+/// utility metrics with the level pass, but not the sweep, the histogram
+/// rollups, the profiles or the release assembly.
 inline StatusOr<PublishedRelease> ReferencePublish(
     const Table& table, const std::vector<QuasiIdentifier>& qis,
     size_t sensitive_column, const PublisherOptions& options) {

@@ -1,7 +1,8 @@
 // E12: durable-store cost model — publish overhead, cold start vs
 // rehydration, and buffer-pool behaviour across pool sizes.
 //
-//   BM_AppendPublish       fsync-bound durable publish, per snapshot
+//   BM_AppendPublish/G     fsync-bound durable publish of a group of G
+//                          tenants (1 or 8), per snapshot
 //   BM_ColdStartPublish    build a tenant fleet's serving state from
 //                          scratch (publisher search + publish), the cost
 //                          a restart pays WITHOUT the durable store
@@ -97,22 +98,33 @@ std::unique_ptr<DurableStore> WriteFleet(const std::string& dir,
 }
 
 void BM_AppendPublish(benchmark::State& state) {
+  // Each iteration re-publishes the first `group` fleet tenants'
+  // bucketizations under fresh sequences as one group append: encode +
+  // page appends + fsync(segments) + manifest records + fsync(MANIFEST).
+  // Items count snapshots, so group 8 against group 1 shows the fsyncs a
+  // round shares.
   Fleet* fleet = GetFleet();
+  const size_t group = static_cast<size_t>(state.range(0));
   const std::string dir = BenchDir("cksafe_bench_append");
   DurableStoreOptions options;
   options.dir = dir;
   auto store = DurableStore::Open(options);
   CKSAFE_CHECK(store.ok()) << store.status();
-  uint64_t round = 0;
-  const auto& base = *fleet->published[fleet->tenants[0]][0];
-  for (auto _ : state) {
-    // Re-publish the same bucketization under a fresh sequence: measures
-    // encode + append + 2x fsync, the steady-state durable publish cost.
-    auto snapshot = std::make_shared<ReleaseSnapshot>(base);
-    snapshot->sequence = ++round;
-    CKSAFE_CHECK((*store)->AppendPublish("bench", *snapshot).ok());
+  std::vector<ReleaseSnapshot> snapshots;
+  for (size_t t = 0; t < group; ++t) {
+    snapshots.push_back(*fleet->published[fleet->tenants[t]][0]);
   }
-  state.SetItemsProcessed(state.iterations());
+  std::vector<DurableStore::GroupEntry> entries;
+  for (size_t t = 0; t < group; ++t) {
+    entries.push_back({fleet->tenants[t], &snapshots[t]});
+  }
+  uint64_t round = 0;
+  for (auto _ : state) {
+    ++round;
+    for (ReleaseSnapshot& snapshot : snapshots) snapshot.sequence = round;
+    CKSAFE_CHECK((*store)->AppendPublishGroup(entries).ok());
+  }
+  state.SetItemsProcessed(state.iterations() * group);
   store->reset();
   std::filesystem::remove_all(dir);
 }
@@ -193,7 +205,7 @@ void BM_LoadSnapshotPooled(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 
-BENCHMARK(BM_AppendPublish);
+BENCHMARK(BM_AppendPublish)->Arg(1)->Arg(8)->UseRealTime();
 BENCHMARK(BM_ColdStartPublish)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RehydrateDirectory)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LoadSnapshotPooled)->Arg(2)->Arg(8)->Arg(64)->Arg(256);

@@ -599,23 +599,30 @@ Status RunServe(const CliConfig& config) {
   std::map<std::pair<std::string, uint64_t>,
            std::shared_ptr<const ReleaseSnapshot>>
       registry;
+  // Publishes one PublishAll round (one durable group commit on a
+  // persisted engine) and registers each released tenant's snapshot.
+  auto publish_round = [&](const std::vector<TenantRelease>& releases) {
+    CKSAFE_ASSIGN_OR_RETURN(
+        const auto published,
+        engine.PublishTenantReleases(releases, publisher.table().num_rows()));
+    std::lock_guard<std::mutex> lock(registry_mu);
+    auto snapshot = published.begin();
+    for (const TenantRelease& release : releases) {
+      if (!release.release.ok()) continue;
+      registry[{release.tenant, (*snapshot)->sequence}] = *snapshot;
+      ++snapshot;
+    }
+    return Status::OK();
+  };
   CKSAFE_ASSIGN_OR_RETURN(std::vector<TenantRelease> first_releases,
                           publisher.PublishAll());
-  {
-    for (const TenantRelease& release : first_releases) {
-      if (!release.release.ok()) {
-        std::printf("tenant %s: %s (not served)\n", release.tenant.c_str(),
-                    release.release.status().ToString().c_str());
-        continue;
-      }
-      CKSAFE_ASSIGN_OR_RETURN(
-          const auto snapshot,
-          engine.PublishRelease(release.tenant, *release.release,
-                                publisher.table().num_rows()));
-      std::lock_guard<std::mutex> lock(registry_mu);
-      registry[{release.tenant, snapshot->sequence}] = snapshot;
+  for (const TenantRelease& release : first_releases) {
+    if (!release.release.ok()) {
+      std::printf("tenant %s: %s (not served)\n", release.tenant.c_str(),
+                  release.release.status().ToString().c_str());
     }
   }
+  CKSAFE_RETURN_IF_ERROR(publish_round(first_releases));
 
   // Writer: stream held-back rows through the shared publisher; every
   // re-publish swaps fresh snapshots under the readers.
@@ -634,20 +641,9 @@ Status RunServe(const CliConfig& config) {
           return;
         }
         auto releases = publisher.PublishAll();
-        if (!releases.ok()) {
+        if (!releases.ok() || !publish_round(*releases).ok()) {
           writer_failed = true;
           return;
-        }
-        for (const TenantRelease& release : *releases) {
-          if (!release.release.ok()) continue;
-          auto snapshot = engine.PublishRelease(
-              release.tenant, *release.release, publisher.table().num_rows());
-          if (!snapshot.ok()) {
-            writer_failed = true;
-            return;
-          }
-          std::lock_guard<std::mutex> lock(registry_mu);
-          registry[{release.tenant, (*snapshot)->sequence}] = *snapshot;
         }
       }
     });

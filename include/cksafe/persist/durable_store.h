@@ -5,23 +5,27 @@
 //   segments.dat  — page-structured segment data (snapshots, dict deltas)
 //   MANIFEST      — the write-ahead commit log (persist/manifest.h)
 //
-// AppendPublish is the atomic-append commit protocol: segment pages are
-// appended and fsynced first, then the manifest record is appended and
-// fsynced — the manifest record is the commit point. A crash anywhere in
-// between leaves either a fully committed publish or a torn tail that
-// Open() detects (checksums, extents, per-tenant sequence contiguity),
-// truncates from both files, and forgets; the store always reopens to the
-// exact prefix of publishes whose manifest records survived.
+// AppendPublishGroup is the atomic-append commit protocol for a group of
+// publishes (one serving round; AppendPublish is a group of one): every
+// entry's segment pages are appended in entry order and fsynced once,
+// then every entry's manifest record is appended and fsynced once. Each
+// manifest record is its own commit point, written only after the pages
+// it names are durable. A crash anywhere in between leaves a prefix of
+// the group's records committed and a torn tail that Open() detects
+// (checksums, extents, per-tenant sequence contiguity), truncates from
+// both files, and forgets; the store always reopens to the exact prefix
+// of publishes whose manifest records survived. Groups and single
+// appends write byte-identical files.
 //
 // Reads go through a fixed-capacity BufferPool, so a directory whose
 // snapshot history exceeds RAM still serves loads: cold pages are evicted
 // LRU and transparently re-read, and because decoding is deterministic an
 // evicted-then-reloaded snapshot is bit-identical to the first decode.
 //
-// Thread safety: one writer (AppendPublish) at a time; loads and
-// inspection methods may run concurrently with each other and with the
-// writer (everything shared is behind the store mutex, page caching
-// behind the pool's own).
+// Thread safety: one writer (AppendPublish / AppendPublishGroup) at a
+// time; loads and inspection methods may run concurrently with each other
+// and with the writer (everything shared is behind the store mutex, page
+// caching behind the pool's own).
 
 #ifndef CKSAFE_PERSIST_DURABLE_STORE_H_
 #define CKSAFE_PERSIST_DURABLE_STORE_H_
@@ -30,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,9 +63,10 @@ struct DurableStoreOptions {
 
   /// Test-only crash seam: when >= 0, the process raises SIGKILL the
   /// moment the store's cumulative appended-byte count reaches this
-  /// threshold — mid-segment, mid-manifest-record, wherever it lands.
-  /// The kill-and-recover torture sweeps this through a publish's byte
-  /// range to prove every torn prefix recovers exactly.
+  /// threshold — exactly that many bytes are written, mid-segment,
+  /// mid-manifest-record, wherever it lands. The kill-and-recover torture
+  /// sweeps this through a group's byte range to prove every torn prefix
+  /// recovers exactly.
   int64_t test_crash_after_bytes = -1;
 };
 
@@ -86,10 +92,24 @@ class DurableStore {
   DurableStore(const DurableStore&) = delete;
   DurableStore& operator=(const DurableStore&) = delete;
 
-  /// Durably commits `snapshot` for `tenant` (sequence must be exactly
-  /// the tenant's latest committed sequence + 1). When this returns OK the
-  /// publish survives any crash; on an IO error the store wedges (further
-  /// appends refused) and the next Open() rolls back the partial append.
+  /// One publish of a group: `tenant`'s next snapshot. Non-owning; the
+  /// snapshot must outlive the AppendPublishGroup call.
+  struct GroupEntry {
+    std::string tenant;
+    const ReleaseSnapshot* snapshot = nullptr;
+  };
+
+  /// Durably commits every entry, in entry order, with one fsync of each
+  /// file. Each entry's sequence must be exactly its tenant's latest
+  /// committed sequence + 1, and a group names each tenant at most once;
+  /// every entry is validated before a byte is written, so an
+  /// InvalidArgument leaves the store untouched. When this returns OK
+  /// every publish survives any crash. On an IO error nothing commits in
+  /// memory, the store wedges (further appends FailedPrecondition), and
+  /// the next Open() recovers a prefix of the group's records.
+  Status AppendPublishGroup(std::span<const GroupEntry> entries);
+
+  /// A group of one: durably commits `snapshot` for `tenant`.
   Status AppendPublish(const std::string& tenant,
                        const ReleaseSnapshot& snapshot);
 
@@ -145,8 +165,9 @@ class DurableStore {
       : options_(std::move(options)) {}
 
   Status Recover();
-  /// Appends honouring the test crash seam (SIGKILLs the process when the
-  /// cumulative appended-byte count crosses the configured threshold).
+  /// Appends `bytes` with one write, honouring the test crash seam: when
+  /// the append would reach the configured threshold it writes only the
+  /// prefix up to it and SIGKILLs the process.
   Status CrashableAppend(AppendFile* file, const std::vector<uint8_t>& bytes);
   /// Reads a segment's pages (direct pread), unframes, and validates the
   /// blob against `ref`. Shared by recovery and Verify.

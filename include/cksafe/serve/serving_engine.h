@@ -3,9 +3,9 @@
 //
 // A ServingEngine owns one ServingDirectory and one QueryRouter over it.
 // Writers push releases produced by Publisher or MultiPolicyPublisher
-// (both run PublishPolicies, search/publisher.h) through PublishRelease or
-// PublishTenantReleases, which freeze them as ReleaseSnapshots and
-// atomically swap them into the tenant's store; readers call Ask (or
+// (both run PublishPolicies, search/publisher.h) through
+// PublishTenantReleases, which freezes them as ReleaseSnapshots and
+// atomically swaps them into the tenants' stores; readers call Ask (or
 // router()->Submit for async fan-in) from any number of threads. The
 // engine is the piece the CLI's `serve` replay driver and serving_bench
 // build on.
@@ -52,16 +52,6 @@ class ServingEngine {
   DurableStore* durable_store() { return durable_store_.get(); }
   const DurableStore* durable_store() const { return durable_store_.get(); }
 
-  /// Freezes `release` (covering `num_rows` rows) as the tenant's next
-  /// snapshot and swaps it in; registers the tenant on first use. Returns
-  /// the published snapshot (whose sequence is the previous one + 1) so
-  /// callers can keep a registry for audits / differential checks. On a
-  /// durable engine a failed durable append returns its error and leaves
-  /// the tenant's served snapshot unchanged.
-  StatusOr<std::shared_ptr<const ReleaseSnapshot>> PublishRelease(
-      const std::string& tenant, const PublishedRelease& release,
-      size_t num_rows);
-
   /// Adopts an already-frozen snapshot VERBATIM — sequence included —
   /// instead of assigning the next one. This is the shard tier's publish
   /// path: a snapshot that crossed the wire (or is being migrated from
@@ -69,16 +59,23 @@ class ServingEngine {
   /// or answers computed before and after the hop would name different
   /// sequences for the same release. The sequence must still advance the
   /// tenant's slot (FailedPrecondition otherwise); on a durable engine the
-  /// append commits before the RCU swap, exactly like PublishRelease, so
-  /// adopted sequences must also be contiguous with the store's history.
+  /// append commits before the RCU swap, exactly like
+  /// PublishTenantReleases, so adopted sequences must also be contiguous
+  /// with the store's history.
   Status PublishSnapshot(const std::string& tenant,
                          std::shared_ptr<const ReleaseSnapshot> snapshot);
 
-  /// MultiPolicyPublisher adapter: swaps in every tenant whose release
-  /// succeeded and returns the published snapshots; tenants with a non-OK
-  /// release (e.g. NotFound for an unsatisfiable policy) keep their
-  /// previous snapshot and are skipped. A durable-append error aborts the
-  /// round (already-published tenants keep their new snapshot).
+  /// Publishes one round of releases (a MultiPolicyPublisher::PublishAll
+  /// result, or one Publisher release), each covering `num_rows` rows;
+  /// registers tenants on first use. Every tenant whose release succeeded
+  /// gets its previous sequence + 1, and the published snapshots come
+  /// back in release order, so callers can keep a registry for audits /
+  /// differential checks. Tenants with a non-OK release (e.g. NotFound
+  /// for an unsatisfiable policy) keep their previous snapshot and are
+  /// skipped. A round naming a tenant twice is InvalidArgument and
+  /// publishes nothing. On a durable engine the round is one
+  /// DurableStore::AppendPublishGroup, and the RCU swaps run only after
+  /// it returns OK: a durable error swaps no tenant.
   StatusOr<std::vector<std::shared_ptr<const ReleaseSnapshot>>>
   PublishTenantReleases(const std::vector<TenantRelease>& releases,
                         size_t num_rows);

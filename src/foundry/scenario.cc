@@ -233,14 +233,15 @@ Status RunDeltaLeg(const ScenarioConfig& config, double scale,
 Status PublishRound(const std::vector<TenantRelease>& releases,
                     size_t num_rows, ServingEngine* engine,
                     SnapshotRegistry* registry, ScenarioReport* report) {
+  CKSAFE_ASSIGN_OR_RETURN(const auto published,
+                          engine->PublishTenantReleases(releases, num_rows));
+  auto snapshot = published.begin();
   for (const TenantRelease& release : releases) {
     if (!release.release.ok()) continue;  // unsatisfiable policy: skipped
-    CKSAFE_ASSIGN_OR_RETURN(
-        const auto snapshot,
-        engine->PublishRelease(release.tenant, *release.release, num_rows));
-    (*registry)[{release.tenant, snapshot->sequence}] = snapshot;
-    ++report->releases;
+    (*registry)[{release.tenant, (*snapshot)->sequence}] = *snapshot;
+    ++snapshot;
   }
+  report->releases += published.size();
   return Status::OK();
 }
 

@@ -2,10 +2,12 @@
 
 #include <sys/stat.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <iterator>
+#include <set>
+#include <string_view>
 #include <utility>
 
 #include "cksafe/core/disclosure.h"
@@ -16,10 +18,6 @@ namespace {
 
 constexpr char kManifestFile[] = "MANIFEST";
 constexpr char kSegmentsFile[] = "segments.dat";
-
-// Appends are chopped into chunks this small so the test crash seam can
-// land a SIGKILL inside a page or manifest record, not only between them.
-constexpr size_t kAppendChunk = 512;
 
 StoredProfile ComputeProfile(const Bucketization& bucketization,
                              size_t max_k) {
@@ -148,100 +146,130 @@ Status DurableStore::Recover() {
 
 Status DurableStore::CrashableAppend(AppendFile* file,
                                      const std::vector<uint8_t>& bytes) {
-  size_t pos = 0;
-  while (pos < bytes.size()) {
-    const size_t chunk = std::min(kAppendChunk, bytes.size() - pos);
-    CKSAFE_RETURN_IF_ERROR(file->Append(bytes.data() + pos, chunk));
-    pos += chunk;
-    appended_bytes_ += chunk;
-    if (options_.test_crash_after_bytes >= 0 &&
-        appended_bytes_ >=
-            static_cast<uint64_t>(options_.test_crash_after_bytes)) {
-      // The torture test's simulated power cut: die without flushing,
-      // destructing, or syncing anything further.
+  if (options_.test_crash_after_bytes >= 0) {
+    const uint64_t threshold =
+        static_cast<uint64_t>(options_.test_crash_after_bytes);
+    if (appended_bytes_ + bytes.size() >= threshold) {
+      // The torture test's simulated power cut: write exactly the prefix
+      // up to the threshold, then die without flushing, destructing, or
+      // syncing anything further.
+      CKSAFE_RETURN_IF_ERROR(file->Append(
+          bytes.data(), static_cast<size_t>(threshold - appended_bytes_)));
       ::raise(SIGKILL);
     }
   }
+  CKSAFE_RETURN_IF_ERROR(file->Append(bytes));
+  appended_bytes_ += bytes.size();
   return Status::OK();
 }
 
 Status DurableStore::AppendPublish(const std::string& tenant,
                                    const ReleaseSnapshot& snapshot) {
+  const GroupEntry entry{tenant, &snapshot};
+  return AppendPublishGroup({&entry, 1});
+}
+
+Status DurableStore::AppendPublishGroup(std::span<const GroupEntry> entries) {
+  // The riders read only the snapshots, so they run before the store
+  // mutex is taken and never block concurrent loads.
+  std::vector<StoredProfile> profiles;
+  profiles.reserve(entries.size());
+  for (const GroupEntry& entry : entries) {
+    CKSAFE_CHECK(entry.snapshot != nullptr) << "group entry without snapshot";
+    profiles.push_back(ComputeProfile(entry.snapshot->bucketization,
+                                      options_.profile_max_k));
+  }
+
   std::lock_guard<std::mutex> lock(mu_);
   if (wedged_) {
     return Status::FailedPrecondition(
         "durable store wedged by an earlier append failure; reopen to "
         "recover");
   }
-  if (tenant.empty()) {
-    return Status::InvalidArgument("tenant name must be non-empty");
-  }
-  TenantState& state = tenants_[tenant];
-  if (snapshot.sequence != state.latest + 1) {
-    return Status::InvalidArgument(
-        "out-of-order publish for tenant " + tenant + ": expected sequence " +
-        std::to_string(state.latest + 1) + ", got " +
-        std::to_string(snapshot.sequence));
-  }
-
-  const StoredProfile profile =
-      ComputeProfile(snapshot.bucketization, options_.profile_max_k);
-  LabelDictionary::Delta delta;
-  const std::vector<uint8_t> snap_blob =
-      EncodeSnapshotBlob(snapshot, profile, state.dict, &delta);
-
-  ManifestRecord record;
-  record.tenant = tenant;
-  record.sequence = snapshot.sequence;
-  record.num_rows = snapshot.num_rows;
-
-  // Protocol step 1: segment pages (dictionary delta first, then the
-  // snapshot), then fsync the segment file.
-  auto wedge = [this](Status status) {
-    wedged_ = true;
-    return status;
-  };
-  if (!delta.empty()) {
-    const std::vector<uint8_t> dict_blob = EncodeDictionaryDelta(delta);
-    record.has_dict = true;
-    record.dict_first_id = delta.first_id;
-    record.dict_count = static_cast<uint32_t>(delta.labels.size());
-    record.dict.offset = segments_.size();
-    record.dict.pages = static_cast<uint32_t>(PagesForBlob(dict_blob.size()));
-    record.dict.blob_size = dict_blob.size();
-    record.dict.blob_checksum = Fnv1a64(dict_blob.data(), dict_blob.size());
-    if (Status s = CrashableAppend(
-            &segments_, FrameSegmentPages(PageType::kDictionary, dict_blob));
-        !s.ok()) {
-      return wedge(std::move(s));
+  // Validate every entry before writing a byte; a tenant's state is only
+  // created when its first publish commits.
+  std::set<std::string_view> named;
+  for (const GroupEntry& entry : entries) {
+    if (entry.tenant.empty()) {
+      return Status::InvalidArgument("tenant name must be non-empty");
+    }
+    if (!named.insert(entry.tenant).second) {
+      return Status::InvalidArgument("group names tenant " + entry.tenant +
+                                     " twice");
+    }
+    const auto it = tenants_.find(entry.tenant);
+    const uint64_t latest = it == tenants_.end() ? 0 : it->second.latest;
+    if (entry.snapshot->sequence != latest + 1) {
+      return Status::InvalidArgument(
+          "out-of-order publish for tenant " + entry.tenant +
+          ": expected sequence " + std::to_string(latest + 1) + ", got " +
+          std::to_string(entry.snapshot->sequence));
     }
   }
-  record.snapshot.offset = segments_.size();
-  record.snapshot.pages = static_cast<uint32_t>(PagesForBlob(snap_blob.size()));
-  record.snapshot.blob_size = snap_blob.size();
-  record.snapshot.blob_checksum = Fnv1a64(snap_blob.data(), snap_blob.size());
-  if (Status s = CrashableAppend(
-          &segments_, FrameSegmentPages(PageType::kSnapshot, snap_blob));
-      !s.ok()) {
-    return wedge(std::move(s));
-  }
-  if (Status s = segments_.Sync(); !s.ok()) return wedge(std::move(s));
+  if (entries.empty()) return Status::OK();
 
-  // Protocol step 2: the manifest record — the commit point.
-  if (Status s = CrashableAppend(&manifest_, EncodeManifestRecord(record));
-      !s.ok()) {
-    return wedge(std::move(s));
+  // The protocol: every entry's segment pages in entry order (dictionary
+  // delta first, then the snapshot), one write per blob; one fsync of the
+  // segment file; every entry's manifest record, each one a commit point;
+  // one fsync of the manifest. Any failure wedges the store.
+  std::vector<LabelDictionary::Delta> deltas(entries.size());
+  std::vector<ManifestRecord> records(entries.size());
+  const Status written = [&]() -> Status {
+    auto append_segment = [this](PageType type,
+                                 const std::vector<uint8_t>& blob,
+                                 SegmentRef* ref) {
+      ref->offset = segments_.size();
+      ref->pages = static_cast<uint32_t>(PagesForBlob(blob.size()));
+      ref->blob_size = blob.size();
+      ref->blob_checksum = Fnv1a64(blob.data(), blob.size());
+      return CrashableAppend(&segments_, FrameSegmentPages(type, blob));
+    };
+    const LabelDictionary new_tenant_dict;
+    for (size_t i = 0; i < entries.size(); ++i) {
+      const ReleaseSnapshot& snapshot = *entries[i].snapshot;
+      const auto it = tenants_.find(entries[i].tenant);
+      const std::vector<uint8_t> snap_blob = EncodeSnapshotBlob(
+          snapshot, profiles[i],
+          it == tenants_.end() ? new_tenant_dict : it->second.dict,
+          &deltas[i]);
+      ManifestRecord& record = records[i];
+      record.tenant = entries[i].tenant;
+      record.sequence = snapshot.sequence;
+      record.num_rows = snapshot.num_rows;
+      if (!deltas[i].empty()) {
+        record.has_dict = true;
+        record.dict_first_id = deltas[i].first_id;
+        record.dict_count = static_cast<uint32_t>(deltas[i].labels.size());
+        CKSAFE_RETURN_IF_ERROR(append_segment(PageType::kDictionary,
+                                              EncodeDictionaryDelta(deltas[i]),
+                                              &record.dict));
+      }
+      CKSAFE_RETURN_IF_ERROR(
+          append_segment(PageType::kSnapshot, snap_blob, &record.snapshot));
+    }
+    CKSAFE_RETURN_IF_ERROR(segments_.Sync());
+    for (const ManifestRecord& record : records) {
+      CKSAFE_RETURN_IF_ERROR(
+          CrashableAppend(&manifest_, EncodeManifestRecord(record)));
+    }
+    return manifest_.Sync();
+  }();
+  if (!written.ok()) {
+    wedged_ = true;
+    return written;
   }
-  if (Status s = manifest_.Sync(); !s.ok()) return wedge(std::move(s));
 
   // Committed on disk; commit in memory.
-  if (!delta.empty()) {
-    CKSAFE_CHECK(state.dict.Apply(delta).ok())
-        << "self-staged dictionary delta must apply";
+  for (size_t i = 0; i < entries.size(); ++i) {
+    TenantState& state = tenants_[entries[i].tenant];
+    if (!deltas[i].empty()) {
+      CKSAFE_CHECK(state.dict.Apply(deltas[i]).ok())
+          << "self-staged dictionary delta must apply";
+    }
+    state.latest = records[i].sequence;
+    state.history[records[i].sequence] = records_.size();
+    records_.push_back(std::move(records[i]));
   }
-  state.latest = snapshot.sequence;
-  state.history[snapshot.sequence] = records_.size();
-  records_.push_back(std::move(record));
   return Status::OK();
 }
 

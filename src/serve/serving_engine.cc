@@ -1,5 +1,7 @@
 #include "cksafe/serve/serving_engine.h"
 
+#include <set>
+#include <string_view>
 #include <utility>
 
 #include "cksafe/util/string_util.h"
@@ -17,23 +19,6 @@ StatusOr<std::unique_ptr<ServingEngine>> ServingEngine::CreateDurable(
   CKSAFE_RETURN_IF_ERROR(store->RehydrateInto(&engine->directory_));
   engine->durable_store_ = std::move(store);
   return engine;
-}
-
-StatusOr<std::shared_ptr<const ReleaseSnapshot>> ServingEngine::PublishRelease(
-    const std::string& tenant, const PublishedRelease& release,
-    size_t num_rows) {
-  SnapshotStore* store = directory_.GetOrAddTenant(tenant);
-  const std::shared_ptr<const ReleaseSnapshot> previous = store->Current();
-  const uint64_t sequence = (previous == nullptr ? 0 : previous->sequence) + 1;
-  std::shared_ptr<const ReleaseSnapshot> snapshot =
-      MakeReleaseSnapshot(sequence, num_rows, release);
-  // Durable commit first: once the RCU swap makes a snapshot observable,
-  // no crash may lose it. A failed append leaves the slot untouched.
-  if (durable_store_ != nullptr) {
-    CKSAFE_RETURN_IF_ERROR(durable_store_->AppendPublish(tenant, *snapshot));
-  }
-  store->Publish(snapshot);
-  return snapshot;
 }
 
 Status ServingEngine::PublishSnapshot(
@@ -66,15 +51,34 @@ Status ServingEngine::PublishSnapshot(
 StatusOr<std::vector<std::shared_ptr<const ReleaseSnapshot>>>
 ServingEngine::PublishTenantReleases(const std::vector<TenantRelease>& releases,
                                      size_t num_rows) {
+  // Each tenant's next sequence is read from its slot, so a round naming
+  // a tenant twice would hand both entries the same sequence.
+  std::set<std::string_view> named;
+  for (const TenantRelease& tenant : releases) {
+    if (!named.insert(tenant.tenant).second) {
+      return Status::InvalidArgument("publish round names tenant '" +
+                                     tenant.tenant + "' twice");
+    }
+  }
+  std::vector<SnapshotStore*> slots;
   std::vector<std::shared_ptr<const ReleaseSnapshot>> published;
-  published.reserve(releases.size());
+  std::vector<DurableStore::GroupEntry> entries;
   for (const TenantRelease& tenant : releases) {
     if (!tenant.release.ok()) continue;
-    CKSAFE_ASSIGN_OR_RETURN(
-        std::shared_ptr<const ReleaseSnapshot> snapshot,
-        PublishRelease(tenant.tenant, *tenant.release, num_rows));
-    published.push_back(std::move(snapshot));
+    SnapshotStore* slot = directory_.GetOrAddTenant(tenant.tenant);
+    const std::shared_ptr<const ReleaseSnapshot> previous = slot->Current();
+    published.push_back(MakeReleaseSnapshot(
+        (previous == nullptr ? 0 : previous->sequence) + 1, num_rows,
+        *tenant.release));
+    slots.push_back(slot);
+    entries.push_back({tenant.tenant, published.back().get()});
   }
+  // One durable group commit before any swap: a failed commit leaves
+  // every slot serving its previous snapshot.
+  if (durable_store_ != nullptr) {
+    CKSAFE_RETURN_IF_ERROR(durable_store_->AppendPublishGroup(entries));
+  }
+  for (size_t i = 0; i < slots.size(); ++i) slots[i]->Publish(published[i]);
   return published;
 }
 

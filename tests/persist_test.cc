@@ -410,6 +410,71 @@ TEST(DurableStoreTest, PublishLoadVerifyRoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(DurableStoreTest, RejectedAppendsLeaveNoTrace) {
+  // Validation runs before the first byte is written and before any
+  // tenant state exists: a rejected single append or group must leave
+  // the tenant list, the records and both files exactly as they were,
+  // and must not wedge the store.
+  const std::string dir = FreshDir("cksafe_store_rejected");
+  DurableStoreOptions options;
+  options.dir = dir;
+  auto store = DurableStore::Open(options);
+  ASSERT_TRUE(store.ok()) << store.status();
+  const Table table = testing::MakeHospitalTable();
+  auto first = MakeReleaseSnapshot(
+      1, testing::MakeHospitalBucketization(table), LatticeNode{0, 0});
+  auto second = MakeReleaseSnapshot(
+      2, testing::MakeHospitalBucketization(table), LatticeNode{1, 1});
+  ASSERT_TRUE((*store)->AppendPublish("hospital", *first).ok());
+
+  auto file_sizes = [&] {
+    return std::vector<uintmax_t>{
+        std::filesystem::file_size(dir + "/MANIFEST"),
+        std::filesystem::file_size(dir + "/segments.dat")};
+  };
+  const std::vector<uintmax_t> sizes = file_sizes();
+  auto expect_untouched = [&](const std::string& what) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ((*store)->tenants(), std::vector<std::string>{"hospital"});
+    EXPECT_EQ((*store)->records().size(), 1u);
+    EXPECT_EQ((*store)->LatestSequence("ghost"), 0u);
+    EXPECT_EQ(file_sizes(), sizes);
+  };
+
+  EXPECT_EQ((*store)->AppendPublish("ghost", *second).code(),
+            StatusCode::kInvalidArgument);
+  expect_untouched("single append out of order");
+
+  std::vector<DurableStore::GroupEntry> group = {
+      {"hospital", second.get()}, {"clinic", first.get()},
+      {"ghost", second.get()}};
+  EXPECT_EQ((*store)->AppendPublishGroup(group).code(),
+            StatusCode::kInvalidArgument);
+  expect_untouched("group rejected for its last entry");
+
+  // Each entry is valid alone, but both would claim clinic's sequence 1.
+  const std::vector<DurableStore::GroupEntry> twice = {
+      {"clinic", first.get()}, {"clinic", first.get()}};
+  EXPECT_EQ((*store)->AppendPublishGroup(twice).code(),
+            StatusCode::kInvalidArgument);
+  expect_untouched("group naming a tenant twice");
+
+  EXPECT_TRUE((*store)->AppendPublishGroup({}).ok());
+  expect_untouched("empty group");
+
+  // Not wedged: the group without its bad entry commits in entry order.
+  group.pop_back();
+  ASSERT_TRUE((*store)->AppendPublishGroup(group).ok());
+  EXPECT_EQ((*store)->tenants(),
+            (std::vector<std::string>{"clinic", "hospital"}));
+  const std::vector<ManifestRecord> records = (*store)->records();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[1].tenant, "hospital");
+  EXPECT_EQ(records[2].tenant, "clinic");
+  EXPECT_TRUE((*store)->Verify().ok());
+  std::filesystem::remove_all(dir);
+}
+
 TEST(DurableStoreTest, TinyBufferPoolServesHistoryLargerThanItself) {
   // A pool smaller than one tenant's history forces evict-and-reload on
   // every access pattern; every reload must stay bit-identical.

@@ -7,8 +7,11 @@
 // through the sweep counters: one batch of mixed queries must cost one
 // profile sweep (plus one per-bucket sweep per distinct audited budget).
 
+#include <filesystem>
 #include <future>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -360,10 +363,11 @@ TEST(ServingEngineTest, PublishesFromThePublisherPipelineAndServes) {
   ASSERT_TRUE(release.ok()) << release.status();
 
   ServingEngine engine;
-  const auto published =
-      engine.PublishRelease("hospital", *release, table.num_rows());
+  const std::vector<TenantRelease> round = {{"hospital", {}, release}};
+  const auto published = engine.PublishTenantReleases(round, table.num_rows());
   ASSERT_TRUE(published.ok()) << published.status();
-  const auto& snapshot = *published;
+  ASSERT_EQ(published->size(), 1u);
+  const auto& snapshot = published->front();
   EXPECT_EQ(snapshot->sequence, 1u);
   EXPECT_EQ(snapshot->num_rows, table.num_rows());
 
@@ -380,13 +384,135 @@ TEST(ServingEngineTest, PublishesFromThePublisherPipelineAndServes) {
             fresh.MaxDisclosureImplications(options.k).disclosure);
 
   // Republishing bumps the sequence; the router serves the new snapshot.
-  const auto next =
-      engine.PublishRelease("hospital", *release, table.num_rows());
+  const auto next = engine.PublishTenantReleases(round, table.num_rows());
   ASSERT_TRUE(next.ok()) << next.status();
-  EXPECT_EQ((*next)->sequence, 2u);
+  ASSERT_EQ(next->size(), 1u);
+  EXPECT_EQ(next->front()->sequence, 2u);
   const auto answer2 = engine.Ask(query);
   ASSERT_TRUE(answer2.ok());
   EXPECT_EQ(answer2->snapshot_sequence, 2u);
+}
+
+using PublishHistory =
+    std::vector<std::pair<std::string, std::shared_ptr<const ReleaseSnapshot>>>;
+
+StatusOr<PublishedRelease> HospitalRelease(const Table& table,
+                                           LatticeNode node) {
+  return PublishedRelease{std::move(node), MakeHospitalBucketization(table),
+                          {}, {}, {}, {}, {}};
+}
+
+std::vector<uintmax_t> StoreFileSizes(const std::string& dir) {
+  return {std::filesystem::file_size(dir + "/MANIFEST"),
+          std::filesystem::file_size(dir + "/segments.dat")};
+}
+
+// Rounds through PublishTenantReleases on `engine`: released tenants
+// advance by one sequence, an unsatisfiable tenant keeps its snapshot, and
+// a round naming a tenant twice publishes nothing (on a durable engine,
+// `dir` non-empty, it also writes no byte). `*history` receives every
+// published (tenant, snapshot) in commit order.
+void CheckPublishRoundContract(ServingEngine* engine, const std::string& dir,
+                               PublishHistory* history) {
+  const Table table = MakeHospitalTable();
+  auto slot = [&](const std::string& tenant) {
+    return engine->directory()->Find(tenant)->Current();
+  };
+  const Status unsatisfiable = Status::NotFound("no safe node");
+
+  const std::vector<TenantRelease> first = {
+      {"alpha", {}, HospitalRelease(table, {0, 0})},
+      {"beta", {}, HospitalRelease(table, {1, 0})},
+      {"gamma", {}, HospitalRelease(table, {0, 1})}};
+  const auto seeded = engine->PublishTenantReleases(first, 10);
+  ASSERT_TRUE(seeded.ok()) << seeded.status();
+  ASSERT_EQ(seeded->size(), 3u);
+  const std::shared_ptr<const ReleaseSnapshot> beta_before = slot("beta");
+
+  const std::vector<TenantRelease> round = {
+      {"alpha", {}, HospitalRelease(table, {1, 1})},
+      {"beta", {}, unsatisfiable},
+      {"gamma", {}, HospitalRelease(table, {1, 0})}};
+  const auto published = engine->PublishTenantReleases(round, 10);
+  ASSERT_TRUE(published.ok()) << published.status();
+  ASSERT_EQ(published->size(), 2u);
+  EXPECT_EQ((*published)[0]->sequence, 2u);
+  EXPECT_EQ((*published)[0]->node, (LatticeNode{1, 1}));
+  EXPECT_EQ((*published)[1]->sequence, 2u);
+  EXPECT_EQ((*published)[1]->node, (LatticeNode{1, 0}));
+  EXPECT_EQ(slot("alpha"), (*published)[0]);
+  EXPECT_EQ(slot("gamma"), (*published)[1]);
+  EXPECT_EQ(slot("beta"), beta_before) << "NotFound tenant must keep its snapshot";
+
+  const std::vector<uintmax_t> sizes =
+      dir.empty() ? std::vector<uintmax_t>{} : StoreFileSizes(dir);
+  const std::vector<TenantRelease> twice = {
+      {"alpha", {}, HospitalRelease(table, {0, 0})},
+      {"gamma", {}, HospitalRelease(table, {0, 0})},
+      {"alpha", {}, unsatisfiable}};
+  const auto rejected = engine->PublishTenantReleases(twice, 10);
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(slot("alpha"), (*published)[0]);
+  EXPECT_EQ(slot("gamma"), (*published)[1]);
+  if (!dir.empty()) {
+    EXPECT_EQ(StoreFileSizes(dir), sizes) << "a rejected round wrote bytes";
+  }
+  *history = {{"alpha", (*seeded)[0]},    {"beta", (*seeded)[1]},
+              {"gamma", (*seeded)[2]},    {"alpha", (*published)[0]},
+              {"gamma", (*published)[1]}};
+}
+
+TEST(ServingEngineTest, PublishTenantReleasesInMemory) {
+  ServingEngine engine;
+  PublishHistory history;
+  CheckPublishRoundContract(&engine, "", &history);
+}
+
+TEST(ServingEngineTest, PublishTenantReleasesIsOneDurableGroup) {
+  DurableStoreOptions options;
+  options.dir = ::testing::TempDir() + "/cksafe_engine_round";
+  options.profile_max_k = 2;
+  std::filesystem::remove_all(options.dir);
+  auto engine = ServingEngine::CreateDurable(options);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  PublishHistory history;
+  CheckPublishRoundContract(engine->get(), options.dir, &history);
+  ASSERT_FALSE(HasFatalFailure());
+
+  // A durable error swaps no tenant: the store already holds beta's next
+  // sequence, so the group fails and alpha keeps its snapshot too.
+  const Table table = MakeHospitalTable();
+  history.emplace_back(
+      "beta", MakeReleaseSnapshot(2, MakeHospitalBucketization(table)));
+  ASSERT_TRUE((*engine)->durable_store()
+                  ->AppendPublish("beta", *history.back().second)
+                  .ok());
+  const ServingDirectory* directory = (*engine)->directory();
+  const auto alpha_before = directory->Find("alpha")->Current();
+  const auto beta_before = directory->Find("beta")->Current();
+  const std::vector<TenantRelease> round = {
+      {"alpha", {}, HospitalRelease(table, {0, 0})},
+      {"beta", {}, HospitalRelease(table, {0, 0})}};
+  EXPECT_FALSE((*engine)->PublishTenantReleases(round, 10).ok());
+  EXPECT_EQ(directory->Find("alpha")->Current(), alpha_before);
+  EXPECT_EQ(directory->Find("beta")->Current(), beta_before);
+  engine->reset();
+
+  // The store reopens to every committed snapshot, bit for bit.
+  auto reopened = DurableStore::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->records().size(), history.size());
+  for (const auto& [tenant, snapshot] : history) {
+    const auto loaded = (*reopened)->LoadSnapshot(tenant, snapshot->sequence);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_TRUE(SnapshotsBitIdentical(**loaded, *snapshot))
+        << tenant << " sequence " << snapshot->sequence;
+  }
+  const auto report = (*reopened)->Verify();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->profiles_checked, history.size());
+  reopened->reset();
+  std::filesystem::remove_all(options.dir);
 }
 
 }  // namespace

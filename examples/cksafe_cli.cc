@@ -7,7 +7,7 @@
 //                       --stream_batches --queue --rounds --persist=DIR]
 //   cksafe_cli fleet    [data flags] [--replay=FILE | --queries=N] [--shards
 //                       --policies --readers --rounds --queue --migrations
-//                       --persist=DIR --json=PATH]
+//                       --persist=DIR]
 //   cksafe_cli persist  --dir=DIR [--dump] [--verify]
 //   cksafe_cli audit    [data flags] --node=... --knowledge=FILE [--approx]
 //   cksafe_cli fig5     [--rows --seed --adult_csv --max_k]
@@ -39,7 +39,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -107,7 +106,6 @@ struct CliConfig {
   int64_t shards = 2;
   int64_t queries = 20000;
   int64_t migrations = 0;
-  std::string json;
   // Foundry / scenario catalog.
   std::string scenario;
   double scale = 1.0;
@@ -436,8 +434,11 @@ Status RunMulti(const CliConfig& config) {
 struct ReplayRecord {
   Query query;
   StatusOr<QueryAnswer> answer = Status::FailedPrecondition("not served");
-  int64_t latency_ns = 0;
+  int64_t latency_ns = 0;  ///< recorded by `serve` only
 };
+
+using SnapshotRegistry = std::map<std::pair<std::string, uint64_t>,
+                                  std::shared_ptr<const ReleaseSnapshot>>;
 
 // Parses a replay file: one `tenant,kind,c,k,bucket` query per line, where
 // kind is safe|disclosure|profile|bucket. Blank lines and '#' comments are
@@ -506,6 +507,88 @@ std::vector<std::vector<int32_t>> RowCells(const Table& table, size_t begin,
     rows.push_back(std::move(cells));
   }
   return rows;
+}
+
+// Verification: every OK answer must be bit-identical to a fresh
+// synchronous analyzer over the snapshot it names in `registry`.
+// `tenant_source` names where the queries' tenants came from, for the hint
+// printed when nothing could be verified.
+Status VerifyReplay(const std::vector<std::vector<ReplayRecord>>& per_reader,
+                    const SnapshotRegistry& registry,
+                    const char* tenant_source) {
+  size_t verified = 0;
+  std::map<std::pair<std::string, uint64_t>,
+           std::unique_ptr<DisclosureAnalyzer>>
+      fresh_analyzers;
+  for (const auto& records : per_reader) {
+    for (const ReplayRecord& record : records) {
+      if (!record.answer.ok()) continue;
+      const Query& query = record.query;
+      const QueryAnswer& answer = *record.answer;
+      const auto key = std::make_pair(query.tenant, answer.snapshot_sequence);
+      const auto snapshot_it = registry.find(key);
+      if (snapshot_it == registry.end()) {
+        return Status::Internal(StrFormat(
+            "answer names unpublished snapshot %llu of tenant %s",
+            static_cast<unsigned long long>(answer.snapshot_sequence),
+            query.tenant.c_str()));
+      }
+      auto& analyzer = fresh_analyzers[key];
+      if (analyzer == nullptr) {
+        analyzer = std::make_unique<DisclosureAnalyzer>(
+            snapshot_it->second->bucketization);
+      }
+      bool match = true;
+      switch (query.kind) {
+        case QueryKind::kIsCkSafe: {
+          const WorstCaseDisclosure worst =
+              analyzer->MaxDisclosureImplications(query.k);
+          match = answer.safe == IsSafeLogRatio(worst.log_r_min, query.c) &&
+                  answer.disclosure == worst.disclosure &&
+                  answer.log_r == worst.log_r_min;
+          break;
+        }
+        case QueryKind::kDisclosure: {
+          const WorstCaseDisclosure worst =
+              analyzer->MaxDisclosureImplications(query.k);
+          match = answer.disclosure == worst.disclosure &&
+                  answer.log_r == worst.log_r_min;
+          break;
+        }
+        case QueryKind::kProfileAtK: {
+          const DisclosureProfile profile = analyzer->Profile(query.k);
+          match = answer.disclosure == profile.implication[query.k] &&
+                  answer.negation == profile.negation[query.k];
+          break;
+        }
+        case QueryKind::kPerBucket:
+          match = answer.disclosure ==
+                  analyzer->PerBucketDisclosure(query.k)[query.bucket];
+          break;
+      }
+      if (!match) {
+        return Status::Internal(StrFormat(
+            "answer diverged from fresh analyzer (tenant %s, snapshot %llu)",
+            query.tenant.c_str(),
+            static_cast<unsigned long long>(answer.snapshot_sequence)));
+      }
+      ++verified;
+    }
+  }
+  if (verified == 0) {
+    // Don't print a vacuous success (the integration test pattern-matches
+    // the verified line): a replay where nothing could be verified is
+    // almost always a tenant-name mismatch between --policies and the
+    // queries.
+    std::printf("nothing to verify: no query was answered successfully "
+                "(do the %s tenants match --policies?)\n",
+                tenant_source);
+    return Status::OK();
+  }
+  std::printf("all %zu verified answers bit-identical to a fresh "
+              "synchronous analyzer\n",
+              verified);
+  return Status::OK();
 }
 
 // Replays a query file against the serving layer: publishes every tenant
@@ -596,9 +679,7 @@ Status RunServe(const CliConfig& config) {
   // Registry of everything ever published, per (tenant, sequence): the
   // verification pass resolves each answer's named snapshot here.
   std::mutex registry_mu;
-  std::map<std::pair<std::string, uint64_t>,
-           std::shared_ptr<const ReleaseSnapshot>>
-      registry;
+  SnapshotRegistry registry;
   // Publishes one PublishAll round (one durable group commit on a
   // persisted engine) and registers each released tenant's snapshot.
   auto publish_round = [&](const std::vector<TenantRelease>& releases) {
@@ -748,153 +829,19 @@ Status RunServe(const CliConfig& config) {
         durable_checked, audit.records, audit.pages);
   }
 
-  // Verification: every OK answer must be bit-identical to a fresh
-  // synchronous analyzer over the snapshot it names.
-  size_t verified = 0;
-  std::map<std::pair<std::string, uint64_t>,
-           std::unique_ptr<DisclosureAnalyzer>>
-      fresh_analyzers;
-  for (const auto& records : per_reader) {
-    for (const ReplayRecord& record : records) {
-      if (!record.answer.ok()) continue;
-      const Query& query = record.query;
-      const QueryAnswer& answer = *record.answer;
-      const auto key = std::make_pair(query.tenant, answer.snapshot_sequence);
-      const auto snapshot_it = registry.find(key);
-      if (snapshot_it == registry.end()) {
-        return Status::Internal(StrFormat(
-            "answer names unpublished snapshot %llu of tenant %s",
-            static_cast<unsigned long long>(answer.snapshot_sequence),
-            query.tenant.c_str()));
-      }
-      auto& analyzer = fresh_analyzers[key];
-      if (analyzer == nullptr) {
-        analyzer = std::make_unique<DisclosureAnalyzer>(
-            snapshot_it->second->bucketization);
-      }
-      bool match = true;
-      switch (query.kind) {
-        case QueryKind::kIsCkSafe: {
-          const WorstCaseDisclosure worst =
-              analyzer->MaxDisclosureImplications(query.k);
-          match = answer.safe == IsSafeLogRatio(worst.log_r_min, query.c) &&
-                  answer.disclosure == worst.disclosure &&
-                  answer.log_r == worst.log_r_min;
-          break;
-        }
-        case QueryKind::kDisclosure: {
-          const WorstCaseDisclosure worst =
-              analyzer->MaxDisclosureImplications(query.k);
-          match = answer.disclosure == worst.disclosure &&
-                  answer.log_r == worst.log_r_min;
-          break;
-        }
-        case QueryKind::kProfileAtK: {
-          const DisclosureProfile profile = analyzer->Profile(query.k);
-          match = answer.disclosure == profile.implication[query.k] &&
-                  answer.negation == profile.negation[query.k];
-          break;
-        }
-        case QueryKind::kPerBucket:
-          match = answer.disclosure ==
-                  analyzer->PerBucketDisclosure(query.k)[query.bucket];
-          break;
-      }
-      if (!match) {
-        return Status::Internal(StrFormat(
-            "answer diverged from fresh analyzer (tenant %s, snapshot %llu)",
-            query.tenant.c_str(),
-            static_cast<unsigned long long>(answer.snapshot_sequence)));
-      }
-      ++verified;
-    }
-  }
-  if (verified == 0) {
-    // Don't print a vacuous success (the integration test pattern-matches
-    // the verified line): a replay where nothing could be verified is
-    // almost always a tenant-name mismatch between --policies and the
-    // replay file.
-    std::printf("nothing to verify: no query was answered successfully "
-                "(do the replay file's tenants match --policies?)\n");
-    return Status::OK();
-  }
-  std::printf("all %zu verified answers bit-identical to a fresh "
-              "synchronous analyzer\n",
-              verified);
-  return Status::OK();
+  return VerifyReplay(per_reader, registry, "replay file's");
 }
 
 // --- fleet: the multi-process shard replay driver --------------------------
 
-// One replayed fleet query plus everything recorded about its serving.
-struct FleetRecord {
-  Query query;
-  size_t shard = 0;  ///< shard the query was routed to at submit time
-  StatusOr<QueryAnswer> answer = Status::FailedPrecondition("not served");
-  int64_t latency_ns = 0;
-};
-
-// Per-shard traffic aggregates for the report / JSON emit.
-struct ShardTraffic {
-  size_t ok = 0;
-  size_t errors = 0;
-  size_t shed = 0;  ///< ResourceExhausted (fleet window or shard queue)
-  std::vector<int64_t> latencies_ns;
-};
-
-// Sorts in place; p in [0, 1); microseconds.
-double PercentileUs(std::vector<int64_t>* latencies, double p) {
-  if (latencies->empty()) return 0.0;
-  std::sort(latencies->begin(), latencies->end());
-  const size_t index = std::min(
-      latencies->size() - 1,
-      static_cast<size_t>(p * static_cast<double>(latencies->size())));
-  return static_cast<double>((*latencies)[index]) / 1e3;
-}
-
-// Machine-readable E13 row (BENCHMARKS.md assembles BENCH_PR10.json from
-// one of these per shard count).
-Status WriteFleetJson(const CliConfig& config, size_t num_shards,
-                      size_t total, size_t ok_answers, size_t error_answers,
-                      size_t shed, double elapsed_s, double p50, double p99,
-                      size_t migrations, const std::vector<ShardTraffic>& traffic,
-                      std::vector<double> shard_p50,
-                      std::vector<double> shard_p99) {
-  std::ofstream out(config.json);
-  if (!out) return Status::IOError("cannot write " + config.json);
-  out << "{\n  \"experiment\": \"E13\",\n";
-  out << "  \"shards\": " << num_shards << ",\n";
-  out << "  \"clients\": " << config.readers << ",\n";
-  out << "  \"queries\": " << total << ",\n";
-  out << "  \"ok\": " << ok_answers << ",\n";
-  out << "  \"errors\": " << error_answers << ",\n";
-  out << "  \"shed\": " << shed << ",\n";
-  out << "  \"migrations\": " << migrations << ",\n";
-  out << StrFormat("  \"elapsed_s\": %.6f,\n", elapsed_s);
-  out << StrFormat("  \"qps\": %.1f,\n",
-                   static_cast<double>(total) / elapsed_s);
-  out << StrFormat("  \"p50_us\": %.1f,\n  \"p99_us\": %.1f,\n", p50, p99);
-  out << "  \"per_shard\": [\n";
-  for (size_t s = 0; s < traffic.size(); ++s) {
-    out << StrFormat(
-        "    {\"shard\": %zu, \"ok\": %zu, \"errors\": %zu, \"shed\": %zu, "
-        "\"p50_us\": %.1f, \"p99_us\": %.1f}%s\n",
-        s, traffic[s].ok, traffic[s].errors, traffic[s].shed, shard_p50[s],
-        shard_p99[s], s + 1 == traffic.size() ? "" : ",");
-  }
-  out << "  ]\n}\n";
-  return Status::OK();
-}
-
 // Replays a workload against a forked multi-process shard fleet: publishes
 // every tenant policy through one MultiPolicyPublisher and hands each
-// release to its tenant's shard, then open-loop clients pipeline a window
-// of submits per thread (sheds on ResourceExhausted instead of blocking),
-// optionally churns live tenant migrations under the load, reports
-// qps + p50/p99 per shard, and finally verifies every served answer
-// bit-identically against a fresh synchronous DisclosureAnalyzer over the
-// snapshot the answer names — across process boundaries, the wire codec,
-// and any migrations.
+// release to its tenant's shard, then --readers client threads ask their
+// share of the queries one at a time while live tenant migrations
+// optionally churn underneath, reports ok/errors/shed, and finally
+// verifies every served answer bit-identically against a fresh synchronous
+// DisclosureAnalyzer over the snapshot the answer names — across process
+// boundaries, the wire codec, and any migrations.
 Status RunFleet(const CliConfig& config) {
   if (config.shards < 1) {
     return Status::InvalidArgument("--shards must be >= 1");
@@ -1022,57 +969,22 @@ Status RunFleet(const CliConfig& config) {
     });
   }
 
-  // Open-loop clients: each pipelines up to kClientWindow submits before
-  // harvesting the oldest half, so the submit rate is not gated on
-  // individual answers. Latency is submit-to-harvest, which includes any
-  // head-of-line wait inside the harvesting client — the usual open-loop
-  // pipelining artifact, consistent across shard counts.
+  // Clients: each asks its share of the workload, one call at a time.
   const size_t clients = static_cast<size_t>(config.readers);
   const size_t rounds = static_cast<size_t>(config.rounds);
-  constexpr size_t kClientWindow = 256;
-  std::vector<std::vector<FleetRecord>> per_client(clients);
+  std::vector<std::vector<ReplayRecord>> per_client(clients);
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> client_threads;
   for (size_t r = 0; r < clients; ++r) {
     client_threads.emplace_back([&, r] {
-      struct InFlight {
-        size_t record;  // index into `records`
-        std::chrono::steady_clock::time_point t0;
-        std::future<StatusOr<QueryAnswer>> future;
-      };
-      std::vector<FleetRecord>& records = per_client[r];
-      std::deque<InFlight> window;
-      const auto harvest = [&](size_t down_to) {
-        while (window.size() > down_to) {
-          InFlight call = std::move(window.front());
-          window.pop_front();
-          FleetRecord& record = records[call.record];
-          record.answer = call.future.get();
-          record.latency_ns =
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - call.t0)
-                  .count();
-        }
-      };
       for (size_t round = 0; round < rounds; ++round) {
         for (size_t i = r; i < replay.size(); i += clients) {
-          FleetRecord record;
+          ReplayRecord record;
           record.query = replay[i];
-          record.shard = fleet->ShardOf(record.query.tenant);
-          records.push_back(std::move(record));
-          const auto t0 = std::chrono::steady_clock::now();
-          auto submitted = fleet->Submit(replay[i]);
-          if (!submitted.ok()) {
-            records.back().answer = submitted.status();
-            records.back().latency_ns = 0;
-            continue;
-          }
-          window.push_back(InFlight{records.size() - 1, t0,
-                                    std::move(submitted).value()});
-          if (window.size() >= kClientWindow) harvest(kClientWindow / 2);
+          record.answer = fleet->Ask(record.query);
+          per_client[r].push_back(std::move(record));
         }
       }
-      harvest(0);
     });
   }
   for (auto& thread : client_threads) thread.join();
@@ -1085,27 +997,19 @@ Status RunFleet(const CliConfig& config) {
     return Status::Internal("live migration failed during the replay");
   }
 
-  // Aggregate per shard. ResourceExhausted (window or shard queue) is
-  // deliberate open-loop shedding, not an error.
-  std::vector<ShardTraffic> traffic(num_shards);
-  std::vector<int64_t> all_latencies;
+  // ResourceExhausted (fleet window or shard queue) is shedding, not an
+  // error.
   size_t ok_answers = 0;
   size_t error_answers = 0;
   size_t shed = 0;
   for (const auto& records : per_client) {
-    for (const FleetRecord& record : records) {
-      ShardTraffic& t = traffic[record.shard];
+    for (const ReplayRecord& record : records) {
       if (record.answer.ok()) {
-        ++t.ok;
         ++ok_answers;
-        t.latencies_ns.push_back(record.latency_ns);
-        all_latencies.push_back(record.latency_ns);
       } else if (record.answer.status().code() ==
                  StatusCode::kResourceExhausted) {
-        ++t.shed;
         ++shed;
       } else {
-        ++t.errors;
         ++error_answers;
       }
     }
@@ -1120,125 +1024,15 @@ Status RunFleet(const CliConfig& config) {
     std::printf("migrations: %zu completed live during the replay\n",
                 migrations_done.load());
   }
-  const double p50 = PercentileUs(&all_latencies, 0.50);
-  const double p99 = PercentileUs(&all_latencies, 0.99);
-  std::printf("latency: p50 %.1fus  p99 %.1fus\n", p50, p99);
-
-  std::vector<double> shard_p50(num_shards);
-  std::vector<double> shard_p99(num_shards);
-  TextTable shard_table;
-  shard_table.SetHeader({"shard", "ok", "errors", "shed", "p50 us", "p99 us",
-                         "batches", "coalesce", "tenants"});
-  for (size_t s = 0; s < num_shards; ++s) {
-    shard_p50[s] = PercentileUs(&traffic[s].latencies_ns, 0.50);
-    shard_p99[s] = PercentileUs(&traffic[s].latencies_ns, 0.99);
-    std::string batches = "-";
-    std::string coalesce = "-";
-    std::string tenants = "-";
-    if (auto stats = fleet->PingShard(s); stats.ok()) {
-      batches = std::to_string(stats->batches);
-      const uint64_t sweeps = stats->profile_sweeps + stats->per_bucket_sweeps;
-      coalesce = TextTable::FormatDouble(
-          sweeps == 0 ? static_cast<double>(stats->answered)
-                      : static_cast<double>(stats->answered) /
-                            static_cast<double>(sweeps));
-      tenants = std::to_string(stats->tenants);
-    }
-    shard_table.AddRow({std::to_string(s), std::to_string(traffic[s].ok),
-                        std::to_string(traffic[s].errors),
-                        std::to_string(traffic[s].shed),
-                        TextTable::FormatDouble(shard_p50[s]),
-                        TextTable::FormatDouble(shard_p99[s]), batches,
-                        coalesce, tenants});
-  }
-  std::printf("%s", shard_table.Render().c_str());
-
-  if (!config.json.empty()) {
-    CKSAFE_RETURN_IF_ERROR(WriteFleetJson(
-        config, num_shards, total, ok_answers, error_answers, shed, elapsed_s,
-        p50, p99, migrations_done.load(), traffic, shard_p50, shard_p99));
-    std::printf("wrote %s\n", config.json.c_str());
-  }
 
   // Stop the fleet before verifying: verification only needs the writer's
   // registry, and a clean shutdown here means a wedged shard fails the run
   // instead of hanging the exit.
-  const auto registry = fleet->PublishedRegistry();
+  const SnapshotRegistry registry = fleet->PublishedRegistry();
   CKSAFE_RETURN_IF_ERROR(fleet->ShutdownAll());
   fleet.reset();
   ::rmdir(socket_dir);
-
-  // Verification: every OK answer must be bit-identical to a fresh
-  // synchronous analyzer over the snapshot it names — across the process
-  // boundary, the wire codec, and any live migrations.
-  size_t verified = 0;
-  std::map<std::pair<std::string, uint64_t>,
-           std::unique_ptr<DisclosureAnalyzer>>
-      fresh_analyzers;
-  for (const auto& records : per_client) {
-    for (const FleetRecord& record : records) {
-      if (!record.answer.ok()) continue;
-      const Query& query = record.query;
-      const QueryAnswer& answer = *record.answer;
-      const auto key = std::make_pair(query.tenant, answer.snapshot_sequence);
-      const auto snapshot_it = registry.find(key);
-      if (snapshot_it == registry.end()) {
-        return Status::Internal(StrFormat(
-            "answer names unpublished snapshot %llu of tenant %s",
-            static_cast<unsigned long long>(answer.snapshot_sequence),
-            query.tenant.c_str()));
-      }
-      auto& analyzer = fresh_analyzers[key];
-      if (analyzer == nullptr) {
-        analyzer = std::make_unique<DisclosureAnalyzer>(
-            snapshot_it->second->bucketization);
-      }
-      bool match = true;
-      switch (query.kind) {
-        case QueryKind::kIsCkSafe: {
-          const WorstCaseDisclosure worst =
-              analyzer->MaxDisclosureImplications(query.k);
-          match = answer.safe == IsSafeLogRatio(worst.log_r_min, query.c) &&
-                  answer.disclosure == worst.disclosure &&
-                  answer.log_r == worst.log_r_min;
-          break;
-        }
-        case QueryKind::kDisclosure: {
-          const WorstCaseDisclosure worst =
-              analyzer->MaxDisclosureImplications(query.k);
-          match = answer.disclosure == worst.disclosure &&
-                  answer.log_r == worst.log_r_min;
-          break;
-        }
-        case QueryKind::kProfileAtK: {
-          const DisclosureProfile profile = analyzer->Profile(query.k);
-          match = answer.disclosure == profile.implication[query.k] &&
-                  answer.negation == profile.negation[query.k];
-          break;
-        }
-        case QueryKind::kPerBucket:
-          match = answer.disclosure ==
-                  analyzer->PerBucketDisclosure(query.k)[query.bucket];
-          break;
-      }
-      if (!match) {
-        return Status::Internal(StrFormat(
-            "answer diverged from fresh analyzer (tenant %s, snapshot %llu)",
-            query.tenant.c_str(),
-            static_cast<unsigned long long>(answer.snapshot_sequence)));
-      }
-      ++verified;
-    }
-  }
-  if (verified == 0) {
-    std::printf("nothing to verify: no query was answered successfully "
-                "(do the workload tenants match --policies?)\n");
-    return Status::OK();
-  }
-  std::printf("all %zu verified answers bit-identical to a fresh "
-              "synchronous analyzer\n",
-              verified);
-  return Status::OK();
+  return VerifyReplay(per_client, registry, "workload");
 }
 
 // Inspects / audits a durable store directory. Opening performs the same
@@ -1535,8 +1329,6 @@ int Main(int argc, char** argv) {
                  "fleet: foundry workload size when no --replay file is given");
   flags.AddInt64("migrations", &config.migrations,
                  "fleet: live tenant migrations performed during the replay");
-  flags.AddString("json", &config.json,
-                  "fleet: write the machine-readable report to this path");
   flags.AddString("scenario", &config.scenario,
                   "foundry/scenario: catalog entry name");
   flags.AddDouble("scale", &config.scale,

@@ -32,6 +32,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -127,14 +128,28 @@ class QueryRouter {
   QueryRouter(const QueryRouter&) = delete;
   QueryRouter& operator=(const QueryRouter&) = delete;
 
-  /// Validates and enqueues one query; the future resolves when a batch
-  /// containing it is served. Fails fast — without enqueueing — with
-  /// OutOfRange for budgets beyond Minimize2Forward::kMaxAnalysisBudget,
-  /// InvalidArgument for a non-positive c on kIsCkSafe,
-  /// ResourceExhausted when the queue is full (backpressure), and
-  /// FailedPrecondition after Stop(). Per-query serving errors (unknown
-  /// tenant, no published release, bucket out of range) arrive through
-  /// the future instead, so one bad query never poisons its batch.
+  /// Completion callback: receives one admitted query's answer or its
+  /// per-query error.
+  using Done = std::function<void(StatusOr<QueryAnswer>)>;
+
+  /// Validates and enqueues one query; `done` runs when a batch containing
+  /// it is served. Fails fast — without enqueueing — with OutOfRange for
+  /// budgets beyond Minimize2Forward::kMaxAnalysisBudget, InvalidArgument
+  /// for a non-positive c on kIsCkSafe, ResourceExhausted when the queue
+  /// is full (backpressure), and FailedPrecondition after Stop(); `done`
+  /// never runs after such an admission failure. Per-query serving errors
+  /// (unknown tenant, no published release, bucket out of range) arrive
+  /// through `done` instead, so one bad query never poisons its batch.
+  ///
+  /// After an OK return `done` runs exactly once, on the thread that
+  /// answers the query: the worker, a DrainOnce() caller, or (for a query
+  /// still queued in manual mode) the Stop() caller, which passes
+  /// FailedPrecondition. It runs inside the batch, so it must not block,
+  /// and it must not call Stop().
+  Status Submit(Query query, Done done);
+
+  /// Future form of Submit: the same admission, with `done` resolving the
+  /// returned future.
   StatusOr<std::future<StatusOr<QueryAnswer>>> Submit(Query query);
 
   /// Blocking convenience: Submit and wait. Admission failures (including
@@ -150,9 +165,9 @@ class QueryRouter {
   /// Closes admission and joins the worker after it drains the queue.
   /// Idempotent; implied by destruction. Drain guarantee: when Stop()
   /// returns — from ANY concurrent caller, not just the one that won the
-  /// race to close — every future a successful Submit handed out has been
-  /// resolved (with an answer or an error), so no caller is ever left
-  /// blocked on a promise the router abandoned.
+  /// race to close — every callback a successful Submit accepted has run
+  /// (with an answer or an error), so no caller is ever left blocked on
+  /// a query the router abandoned.
   void Stop();
 
   /// Consistent point-in-time copy of the counters.
@@ -161,7 +176,7 @@ class QueryRouter {
  private:
   struct Pending {
     Query query;
-    std::promise<StatusOr<QueryAnswer>> promise;
+    Done done;
   };
 
   /// Everything the worker caches for one (tenant, snapshot): the pinned

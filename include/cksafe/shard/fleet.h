@@ -208,20 +208,15 @@ class ShardFleet {
                         bool counted,
                         std::function<void(StatusOr<WireFrame>)> resolve);
 
-  /// CallRegistered wrapped into a raw response-frame future.
-  StatusOr<std::future<StatusOr<WireFrame>>> CallAsync(
-      const std::shared_ptr<Link>& link, WireType type,
-      std::vector<uint8_t> payload, uint64_t id, bool counted);
-
   /// Synchronous call + response-type check.
   StatusOr<WireFrame> CallSync(size_t shard, WireType type,
                                std::vector<uint8_t> payload, uint64_t id,
                                WireType expect);
 
-  /// Ships `snapshots` (ascending) to `shard` for `tenant`.
-  Status AdoptAll(
-      size_t shard, const std::string& tenant,
-      const std::vector<std::shared_ptr<const ReleaseSnapshot>>& snapshots);
+  /// One publish RPC: `shard` adopts `snapshot` for `tenant`; returns the
+  /// shard's verdict. Callers hold publish_mu_.
+  Status PublishTo(size_t shard, const std::string& tenant,
+                   std::shared_ptr<const ReleaseSnapshot> snapshot);
 
   const ShardFleetOptions options_;
   std::vector<ShardServerOptions> shard_options_;

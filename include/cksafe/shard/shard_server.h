@@ -2,13 +2,17 @@
 //
 // A ShardServer owns one ServingEngine (in-memory, or durable when a store
 // directory is configured) and serves the shard/wire.h protocol on a
-// UNIX-domain socket. Queries are admitted into the engine's QueryRouter —
-// the shard's bounded admission queue — asynchronously: the connection's
-// reader thread keeps admitting while a completion thread waits on the
-// futures and sends responses, so one slow batch never stops the shard
-// from accepting (or backpressuring) the next requests. Backpressure is
-// end-to-end: when the router's queue is full, the ResourceExhausted the
-// in-process caller would get is exactly what crosses the wire.
+// UNIX-domain socket, with one reader thread per connection. Queries are
+// admitted into the engine's QueryRouter — the shard's bounded admission
+// queue — asynchronously: the reader keeps admitting while each query's
+// completion callback, run by the router as it answers, writes the
+// response itself, so one slow batch never stops the shard from accepting
+// (or backpressuring) the next requests. Responses therefore leave in
+// answer order, which the protocol allows (ids correlate them). A
+// completion's write blocks the router while the peer's receive buffer is
+// full; the fleet's per-link receiver thread keeps reading. Backpressure
+// is end-to-end: when the router's queue is full, the ResourceExhausted
+// the in-process caller would get is exactly what crosses the wire.
 //
 // Publishes ADOPT wire snapshots verbatim (ServingEngine::PublishSnapshot)
 // — sequences are assigned by the fleet's writer, not re-stamped per
@@ -87,22 +91,20 @@ class ShardServer {
   ServingEngine* engine() { return engine_.get(); }
 
  private:
-  /// One accepted connection: the socket plus the query-completion
-  /// pipeline between its reader and sender threads.
+  /// One accepted connection: the socket, its write lock and its reader
+  /// thread.
   struct Connection;
 
   explicit ShardServer(ShardServerOptions options);
 
-  void HandleConnection(Connection* conn);
-  void SenderLoop(Connection* conn);
-  /// Joins every connection's reader/sender without holding conns_mu_
-  /// (a reader handling a shutdown frame blocks on it inside Stop()).
+  void HandleConnection(const std::shared_ptr<Connection>& conn);
+  /// Joins every connection's reader without holding conns_mu_ (a reader
+  /// handling a shutdown frame blocks on it inside Stop()).
   void JoinConnections();
   /// Control frames (publish/handoff/drop/ping/shutdown) answered inline
-  /// on the reader thread; queries go through the async pipeline.
-  Status HandleFrame(Connection* conn, WireFrame frame);
-  Status RespondControl(Connection* conn, WireType type,
-                        std::vector<uint8_t> payload);
+  /// on the reader thread; queries are answered by their completions.
+  Status HandleFrame(const std::shared_ptr<Connection>& conn,
+                     WireFrame frame);
 
   WireShardStats Stats() const;
 
@@ -120,7 +122,7 @@ class ShardServer {
       history_;
 
   std::mutex conns_mu_;
-  std::vector<std::unique_ptr<Connection>> conns_;
+  std::vector<std::shared_ptr<Connection>> conns_;
 };
 
 /// Child-process entry point: Create + Serve, mapping any error to a

@@ -21,7 +21,7 @@ QueryRouter::QueryRouter(const ServingDirectory* directory, Options options)
 
 QueryRouter::~QueryRouter() { Stop(); }
 
-StatusOr<std::future<StatusOr<QueryAnswer>>> QueryRouter::Submit(Query query) {
+Status QueryRouter::Submit(Query query, Done done) {
   // Admission-time validation: absurd budgets and malformed thresholds are
   // rejected before they consume queue space or reach the sweep.
   if (Status budget = Minimize2Forward::ValidateBudget(query.k);
@@ -32,9 +32,7 @@ StatusOr<std::future<StatusOr<QueryAnswer>>> QueryRouter::Submit(Query query) {
     return Status::InvalidArgument(
         StrFormat("kIsCkSafe requires a threshold c > 0, got %g", query.c));
   }
-  Pending pending;
-  pending.query = std::move(query);
-  std::future<StatusOr<QueryAnswer>> future = pending.promise.get_future();
+  Pending pending{std::move(query), std::move(done)};
   // Count the submission BEFORE the push: the instant TryPush succeeds the
   // worker may pop and answer the query, so incrementing afterwards let a
   // concurrent stats() reader observe answered > submitted. Counting first
@@ -51,6 +49,16 @@ StatusOr<std::future<StatusOr<QueryAnswer>>> QueryRouter::Submit(Query query) {
     }
     return admitted;
   }
+  return Status::OK();
+}
+
+StatusOr<std::future<StatusOr<QueryAnswer>>> QueryRouter::Submit(Query query) {
+  auto promise = std::make_shared<std::promise<StatusOr<QueryAnswer>>>();
+  std::future<StatusOr<QueryAnswer>> future = promise->get_future();
+  CKSAFE_RETURN_IF_ERROR(
+      Submit(std::move(query), [promise](StatusOr<QueryAnswer> answer) {
+        promise->set_value(std::move(answer));
+      }));
   return future;
 }
 
@@ -71,22 +79,22 @@ size_t QueryRouter::DrainOnce() {
 
 void QueryRouter::Stop() {
   // stop_mu_ is held across the ENTIRE close-and-drain, not just the
-  // stopped_ flip: when any Stop() call returns, every future that was
-  // accepted by Submit has been resolved. Flipping the flag first and
+  // stopped_ flip: when any Stop() call returns, every query that was
+  // accepted by Submit has been answered. Flipping the flag first and
   // draining outside the lock let a concurrent second caller return while
   // the first was still joining the worker — exactly the window the
   // multi-process drain path (a shard handling a shutdown frame while the
   // fleet tears it down) would hit. Safe to hold: neither the worker loop
   // nor Submit ever takes stop_mu_, so there is no lock-order cycle, and a
   // Submit racing past queue_.Close() gets FailedPrecondition from TryPush
-  // without having created an unresolved future.
+  // without having enqueued a callback.
   std::lock_guard<std::mutex> lock(stop_mu_);
   if (stopped_) return;
   queue_.Close();
   if (worker_.joinable()) {
     worker_.join();  // the worker drains admitted queries before exiting
   } else {
-    // Manual mode: resolve anything still queued so no future dangles.
+    // Manual mode: answer anything still queued so no caller dangles.
     while (queue_.TryPopAll(&drain_buffer_)) {
       for (Pending& pending : drain_buffer_) {
         Answer(&pending, Status::FailedPrecondition("router stopped"));
@@ -119,13 +127,13 @@ void QueryRouter::WorkerLoop() {
 }
 
 void QueryRouter::Answer(Pending* pending, StatusOr<QueryAnswer> answer) {
-  // Count BEFORE resolving the promise: the instant set_value runs, the
-  // submitter can observe its answer (and, over the shard wire, ping for
-  // stats), so incrementing afterwards let a client that already holds a
-  // response read answered as if the query were still pending. Submitted
-  // was counted before the push, so answered <= submitted still holds.
+  // Count BEFORE running the callback: the instant it runs, the submitter
+  // can observe its answer (and, over the shard wire, ping for stats), so
+  // incrementing afterwards let a client that already holds a response
+  // read answered as if the query were still pending. Submitted was
+  // counted before the push, so answered <= submitted still holds.
   stats_.answered.fetch_add(1, std::memory_order_release);
-  pending->promise.set_value(std::move(answer));
+  pending->done(std::move(answer));
 }
 
 void QueryRouter::ServeBatch(std::vector<Pending>* batch) {
@@ -235,8 +243,8 @@ void QueryRouter::ServeBatch(std::vector<Pending>* batch) {
     }
   }
 
-  // `answered` is counted per query inside Answer(), before each promise
-  // resolves — see the comment there.
+  // `answered` is counted per query inside Answer(), before each callback
+  // runs — see the comment there.
   stats_.batches.fetch_add(1, std::memory_order_relaxed);
   stats_.profile_sweeps.fetch_add(profile_sweeps, std::memory_order_relaxed);
   stats_.per_bucket_sweeps.fetch_add(per_bucket_sweeps,

@@ -252,24 +252,14 @@ Status ShardFleet::CallRegistered(
   return Status::OK();
 }
 
-StatusOr<std::future<StatusOr<WireFrame>>> ShardFleet::CallAsync(
-    const std::shared_ptr<Link>& link, WireType type,
-    std::vector<uint8_t> payload, uint64_t id, bool counted) {
-  auto state = std::make_shared<std::promise<StatusOr<WireFrame>>>();
-  std::future<StatusOr<WireFrame>> future = state->get_future();
-  CKSAFE_RETURN_IF_ERROR(CallRegistered(
-      link, type, std::move(payload), id, counted,
-      [state](StatusOr<WireFrame> frame) { state->set_value(std::move(frame)); }));
-  return future;
-}
-
 StatusOr<WireFrame> ShardFleet::CallSync(size_t shard, WireType type,
                                          std::vector<uint8_t> payload,
                                          uint64_t id, WireType expect) {
-  const std::shared_ptr<Link> link = GetLink(shard);
-  CKSAFE_ASSIGN_OR_RETURN(
-      std::future<StatusOr<WireFrame>> future,
-      CallAsync(link, type, std::move(payload), id, /*counted=*/false));
+  auto state = std::make_shared<std::promise<StatusOr<WireFrame>>>();
+  std::future<StatusOr<WireFrame>> future = state->get_future();
+  CKSAFE_RETURN_IF_ERROR(CallRegistered(
+      GetLink(shard), type, std::move(payload), id, /*counted=*/false,
+      [state](StatusOr<WireFrame> frame) { state->set_value(std::move(frame)); }));
   CKSAFE_ASSIGN_OR_RETURN(WireFrame frame, future.get());
   if (frame.type != expect) {
     return Status::Internal(
@@ -343,6 +333,21 @@ StatusOr<QueryAnswer> ShardFleet::Ask(const Query& query) {
   return future.get();
 }
 
+Status ShardFleet::PublishTo(size_t shard, const std::string& tenant,
+                             std::shared_ptr<const ReleaseSnapshot> snapshot) {
+  WirePublishRequest request;
+  request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  request.tenant = tenant;
+  request.snapshot = std::move(snapshot);
+  CKSAFE_ASSIGN_OR_RETURN(
+      const WireFrame frame,
+      CallSync(shard, WireType::kPublishRequest, EncodePublishRequest(request),
+               request.id, WireType::kPublishResponse));
+  CKSAFE_ASSIGN_OR_RETURN(const WirePublishResponse response,
+                          DecodePublishResponse(frame.payload));
+  return response.status;
+}
+
 StatusOr<std::shared_ptr<const ReleaseSnapshot>> ShardFleet::Publish(
     const std::string& tenant, const PublishedRelease& release,
     size_t num_rows) {
@@ -350,18 +355,7 @@ StatusOr<std::shared_ptr<const ReleaseSnapshot>> ShardFleet::Publish(
   const uint64_t sequence = next_sequence_[tenant] + 1;
   std::shared_ptr<const ReleaseSnapshot> snapshot =
       MakeReleaseSnapshot(sequence, num_rows, release);
-  WirePublishRequest request;
-  request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  request.tenant = tenant;
-  request.snapshot = snapshot;
-  CKSAFE_ASSIGN_OR_RETURN(
-      const WireFrame frame,
-      CallSync(ShardOf(tenant), WireType::kPublishRequest,
-               EncodePublishRequest(request), request.id,
-               WireType::kPublishResponse));
-  CKSAFE_ASSIGN_OR_RETURN(const WirePublishResponse response,
-                          DecodePublishResponse(frame.payload));
-  CKSAFE_RETURN_IF_ERROR(response.status);
+  CKSAFE_RETURN_IF_ERROR(PublishTo(ShardOf(tenant), tenant, snapshot));
   next_sequence_[tenant] = sequence;
   published_[{tenant, sequence}] = snapshot;
   return snapshot;
@@ -374,18 +368,7 @@ Status ShardFleet::PublishSnapshot(
     return Status::InvalidArgument("cannot publish a null snapshot");
   }
   std::lock_guard<std::mutex> lock(publish_mu_);
-  WirePublishRequest request;
-  request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  request.tenant = tenant;
-  request.snapshot = snapshot;
-  CKSAFE_ASSIGN_OR_RETURN(
-      const WireFrame frame,
-      CallSync(ShardOf(tenant), WireType::kPublishRequest,
-               EncodePublishRequest(request), request.id,
-               WireType::kPublishResponse));
-  CKSAFE_ASSIGN_OR_RETURN(const WirePublishResponse response,
-                          DecodePublishResponse(frame.payload));
-  CKSAFE_RETURN_IF_ERROR(response.status);
+  CKSAFE_RETURN_IF_ERROR(PublishTo(ShardOf(tenant), tenant, snapshot));
   next_sequence_[tenant] =
       std::max(next_sequence_[tenant], snapshot->sequence);
   published_[{tenant, snapshot->sequence}] = std::move(snapshot);
@@ -426,26 +409,6 @@ Status ShardFleet::ResyncTenant(const std::string& tenant) {
   return Status::OK();
 }
 
-Status ShardFleet::AdoptAll(
-    size_t shard, const std::string& tenant,
-    const std::vector<std::shared_ptr<const ReleaseSnapshot>>& snapshots) {
-  for (const auto& snapshot : snapshots) {
-    WirePublishRequest request;
-    request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-    request.tenant = tenant;
-    request.snapshot = snapshot;
-    CKSAFE_ASSIGN_OR_RETURN(
-        const WireFrame frame,
-        CallSync(shard, WireType::kPublishRequest,
-                 EncodePublishRequest(request), request.id,
-                 WireType::kPublishResponse));
-    CKSAFE_ASSIGN_OR_RETURN(const WirePublishResponse response,
-                            DecodePublishResponse(frame.payload));
-    CKSAFE_RETURN_IF_ERROR(response.status);
-  }
-  return Status::OK();
-}
-
 Status ShardFleet::MigrateTenant(const std::string& tenant,
                                  size_t target_shard) {
   if (target_shard >= num_shards()) {
@@ -473,7 +436,9 @@ Status ShardFleet::MigrateTenant(const std::string& tenant,
   // Publish-to-new: the target adopts the FULL ascending history, so the
   // tenant's sequences — and, on a durable target, the store's contiguity
   // — are preserved verbatim.
-  CKSAFE_RETURN_IF_ERROR(AdoptAll(target_shard, tenant, history.snapshots));
+  for (const auto& snapshot : history.snapshots) {
+    CKSAFE_RETURN_IF_ERROR(PublishTo(target_shard, tenant, snapshot));
+  }
   {
     // The flip: queries routed from this instant land on the target.
     // In-flight queries on the source answer from bit-identical

@@ -1,9 +1,6 @@
 #include "cksafe/shard/shard_server.h"
 
 #include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <future>
 #include <utility>
 
 #include "cksafe/util/check.h"
@@ -11,25 +8,31 @@
 
 namespace cksafe {
 
-/// The per-connection pipeline. The reader thread admits queries and
-/// pushes (id, future) pairs; the sender thread waits each future in FIFO
-/// order and writes the response under send_mu (which also serializes the
-/// reader's inline control responses against it).
+/// One accepted connection. Its reader thread answers control frames
+/// inline and admits queries; each query's completion writes its own
+/// response. send_mu serializes every writer on the socket. Completions
+/// hold a shared_ptr, so the connection outlives every query it admitted.
 struct ShardServer::Connection {
   UnixSocket socket;
   std::mutex send_mu;
-
-  struct InFlight {
-    uint64_t id = 0;
-    std::future<StatusOr<QueryAnswer>> future;
-  };
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<InFlight> in_flight;
-  bool reader_done = false;
-
   std::thread reader;
-  std::thread sender;
+
+  Status Send(WireType type, std::vector<uint8_t> payload) {
+    std::lock_guard<std::mutex> lock(send_mu);
+    return SendFrame(&socket, type, std::move(payload));
+  }
+
+  /// Sends `answer` (or its error) as the response to query `id`.
+  Status SendAnswer(uint64_t id, const StatusOr<QueryAnswer>& answer) {
+    WireQueryResponse response;
+    response.id = id;
+    if (answer.ok()) {
+      response.answer = *answer;
+    } else {
+      response.status = answer.status();
+    }
+    return Send(WireType::kQueryResponse, EncodeQueryResponse(response));
+  }
 };
 
 ShardServer::ShardServer(ShardServerOptions options)
@@ -56,7 +59,6 @@ void ShardServer::JoinConnections() {
   }
   for (Connection* conn : to_join) {
     if (conn->reader.joinable()) conn->reader.join();
-    if (conn->sender.joinable()) conn->sender.join();
   }
 }
 
@@ -103,15 +105,15 @@ Status ShardServer::Serve() {
       if (stopping_.load(std::memory_order_acquire)) break;
       return accepted.status();
     }
-    auto conn = std::make_unique<Connection>();
+    auto conn = std::make_shared<Connection>();
     conn->socket = std::move(accepted).value();
-    Connection* raw = conn.get();
     {
       std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.push_back(std::move(conn));
+      conns_.push_back(conn);
     }
-    raw->reader = std::thread([this, raw] { HandleConnection(raw); });
-    raw->sender = std::thread([this, raw] { SenderLoop(raw); });
+    // conns_ holds a reference until the reader is joined, so the thread's
+    // own copy is never the last one.
+    conn->reader = std::thread([this, conn] { HandleConnection(conn); });
   }
   JoinConnections();
   return Status::OK();
@@ -126,59 +128,15 @@ void ShardServer::Stop() {
   }
 }
 
-void ShardServer::HandleConnection(Connection* conn) {
+void ShardServer::HandleConnection(const std::shared_ptr<Connection>& conn) {
   for (;;) {
     StatusOr<WireFrame> frame = RecvFrame(&conn->socket);
-    if (!frame.ok()) break;  // peer gone, malformed frame, or Stop()
+    if (!frame.ok()) return;  // peer gone, malformed frame, or Stop()
     if (Status handled = HandleFrame(conn, std::move(frame).value());
         !handled.ok()) {
-      break;  // send failed: the peer is gone
+      return;  // send failed: the peer is gone
     }
   }
-  // Unblock the sender; it drains in-flight futures before exiting (the
-  // router resolves every admitted promise, so the drain terminates).
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->reader_done = true;
-  }
-  conn->cv.notify_all();
-}
-
-void ShardServer::SenderLoop(Connection* conn) {
-  for (;;) {
-    Connection::InFlight next;
-    {
-      std::unique_lock<std::mutex> lock(conn->mu);
-      conn->cv.wait(lock, [conn] {
-        return conn->reader_done || !conn->in_flight.empty();
-      });
-      if (conn->in_flight.empty()) return;  // reader done and drained
-      next = std::move(conn->in_flight.front());
-      conn->in_flight.pop_front();
-    }
-    WireQueryResponse response;
-    response.id = next.id;
-    StatusOr<QueryAnswer> answer = next.future.get();
-    if (answer.ok()) {
-      response.answer = std::move(answer).value();
-    } else {
-      response.status = answer.status();
-    }
-    std::lock_guard<std::mutex> lock(conn->send_mu);
-    if (Status sent = SendFrame(&conn->socket, WireType::kQueryResponse,
-                                EncodeQueryResponse(response));
-        !sent.ok()) {
-      // Peer gone: keep draining futures (so every promise's value is
-      // consumed) but nothing more goes on the wire.
-      conn->socket.Shutdown();
-    }
-  }
-}
-
-Status ShardServer::RespondControl(Connection* conn, WireType type,
-                                   std::vector<uint8_t> payload) {
-  std::lock_guard<std::mutex> lock(conn->send_mu);
-  return SendFrame(&conn->socket, type, std::move(payload));
 }
 
 WireShardStats ShardServer::Stats() const {
@@ -197,7 +155,8 @@ WireShardStats ShardServer::Stats() const {
   return stats;
 }
 
-Status ShardServer::HandleFrame(Connection* conn, WireFrame frame) {
+Status ShardServer::HandleFrame(const std::shared_ptr<Connection>& conn,
+                                WireFrame frame) {
   switch (frame.type) {
     case WireType::kQueryRequest: {
       StatusOr<WireQueryRequest> request = DecodeQueryRequest(frame.payload);
@@ -206,26 +165,15 @@ Status ShardServer::HandleFrame(Connection* conn, WireFrame frame) {
         std::this_thread::sleep_for(
             std::chrono::milliseconds(options_.test_stall_queries_ms));
       }
-      StatusOr<std::future<StatusOr<QueryAnswer>>> submitted =
-          engine_->router()->Submit(request->query);
-      if (!submitted.ok()) {
-        // Admission failure — including the ResourceExhausted backpressure
-        // signal — is answered inline; nothing was queued.
-        WireQueryResponse response;
-        response.id = request->id;
-        response.status = submitted.status();
-        return RespondControl(conn, WireType::kQueryResponse,
-                              EncodeQueryResponse(response));
-      }
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        Connection::InFlight in_flight;
-        in_flight.id = request->id;
-        in_flight.future = std::move(submitted).value();
-        conn->in_flight.push_back(std::move(in_flight));
-      }
-      conn->cv.notify_one();
-      return Status::OK();
+      const uint64_t id = request->id;
+      const Status admitted = engine_->router()->Submit(
+          std::move(request->query), [conn, id](StatusOr<QueryAnswer> answer) {
+            // Peer gone: shut the socket down so the reader exits too.
+            if (!conn->SendAnswer(id, answer).ok()) conn->socket.Shutdown();
+          });
+      // Admission failure — including the ResourceExhausted backpressure
+      // signal — is answered inline; nothing was queued.
+      return admitted.ok() ? Status::OK() : conn->SendAnswer(id, admitted);
     }
     case WireType::kPublishRequest: {
       StatusOr<WirePublishRequest> request =
@@ -267,8 +215,8 @@ Status ShardServer::HandleFrame(Connection* conn, WireFrame frame) {
           history_[request->tenant][snapshot->sequence] = snapshot;
         }
       }
-      return RespondControl(conn, WireType::kPublishResponse,
-                            EncodePublishResponse(response));
+      return conn->Send(WireType::kPublishResponse,
+                        EncodePublishResponse(response));
     }
     case WireType::kHandoffRequest: {
       StatusOr<WireHandoffRequest> request =
@@ -294,8 +242,8 @@ Status ShardServer::HandleFrame(Connection* conn, WireFrame frame) {
           }
         }
       }
-      return RespondControl(conn, WireType::kHandoffResponse,
-                            EncodeHandoffResponse(response));
+      return conn->Send(WireType::kHandoffResponse,
+                        EncodeHandoffResponse(response));
     }
     case WireType::kDropRequest: {
       StatusOr<WireDropRequest> request = DecodeDropRequest(frame.payload);
@@ -314,8 +262,8 @@ Status ShardServer::HandleFrame(Connection* conn, WireFrame frame) {
                         request->tenant.c_str()));
         }
       }
-      return RespondControl(conn, WireType::kDropResponse,
-                            EncodeDropResponse(response));
+      return conn->Send(WireType::kDropResponse,
+                        EncodeDropResponse(response));
     }
     case WireType::kPingRequest: {
       StatusOr<WirePingRequest> request = DecodePingRequest(frame.payload);
@@ -323,8 +271,8 @@ Status ShardServer::HandleFrame(Connection* conn, WireFrame frame) {
       WirePingResponse response;
       response.id = request->id;
       response.stats = Stats();
-      return RespondControl(conn, WireType::kPingResponse,
-                            EncodePingResponse(response));
+      return conn->Send(WireType::kPingResponse,
+                        EncodePingResponse(response));
     }
     case WireType::kShutdownRequest: {
       StatusOr<WireShutdownRequest> request =
@@ -334,8 +282,8 @@ Status ShardServer::HandleFrame(Connection* conn, WireFrame frame) {
       response.id = request->id;
       // Acknowledge BEFORE stopping: the fleet's shutdown call completes
       // only once the shard has committed to stopping.
-      const Status sent = RespondControl(conn, WireType::kShutdownResponse,
-                                         EncodeShutdownResponse(response));
+      const Status sent = conn->Send(WireType::kShutdownResponse,
+                                     EncodeShutdownResponse(response));
       Stop();
       return sent;
     }

@@ -1,16 +1,17 @@
-// Regression: QueryRouter::Stop racing Submit. Every future a successful
-// Submit hands out must resolve — even when Stop lands between the
-// admission check and the enqueue, and even with several threads hammering
-// Submit while another calls Stop. The pre-fix bug dropped queries
-// admitted during the close window, leaving their futures waiting forever;
-// this test would hang (caught by the wait_for deadline) on any
-// regression.
+// Regression: QueryRouter::Stop racing Submit. Every query a successful
+// Submit accepts must resolve — its future, or its callback exactly once —
+// even when Stop lands between the admission check and the enqueue, and
+// even with several threads hammering Submit while another calls Stop. The
+// pre-fix bug dropped queries admitted during the close window, leaving
+// their futures waiting forever; this test would hang (caught by the
+// wait_for deadline) on any regression.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -47,7 +48,11 @@ TEST(ServeStopRaceTest, SubmitRacingStopResolvesEveryAcceptedFuture) {
     std::atomic<bool> go{false};
     std::atomic<bool> halt{false};
     std::atomic<size_t> accepted_count{0};
+    // Even submitters use the future form, odd ones the callback form with
+    // one run counter per accepted submit.
     std::vector<std::vector<std::future<StatusOr<QueryAnswer>>>> accepted(
+        kSubmitters);
+    std::vector<std::vector<std::shared_ptr<std::atomic<int>>>> callback_runs(
         kSubmitters);
     std::vector<std::thread> submitters;
     submitters.reserve(kSubmitters);
@@ -59,13 +64,22 @@ TEST(ServeStopRaceTest, SubmitRacingStopResolvesEveryAcceptedFuture) {
         query.k = 2;
         while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
         while (!halt.load(std::memory_order_acquire)) {
-          auto submitted = router.Submit(query);
-          if (submitted.ok()) {
-            accepted[t].push_back(std::move(submitted).value());
-            accepted_count.fetch_add(1, std::memory_order_release);
-          }
-          // Rejections (queue full, router stopped) carry no future and
+          // Rejections (queue full, router stopped) resolve nothing and
           // need no bookkeeping — backpressure is the caller's signal.
+          if (t % 2 == 0) {
+            auto submitted = router.Submit(query);
+            if (!submitted.ok()) continue;
+            accepted[t].push_back(std::move(submitted).value());
+          } else {
+            auto runs = std::make_shared<std::atomic<int>>(0);
+            const Status admitted =
+                router.Submit(query, [runs](StatusOr<QueryAnswer>) {
+                  runs->fetch_add(1, std::memory_order_relaxed);
+                });
+            if (!admitted.ok()) continue;
+            callback_runs[t].push_back(std::move(runs));
+          }
+          accepted_count.fetch_add(1, std::memory_order_release);
         }
       });
     }
@@ -86,6 +100,15 @@ TEST(ServeStopRaceTest, SubmitRacingStopResolvesEveryAcceptedFuture) {
     for (auto& thread : submitters) thread.join();
 
     size_t total = 0;
+    for (const auto& runs : callback_runs) {
+      for (const auto& count : runs) {
+        // Stop() has returned, so every accepted callback has run: once.
+        ASSERT_EQ(count->load(std::memory_order_relaxed), 1)
+            << "accepted callback did not run exactly once (round " << round
+            << ")";
+        ++total;
+      }
+    }
     for (auto& futures : accepted) {
       for (auto& future : futures) {
         // The whole point: an accepted Submit may fail, but it may never

@@ -7,10 +7,12 @@
 // through the sweep counters: one batch of mixed queries must cost one
 // profile sweep (plus one per-bucket sweep per distinct audited budget).
 
+#include <deque>
 #include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -72,57 +74,133 @@ class QueryRouterTest : public ::testing::Test {
   }
 };
 
+/// Submits through the future form or the callback form of
+/// QueryRouter::Submit, so one test body checks both. The callback form
+/// records, for every submit, how often its callback ran, on which thread
+/// and with which Status.
+class FormSubmitter {
+ public:
+  FormSubmitter(QueryRouter* router, bool callback_form)
+      : router_(router), callback_form_(callback_form) {}
+
+  /// The admission Status; accepted queries are numbered in order.
+  Status Submit(Query query) {
+    if (!callback_form_) {
+      auto submitted = router_->Submit(std::move(query));
+      if (!submitted.ok()) return submitted.status();
+      futures_.push_back(std::move(submitted).value());
+      return Status::OK();
+    }
+    Run& run = runs_.emplace_back();
+    const Status admitted =
+        router_->Submit(std::move(query), [&run](StatusOr<QueryAnswer> answer) {
+          ++run.count;
+          run.thread = std::this_thread::get_id();
+          run.status = answer.status();
+        });
+    if (admitted.ok()) accepted_.push_back(&run);
+    return admitted;
+  }
+
+  /// The Status accepted query `i` resolved with. In the callback form,
+  /// its callback must have run exactly once, on this thread (the one
+  /// calling DrainOnce or Stop).
+  StatusCode Resolved(size_t i) {
+    if (!callback_form_) return futures_[i].get().status().code();
+    EXPECT_EQ(accepted_[i]->count, 1);
+    EXPECT_EQ(accepted_[i]->thread, std::this_thread::get_id());
+    return accepted_[i]->status.code();
+  }
+
+  /// Callbacks run by rejected submits (must stay 0).
+  int RejectedRuns() const {
+    int runs = 0;
+    for (const Run& run : runs_) runs += run.count;
+    for (const Run* run : accepted_) runs -= run->count;
+    return runs;
+  }
+
+ private:
+  struct Run {
+    int count = 0;
+    std::thread::id thread;
+    Status status;
+  };
+  QueryRouter* router_;
+  const bool callback_form_;
+  std::vector<std::future<StatusOr<QueryAnswer>>> futures_;
+  std::deque<Run> runs_;  // stable addresses: callbacks point into it
+  std::vector<Run*> accepted_;
+};
+
+const char* FormName(bool callback_form) {
+  return callback_form ? "callback form" : "future form";
+}
+
 TEST_F(QueryRouterTest, AdmissionValidation) {
-  ServingDirectory directory;
-  QueryRouter router(&directory, ManualOptions());
-  Query absurd;
-  absurd.tenant = "t";
-  absurd.k = Minimize2Forward::kMaxAnalysisBudget + 1;
-  EXPECT_EQ(router.Submit(absurd).status().code(), StatusCode::kOutOfRange);
-  Query bad_c;
-  bad_c.tenant = "t";
-  bad_c.kind = QueryKind::kIsCkSafe;
-  bad_c.c = 0.0;
-  EXPECT_EQ(router.Submit(bad_c).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(router.stats().submitted, 0u);
+  for (const bool callback_form : {false, true}) {
+    SCOPED_TRACE(FormName(callback_form));
+    ServingDirectory directory;
+    QueryRouter router(&directory, ManualOptions());
+    FormSubmitter submitter(&router, callback_form);
+    Query absurd;
+    absurd.tenant = "t";
+    absurd.k = Minimize2Forward::kMaxAnalysisBudget + 1;
+    EXPECT_EQ(submitter.Submit(absurd).code(), StatusCode::kOutOfRange);
+    Query bad_c;
+    bad_c.tenant = "t";
+    bad_c.kind = QueryKind::kIsCkSafe;
+    bad_c.c = 0.0;
+    EXPECT_EQ(submitter.Submit(bad_c).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(router.stats().submitted, 0u);
+    EXPECT_EQ(router.DrainOnce(), 0u);
+    router.Stop();
+    EXPECT_EQ(submitter.RejectedRuns(), 0);
+  }
 }
 
 TEST_F(QueryRouterTest, BackpressureWhenQueueIsFull) {
-  ServingDirectory directory;
-  QueryRouter router(&directory, ManualOptions(/*capacity=*/2));
-  Query query;
-  query.tenant = "t";
-  auto a = router.Submit(query);
-  auto b = router.Submit(query);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  const auto rejected = router.Submit(query);
-  EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(router.stats().rejected, 1u);
-  // Draining frees capacity; the pending futures resolve (as errors —
-  // the tenant is unknown — but resolve).
-  EXPECT_EQ(router.DrainOnce(), 2u);
-  EXPECT_EQ(a.value().get().status().code(), StatusCode::kNotFound);
-  EXPECT_TRUE(router.Submit(query).ok());
-  router.Stop();
+  for (const bool callback_form : {false, true}) {
+    SCOPED_TRACE(FormName(callback_form));
+    ServingDirectory directory;
+    QueryRouter router(&directory, ManualOptions(/*capacity=*/2));
+    FormSubmitter submitter(&router, callback_form);
+    Query query;
+    query.tenant = "t";
+    ASSERT_TRUE(submitter.Submit(query).ok());
+    ASSERT_TRUE(submitter.Submit(query).ok());
+    EXPECT_EQ(submitter.Submit(query).code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(router.stats().rejected, 1u);
+    // Draining frees capacity; the pending queries resolve (as errors —
+    // the tenant is unknown — but resolve).
+    EXPECT_EQ(router.DrainOnce(), 2u);
+    EXPECT_EQ(submitter.Resolved(0), StatusCode::kNotFound);
+    EXPECT_EQ(submitter.Resolved(1), StatusCode::kNotFound);
+    // A query still queued at Stop() resolves with FailedPrecondition.
+    ASSERT_TRUE(submitter.Submit(query).ok());
+    router.Stop();
+    EXPECT_EQ(submitter.Resolved(2), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(submitter.RejectedRuns(), 0);
+  }
 }
 
 TEST_F(QueryRouterTest, UnknownTenantAndUnpublishedTenantErrors) {
-  ServingDirectory directory;
-  directory.GetOrAddTenant("registered");
-  QueryRouter router(&directory, ManualOptions());
-  Query unknown;
-  unknown.tenant = "ghost";
-  Query unpublished;
-  unpublished.tenant = "registered";
-  auto a = router.Submit(unknown);
-  auto b = router.Submit(unpublished);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(router.DrainOnce(), 2u);
-  EXPECT_EQ(a.value().get().status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(b.value().get().status().code(),
-            StatusCode::kFailedPrecondition);
+  for (const bool callback_form : {false, true}) {
+    SCOPED_TRACE(FormName(callback_form));
+    ServingDirectory directory;
+    directory.GetOrAddTenant("registered");
+    QueryRouter router(&directory, ManualOptions());
+    FormSubmitter submitter(&router, callback_form);
+    Query unknown;
+    unknown.tenant = "ghost";
+    Query unpublished;
+    unpublished.tenant = "registered";
+    ASSERT_TRUE(submitter.Submit(unknown).ok());
+    ASSERT_TRUE(submitter.Submit(unpublished).ok());
+    EXPECT_EQ(router.DrainOnce(), 2u);
+    EXPECT_EQ(submitter.Resolved(0), StatusCode::kNotFound);
+    EXPECT_EQ(submitter.Resolved(1), StatusCode::kFailedPrecondition);
+  }
 }
 
 TEST_F(QueryRouterTest, BatchCoalescesToOneProfileSweepAndIsBitIdentical) {

@@ -4,7 +4,8 @@
 // snapshot the answer names, across process boundaries and the codec.
 // Plus the fleet-level mechanics: deterministic consistent-hash routing,
 // in-flight-window backpressure (ResourceExhausted before any bytes
-// move), stats scrape, and shutdown/restart.
+// move), stats scrape, and shutdown/restart. The ShardServerTest cases run
+// a shard inside the test process, so the sanitizers see its threads.
 
 #include <gtest/gtest.h>
 
@@ -12,13 +13,18 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "cksafe/serve/release_snapshot.h"
 #include "cksafe/shard/fleet.h"
+#include "cksafe/shard/shard_server.h"
+#include "cksafe/shard/wire.h"
 #include "cksafe/util/random.h"
+#include "cksafe/util/socket.h"
 #include "shard_testing_util.h"
 #include "testing_util.h"
 
@@ -241,6 +247,114 @@ TEST(ShardFleetTest, ShutdownAllStopsServingAndRestartRecovers) {
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   EXPECT_TRUE(AnswerMatchesFresh(query, *answer, *snapshot));
   EXPECT_TRUE(fleet->ShutdownAll().ok());
+}
+
+// An in-process ShardServer: Serve() runs on a thread of this process and
+// a raw UnixSocket client speaks the wire protocol to it, so ASan and TSan
+// see the shard's reader threads and the router completions that write
+// the responses (the fleet tests fork their shards out of their sight).
+class ShardServerTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ShardServerOptions options;
+    options.socket_path = socket_path_;
+    auto server = ShardServer::Create(options);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    server_ = std::move(server).value();
+    serve_ = std::thread([this] { served_ = server_->Serve(); });
+  }
+
+  void TearDown() override { StopAndDestroyServer(); }
+
+  /// Stop() must make Serve() return; then the server is destroyed,
+  /// whatever completions are still pending in its router.
+  void StopAndDestroyServer() {
+    if (server_ == nullptr) return;
+    server_->Stop();
+    serve_.join();
+    EXPECT_TRUE(served_.ok()) << served_.ToString();
+    server_.reset();
+  }
+
+  /// Sends `count` seeded queries for `tenant` on `client`, each under a
+  /// fresh id; returns id -> query.
+  std::map<uint64_t, Query> SendBurst(UnixSocket* client, Rng* rng,
+                                      const std::string& tenant,
+                                      size_t count) {
+    std::map<uint64_t, Query> sent;
+    for (size_t i = 0; i < count; ++i) {
+      WireQueryRequest request;
+      request.id = next_id_++;
+      request.query = RandomQuery(rng, tenant);
+      const Status sent_frame = SendFrame(client, WireType::kQueryRequest,
+                                          EncodeQueryRequest(request));
+      EXPECT_TRUE(sent_frame.ok()) << sent_frame.ToString();
+      sent.emplace(request.id, request.query);
+    }
+    return sent;
+  }
+
+  /// Reads one response per query in `sent`, in whatever order the shard
+  /// answers, and checks each against a fresh analyzer over `snapshot`.
+  void ExpectAnswered(UnixSocket* client,
+                      const std::map<uint64_t, Query>& sent,
+                      const ReleaseSnapshot& snapshot) {
+    std::set<uint64_t> answered;
+    for (size_t i = 0; i < sent.size(); ++i) {
+      StatusOr<WireFrame> frame = RecvFrame(client);
+      ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+      ASSERT_EQ(frame->type, WireType::kQueryResponse);
+      StatusOr<WireQueryResponse> response =
+          DecodeQueryResponse(frame->payload);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      const auto query = sent.find(response->id);
+      ASSERT_NE(query, sent.end()) << "response to unknown id " << response->id;
+      ASSERT_TRUE(answered.insert(response->id).second)
+          << "id " << response->id << " answered twice";
+      ASSERT_TRUE(response->status.ok()) << response->status.ToString();
+      EXPECT_EQ(response->answer.snapshot_sequence, snapshot.sequence);
+      EXPECT_TRUE(
+          AnswerMatchesFresh(query->second, response->answer, snapshot));
+    }
+  }
+
+  ScopedTempDir dir_;
+  const std::string socket_path_ = dir_.path() + "/shard.sock";
+  std::unique_ptr<ShardServer> server_;
+  std::thread serve_;
+  Status served_ = Status::OK();
+  uint64_t next_id_ = 1;
+};
+
+TEST_F(ShardServerTest, AnswersABurstMatchedByIdBitIdentically) {
+  const uint64_t seed = TestSeed(20260825);
+  SCOPED_TRACE(SeedTrace(seed));
+  Rng rng(seed);
+  const auto snapshot = RandomSnapshot(&rng, 1);
+  ASSERT_TRUE(server_->engine()->PublishSnapshot("gold", snapshot).ok());
+  auto client = UnixSocket::Connect(socket_path_);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  const auto sent = SendBurst(&*client, &rng, "gold", 64 + rng.NextBelow(64));
+  ExpectAnswered(&*client, sent, *snapshot);
+}
+
+TEST_F(ShardServerTest, StopsAndDestroysWithCompletionsPending) {
+  const uint64_t seed = TestSeed(20260826);
+  SCOPED_TRACE(SeedTrace(seed));
+  Rng rng(seed);
+  const auto snapshot = RandomSnapshot(&rng, 1);
+  ASSERT_TRUE(server_->engine()->PublishSnapshot("gold", snapshot).ok());
+  auto client = UnixSocket::Connect(socket_path_);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const auto first = SendBurst(&*client, &rng, "gold", 1 + rng.NextBelow(64));
+  ExpectAnswered(&*client, first, *snapshot);
+
+  // A second burst the client never reads: its completions write to a
+  // closed peer, or are still queued when the server stops and goes away.
+  SendBurst(&*client, &rng, "gold", 256 + rng.NextBelow(256));
+  client->Close();
+  StopAndDestroyServer();
 }
 
 }  // namespace

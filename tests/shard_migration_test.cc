@@ -62,8 +62,10 @@ TEST(ShardMigrationTest, AnswersStayBitIdenticalWhileMigrationRaces) {
   // Readers hammer the tenant while the writer migrates it. Per-thread
   // rngs: query choice must not race.
   constexpr size_t kReaders = 2;
+  const size_t after_flip = TestIters(20);
   std::atomic<bool> halt{false};
   std::vector<std::vector<ServedRecord>> served(kReaders);
+  std::vector<std::atomic<size_t>> served_count(kReaders);
   std::vector<std::thread> readers;
   for (size_t r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
@@ -74,16 +76,38 @@ TEST(ShardMigrationTest, AnswersStayBitIdenticalWhileMigrationRaces) {
         // Migration must be invisible: no window of failure exists.
         ASSERT_TRUE(answer.ok()) << answer.status().ToString();
         served[r].push_back(ServedRecord{query, *answer});
+        served_count[r].fetch_add(1, std::memory_order_release);
       }
     });
   }
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // Paced by progress, not sleeps: migrate once every reader has served an
+  // answer, and halt once each has served `after_flip` more after the
+  // flip. The deadline only bounds a hang.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  const auto wait_for_served = [&](const std::vector<size_t>& at_least) {
+    for (size_t r = 0; r < kReaders; ++r) {
+      while (served_count[r].load(std::memory_order_acquire) < at_least[r] &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    }
+  };
+  wait_for_served(std::vector<size_t>(kReaders, 1));
   ASSERT_TRUE(fleet->MigrateTenant("gold", target).ok());
   EXPECT_EQ(fleet->ShardOf("gold"), target);
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  std::vector<size_t> halt_at;
+  for (const auto& count : served_count) {
+    halt_at.push_back(count.load(std::memory_order_acquire) + after_flip);
+  }
+  wait_for_served(halt_at);
   halt.store(true, std::memory_order_release);
   for (auto& thread : readers) thread.join();
+  for (size_t r = 0; r < kReaders; ++r) {
+    EXPECT_GE(served[r].size(), halt_at[r])
+        << "reader " << r << " stalled before the migration race completed";
+  }
 
   size_t verified = 0;
   for (const auto& records : served) {

@@ -102,7 +102,8 @@ StatusOr<Bucketization> BucketizeAtNode(const Table& table,
 /// next rollup.
 class NodeHistograms {
  public:
-  /// The histograms at `node`, grouped from the rows.
+  /// The histograms at `node`, grouped from the rows by BucketizeAtNode's
+  /// sort, without members or labels.
   static StatusOr<NodeHistograms> AtNode(
       const Table& table, const std::vector<QuasiIdentifier>& qis,
       const LatticeNode& node, size_t sensitive_column);

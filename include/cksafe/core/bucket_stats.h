@@ -5,6 +5,7 @@
 #ifndef CKSAFE_CORE_BUCKET_STATS_H_
 #define CKSAFE_CORE_BUCKET_STATS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -51,9 +52,11 @@ struct BucketStats {
 
 /// Hash over sorted count vectors for DisclosureCache's table map. FNV-1a
 /// over the raw 32-bit counts: no per-lookup string serialization or
-/// allocation.
+/// allocation. Transparent, with CountsEqual: a span of counts looks up a
+/// vector key without copying it.
 struct CountsHash {
-  size_t operator()(const std::vector<uint32_t>& counts) const {
+  using is_transparent = void;
+  size_t operator()(std::span<const uint32_t> counts) const {
     uint64_t h = 1469598103934665603ULL;  // FNV offset basis
     for (uint32_t c : counts) {
       h ^= c;
@@ -63,9 +66,18 @@ struct CountsHash {
   }
 };
 
+/// Key equality matching CountsHash: element-wise over any two count
+/// sequences.
+struct CountsEqual {
+  using is_transparent = void;
+  bool operator()(std::span<const uint32_t> a,
+                  std::span<const uint32_t> b) const {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+};
+
 /// Stats for every bucket of a bucketization, in bucket order.
 std::vector<BucketStats> ComputeBucketStats(const Bucketization& b);
-std::vector<BucketStats> ComputeBucketStats(const NodeHistograms& h);
 
 }  // namespace cksafe
 

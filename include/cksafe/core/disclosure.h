@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -78,6 +79,12 @@ struct WorstCaseDisclosure {
 /// the count vectors themselves hashed in place (CountsHash): a lookup
 /// serializes nothing and allocates nothing.
 ///
+/// DisclosureAnalyzer and ImplicationProfile look each distinct count
+/// vector of a sweep's buckets up once: the cache sees one request per
+/// distinct histogram per sweep, and the sweep counts its repeats as hits
+/// (CountRepeatHits), so hits() + misses() is still the number of
+/// per-bucket table requests and misses() the number of tables built.
+///
 /// Thread safe: the key space is sharded over independently locked maps, so
 /// one cache may be shared by concurrent DisclosureAnalyzers (the parallel
 /// lattice search shares one across all worker threads). Tables are handed
@@ -92,11 +99,17 @@ class DisclosureCache {
   /// lifetime regardless of later upgrades or Clear() — the reuse API the
   /// streaming IncrementalAnalyzer pins its per-bucket tables through.
   std::shared_ptr<const Minimize1Table> GetOrCompute(
-      const std::vector<uint32_t>& sorted_counts, size_t max_k);
+      std::span<const uint32_t> sorted_counts, size_t max_k);
 
   std::shared_ptr<const Minimize1Table> GetOrCompute(const BucketStats& stats,
                                                      size_t max_k) {
     return GetOrCompute(stats.counts, max_k);
+  }
+
+  /// Counts `repeats` table requests that a sweep answered from a table it
+  /// had already looked up, as hits.
+  void CountRepeatHits(uint64_t repeats) {
+    hits_.fetch_add(repeats, std::memory_order_relaxed);
   }
 
   size_t entries() const;
@@ -111,11 +124,12 @@ class DisclosureCache {
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<std::vector<uint32_t>,
-                       std::shared_ptr<const Minimize1Table>, CountsHash>
+                       std::shared_ptr<const Minimize1Table>, CountsHash,
+                       CountsEqual>
         tables;
   };
 
-  Shard& ShardFor(const std::vector<uint32_t>& key);
+  Shard& ShardFor(std::span<const uint32_t> key);
 
   std::array<Shard, kNumShards> shards_;
   std::atomic<uint64_t> hits_{0};
@@ -168,8 +182,8 @@ class DisclosureAnalyzer {
   /// sweep (the per-k values read off columns of the same DP — see
   /// Minimize2Forward::LogRMinAt). Element k of each curve is bit-identical
   /// to the corresponding point query's .disclosure, and implication_log_r
-  /// carries the exact log-ratio curve. The implication half is
-  /// ImplicationProfile over bucket_stats().
+  /// carries the exact log-ratio curve. The implication half runs the
+  /// input fill and sweep ImplicationProfile runs.
   DisclosureProfile Profile(size_t max_k,
                             Minimize2Workspace* workspace = nullptr) const;
 
@@ -188,14 +202,21 @@ class DisclosureAnalyzer {
 };
 
 /// The implication half of a DisclosureProfile (implication and
-/// implication_log_r; negation stays empty) for the buckets `stats`, in
-/// bucket order, from one MINIMIZE2 sweep over tables from `cache`. Needs
-/// no members or labels, so a lattice pass can profile a node from its
-/// histograms alone. DisclosureAnalyzer::Profile calls it, so the two are
-/// bit-identical. `stats` must not be empty.
-DisclosureProfile ImplicationProfile(const std::vector<BucketStats>& stats,
+/// implication_log_r; negation stays empty) for the buckets of
+/// `histograms`, in their order, from one MINIMIZE2 sweep over tables
+/// from `cache`. Needs no members or labels, so a lattice pass profiles a
+/// node from its histograms alone. Each bucket's sorted counts go to
+/// workspace scratch, not into a BucketStats, and the cache sees one
+/// request per distinct count vector (DisclosureCache). The fill and the
+/// sweep are DisclosureAnalyzer::Profile's, so the curves are bit-identical
+/// to its implication half over BucketizeAtNode's result at the same node.
+/// When `sum_of_squares` is not null it receives Σ n_b² over the buckets,
+/// summed in bucket order in double: the float operations of
+/// ComputeUtility's discernibility. `histograms` must not be empty.
+DisclosureProfile ImplicationProfile(const NodeHistograms& histograms,
                                      size_t max_k, DisclosureCache* cache,
-                                     Minimize2Workspace* workspace = nullptr);
+                                     Minimize2Workspace* workspace = nullptr,
+                                     double* sum_of_squares = nullptr);
 
 /// Materializes the atoms of one bucket's witness partition; atoms for
 /// person j use the bucket's top-k_j value codes. Appends to `out`,

@@ -186,6 +186,17 @@ class Minimize2Workspace {
   std::vector<Minimize2Bucket> inputs;
   std::vector<LogProb> suffix;
 
+  /// Scratch of the input fill (core/disclosure.cc). `counts` holds
+  /// sorted bucket counts back to back, bucket i's at
+  /// [count_offsets[i], count_offsets[i + 1]). `first_bucket` is an
+  /// open-addressing table from a count vector to the first bucket of
+  /// the fill holding it (bucket + 1; 0 = empty): a fill looks each
+  /// distinct vector up in the cache once, and its repeats share that
+  /// bucket's pin in `inputs`.
+  std::vector<uint32_t> counts;
+  std::vector<uint32_t> count_offsets;
+  std::vector<uint32_t> first_bucket;
+
  private:
   std::optional<Minimize2Forward> dp_;
 };

@@ -48,10 +48,11 @@ struct PublishedRelease {
 };
 
 /// MINIMIZE1 table traffic of one level pass. Every bucket of every
-/// profiled node requests a table from the shared cache (prepare_calls);
-/// only the tables the cache did not hold yet are built (shared_lookups:
+/// profiled node needs a table (prepare_calls). The shared cache sees one
+/// request per distinct histogram per node and counts the node's repeats
+/// as hits; only the tables it did not hold yet are built (shared_lookups:
 /// DisclosureCache misses during the sweep). The gap is the reuse of
-/// tables across nodes, levels, policies and publishes.
+/// tables within nodes and across nodes, levels, policies and publishes.
 struct BatchTableTraffic {
   uint64_t prepare_calls = 0;
   uint64_t shared_lookups = 0;
@@ -72,7 +73,10 @@ struct PolicyReleases {
 /// parallel pass per lattice level over `cache`, then, per policy, the
 /// minimal safe node with the best utility (`base.objective`, the first
 /// on ties), its residual worst case and its within-bucket permutation
-/// (`base.seed`); base.c and base.k are ignored. `num_threads` counts the
+/// (`base.seed`); base.c and base.k are ignored. Minimal safe nodes are
+/// scored from the bucket sizes the sweep recorded, and only the chosen
+/// ones are bucketized (all of them under kLoss, which reads every row's
+/// bucket). `num_threads` counts the
 /// calling thread. Releases are the same at every thread count and with
 /// any prior cache contents. InvalidArgument on an empty table, OutOfRange
 /// when the largest k exceeds the analysis budget; `policies` must not be

@@ -43,6 +43,16 @@ UtilityMetrics ComputeUtility(const Table& table,
                               const LatticeNode& node,
                               const Bucketization& bucketization);
 
+/// Every metric but loss (left 0), from what the bucket sizes at `node`
+/// fix: `num_tuples`, `num_buckets` and `discernibility`, Σ|b|² summed in
+/// bucket order in double. ComputeUtility fills those fields through it,
+/// so a node scored from its histograms alone scores as its
+/// bucketization does under every objective but kLoss, which reads each
+/// row's bucket.
+UtilityMetrics UtilityFromBucketSizes(const LatticeNode& node,
+                                      size_t num_tuples, size_t num_buckets,
+                                      double discernibility);
+
 /// The metric selected by `objective`.
 double UtilityScore(const UtilityMetrics& metrics, UtilityObjective objective);
 

@@ -97,8 +97,9 @@ struct ShardFleetOptions {
 
 class ShardFleet {
  public:
-  /// Forks and connects every shard. On failure the already-spawned
-  /// children are killed and reaped.
+  /// Forks every shard, then connects to each: no receiver thread runs
+  /// while a shard is forked. On failure the already-spawned children are
+  /// killed and reaped.
   static StatusOr<std::unique_ptr<ShardFleet>> Start(ShardFleetOptions options);
 
   /// Best-effort ShutdownAll + SIGKILL of anything still alive.
@@ -149,7 +150,11 @@ class ShardFleet {
   Status KillShard(size_t shard);
 
   /// Re-forks a killed/stopped shard on its old socket path (and durable
-  /// directory, when configured) and reconnects.
+  /// directory, when configured) and reconnects. Unlike Start it forks
+  /// from a threaded parent, by design: the other links' receivers keep
+  /// running. So a child can inherit a lock one of them held at the fork
+  /// (gcc 12's ASan allocator has no fork handlers); only spawning by
+  /// fork+exec, or from a single-threaded spawner, would close that.
   Status RestartShard(size_t shard);
 
   StatusOr<WireShardStats> PingShard(size_t shard);
@@ -178,15 +183,15 @@ class ShardFleet {
     bool counted = false;  ///< held an in-flight window slot
   };
 
-  /// One connected shard link. Immutable socket identity after Start;
-  /// replaced wholesale (as a new Link) by RestartShard.
+  /// One shard link. Immutable socket identity once connected; replaced
+  /// wholesale (as a new Link) by RestartShard.
   struct Link {
     UnixSocket socket;
     std::mutex send_mu;
     std::mutex pending_mu;
     std::map<uint64_t, PendingCall> pending;
     std::atomic<size_t> in_flight{0};
-    std::atomic<bool> down{false};
+    std::atomic<bool> down{true};  ///< until Connect succeeds
     std::thread receiver;
     pid_t pid = -1;
     bool reaped = false;
@@ -194,7 +199,11 @@ class ShardFleet {
 
   explicit ShardFleet(ShardFleetOptions options);
 
-  Status SpawnAndConnect(size_t shard);
+  /// Forks the shard's process and registers its (down) link.
+  Status Spawn(size_t shard);
+  /// Connects the spawned shard's link, marks it up and starts its
+  /// receiver.
+  Status Connect(size_t shard);
   std::shared_ptr<Link> GetLink(size_t shard) const;
   void ReceiverLoop(std::shared_ptr<Link> link);
   static void FailPending(Link* link, const Status& error);

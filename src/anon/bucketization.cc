@@ -279,17 +279,24 @@ StatusOr<Bucketization> BucketizeAtNode(const Table& table,
 StatusOr<NodeHistograms> NodeHistograms::AtNode(
     const Table& table, const std::vector<QuasiIdentifier>& qis,
     const LatticeNode& node, size_t sensitive_column) {
-  CKSAFE_RETURN_IF_ERROR(ValidateSensitiveColumn(table, sensitive_column));
-  // Every row its own bucket lies inside one bucket at any node.
-  NodeHistograms rows(table.schema().attribute(sensitive_column).domain_size(),
-                      table.num_rows());
+  CKSAFE_RETURN_IF_ERROR(ValidateNode(table, qis, node, sensitive_column));
+  std::vector<PersonId> rows(table.num_rows());
+  std::iota(rows.begin(), rows.end(), PersonId{0});
+  const KeyRuns runs = SortByKey(table, qis, node, rows);
   const std::vector<int32_t>& sensitive = table.column(sensitive_column);
-  for (PersonId row = 0; row < table.num_rows(); ++row) {
-    rows.data_[row * rows.stride()] = row;
-    ++rows.data_[row * rows.stride() + 1 + static_cast<size_t>(sensitive[row])];
+  NodeHistograms out(table.schema().attribute(sensitive_column).domain_size(),
+                     runs.num_buckets());
+  out.num_tuples_ = table.num_rows();
+  for (size_t b = 0; b < runs.num_buckets(); ++b) {
+    uint32_t* bucket = out.data_.data() + b * out.stride();
+    // The rows started ascending and the sort is stable, so each run's
+    // first row is its lowest.
+    bucket[0] = runs.order[runs.cuts[b]];
+    for (size_t j = runs.cuts[b]; j < runs.cuts[b + 1]; ++j) {
+      ++bucket[1 + static_cast<size_t>(sensitive[runs.order[j]])];
+    }
   }
-  rows.num_tuples_ = table.num_rows();
-  return RollUp(table, qis, rows, node, sensitive_column);
+  return out;
 }
 
 StatusOr<NodeHistograms> NodeHistograms::RollUp(

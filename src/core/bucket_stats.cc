@@ -113,13 +113,4 @@ std::vector<BucketStats> ComputeBucketStats(const Bucketization& b) {
   return stats;
 }
 
-std::vector<BucketStats> ComputeBucketStats(const NodeHistograms& h) {
-  std::vector<BucketStats> stats;
-  stats.reserve(h.num_buckets());
-  for (size_t b = 0; b < h.num_buckets(); ++b) {
-    stats.push_back(BucketStats::FromHistogram(h.histogram(b)));
-  }
-  return stats;
-}
-
 }  // namespace cksafe

@@ -1,6 +1,7 @@
 #include "cksafe/core/disclosure.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 
 #include "cksafe/util/math_util.h"
@@ -16,12 +17,12 @@ KnowledgeFormula WorstCaseDisclosure::ToFormula() const {
 }
 
 DisclosureCache::Shard& DisclosureCache::ShardFor(
-    const std::vector<uint32_t>& key) {
+    std::span<const uint32_t> key) {
   return shards_[CountsHash{}(key) % kNumShards];
 }
 
 std::shared_ptr<const Minimize1Table> DisclosureCache::GetOrCompute(
-    const std::vector<uint32_t>& sorted_counts, size_t max_k) {
+    std::span<const uint32_t> sorted_counts, size_t max_k) {
   Shard& shard = ShardFor(sorted_counts);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -35,9 +36,10 @@ std::shared_ptr<const Minimize1Table> DisclosureCache::GetOrCompute(
   // shard. Two threads may race to build the same table; the loser's copy
   // is dropped unless it has the larger budget.
   misses_.fetch_add(1, std::memory_order_relaxed);
-  auto table = std::make_shared<const Minimize1Table>(sorted_counts, max_k);
+  std::vector<uint32_t> key(sorted_counts.begin(), sorted_counts.end());
+  auto table = std::make_shared<const Minimize1Table>(key, max_k);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto& slot = shard.tables[sorted_counts];
+  auto& slot = shard.tables[std::move(key)];
   if (slot == nullptr || slot->max_k() < max_k) slot = std::move(table);
   return slot;  // covers max_k either way: ours, or a larger racing upgrade
 }
@@ -196,38 +198,101 @@ std::vector<double> NegationCurveOverBuckets(
 
 namespace {
 
-// Per-bucket MINIMIZE2 inputs with tables pinned at budget `max_k`,
-// written into *inputs (a workspace buffer reused across nodes). The
-// shared_ptrs pin the tables for the whole computation even if a
+// Points ws->inputs at MINIMIZE1 tables valid to atom budget `budget`, one
+// per bucket, where counts_of(i) is bucket i's sorted counts, and returns
+// Σ n_b² over the buckets in order. Each distinct count vector is looked
+// up in `cache` once: ws->first_bucket maps it to the first bucket holding
+// it, whose table its repeats share, and the repeats are counted as hits.
+// The shared_ptrs pin the tables for the whole computation even if a
 // concurrent analyzer upgrades the cache.
-void FillMinimize2Inputs(const std::vector<BucketStats>& stats, size_t max_k,
-                         DisclosureCache* cache,
-                         std::vector<Minimize2Bucket>* inputs) {
-  inputs->resize(stats.size());
-  for (size_t i = 0; i < stats.size(); ++i) {
-    (*inputs)[i].table = cache->GetOrCompute(stats[i], max_k);
-    (*inputs)[i].ratio = static_cast<double>(stats[i].n) /
-                         static_cast<double>(stats[i].counts[0]);
+template <typename CountsOf>
+double FillMinimize2Inputs(size_t num_buckets, const CountsOf& counts_of,
+                           size_t budget, DisclosureCache* cache,
+                           Minimize2Workspace* ws) {
+  ws->inputs.resize(num_buckets);
+  size_t capacity = 1;  // a power of two, at least twice the buckets
+  while (capacity < 2 * num_buckets) capacity *= 2;
+  ws->first_bucket.assign(capacity, 0);
+  uint64_t repeats = 0;
+  double sum_of_squares = 0.0;
+  for (size_t i = 0; i < num_buckets; ++i) {
+    const std::span<const uint32_t> counts = counts_of(i);
+    Minimize2Bucket& input = ws->inputs[i];
+    for (size_t slot = CountsHash{}(counts) & (capacity - 1);;
+         slot = (slot + 1) & (capacity - 1)) {
+      const uint32_t first = ws->first_bucket[slot];
+      if (first == 0) {
+        ws->first_bucket[slot] = static_cast<uint32_t>(i + 1);
+        input.table = cache->GetOrCompute(counts, budget);
+        break;
+      }
+      if (CountsEqual{}(counts_of(first - 1), counts)) {
+        input.table = ws->inputs[first - 1].table;
+        ++repeats;
+        break;
+      }
+    }
+    uint32_t n = 0;
+    for (uint32_t count : counts) n += count;
+    input.ratio = static_cast<double>(n) / static_cast<double>(counts[0]);
+    sum_of_squares += static_cast<double>(n) * n;
   }
+  cache->CountRepeatHits(repeats);
+  return sum_of_squares;
+}
+
+void FillMinimize2Inputs(const std::vector<BucketStats>& stats, size_t budget,
+                         DisclosureCache* cache, Minimize2Workspace* ws) {
+  FillMinimize2Inputs(
+      stats.size(),
+      [&](size_t i) { return std::span<const uint32_t>(stats[i].counts); },
+      budget, cache, ws);
+}
+
+// The implication curves of one MINIMIZE2 sweep over the filled inputs,
+// whose tables must cover budget max_k + 1: the target atom A joins the
+// antecedents in its own bucket.
+DisclosureProfile SweepImplicationProfile(size_t max_k,
+                                          Minimize2Workspace* ws) {
+  Minimize2Forward& dp = ws->SweepForBudget(max_k);
+  dp.Recompute(ws->inputs, 0);
+  DisclosureProfile profile;
+  profile.implication_log_r = ImplicationLogRatioCurveFromSweep(dp);
+  profile.implication = ImplicationCurveFromSweep(dp);
+  ws->inputs.clear();  // release table pins, keep capacity
+  return profile;
 }
 
 }  // namespace
 
-DisclosureProfile ImplicationProfile(const std::vector<BucketStats>& stats,
+DisclosureProfile ImplicationProfile(const NodeHistograms& histograms,
                                      size_t max_k, DisclosureCache* cache,
-                                     Minimize2Workspace* workspace) {
+                                     Minimize2Workspace* workspace,
+                                     double* sum_of_squares) {
+  CKSAFE_CHECK_GT(histograms.num_buckets(), 0u);
   Minimize2Workspace local;
   Minimize2Workspace& ws = workspace != nullptr ? *workspace : local;
-  // Budget max_k + 1: the target atom A joins the antecedents in its own
-  // bucket.
-  FillMinimize2Inputs(stats, max_k + 1, cache, &ws.inputs);
-  Minimize2Forward& dp = ws.SweepForBudget(max_k);
-  dp.Recompute(ws.inputs, 0);
-  DisclosureProfile profile;
-  profile.implication_log_r = ImplicationLogRatioCurveFromSweep(dp);
-  profile.implication = ImplicationCurveFromSweep(dp);
-  ws.inputs.clear();  // release table pins, keep capacity
-  return profile;
+  // Each bucket's present counts, descending: the key BucketStats builds.
+  ws.counts.clear();
+  ws.count_offsets.assign(1, 0);
+  for (size_t b = 0; b < histograms.num_buckets(); ++b) {
+    const size_t begin = ws.counts.size();
+    for (uint32_t count : histograms.histogram(b)) {
+      if (count != 0) ws.counts.push_back(count);
+    }
+    std::sort(ws.counts.begin() + begin, ws.counts.end(), std::greater<>());
+    ws.count_offsets.push_back(static_cast<uint32_t>(ws.counts.size()));
+  }
+  const double squares = FillMinimize2Inputs(
+      histograms.num_buckets(),
+      [&](size_t b) {
+        return std::span<const uint32_t>(
+            ws.counts.data() + ws.count_offsets[b],
+            ws.count_offsets[b + 1] - ws.count_offsets[b]);
+      },
+      max_k + 1, cache, &ws);
+  if (sum_of_squares != nullptr) *sum_of_squares = squares;
+  return SweepImplicationProfile(max_k, &ws);
 }
 
 DisclosureAnalyzer::DisclosureAnalyzer(const Bucketization& bucketization,
@@ -243,7 +308,7 @@ WorstCaseDisclosure DisclosureAnalyzer::MaxDisclosureImplications(
     size_t k, Minimize2Workspace* workspace) const {
   Minimize2Workspace local;
   Minimize2Workspace& ws = workspace != nullptr ? *workspace : local;
-  FillMinimize2Inputs(stats_, k + 1, cache_, &ws.inputs);
+  FillMinimize2Inputs(stats_, k + 1, cache_, &ws);
   Minimize2Forward& dp = ws.SweepForBudget(k);
   dp.Recompute(ws.inputs, 0);
   const LogProb log_r_min = dp.LogRMin();
@@ -279,7 +344,7 @@ bool DisclosureAnalyzer::IsCkSafe(double c, size_t k,
   // exact where the linear disclosure saturates at 1.0 (DESIGN.md §9.3).
   Minimize2Workspace local;
   Minimize2Workspace& ws = workspace != nullptr ? *workspace : local;
-  FillMinimize2Inputs(stats_, k + 1, cache_, &ws.inputs);
+  FillMinimize2Inputs(stats_, k + 1, cache_, &ws);
   Minimize2Forward& dp = ws.SweepForBudget(k);
   dp.Recompute(ws.inputs, 0);
   const LogProb log_r_min = dp.LogRMin();
@@ -292,7 +357,7 @@ std::vector<double> DisclosureAnalyzer::PerBucketDisclosure(
     size_t k, Minimize2Workspace* workspace) const {
   Minimize2Workspace local;
   Minimize2Workspace& ws = workspace != nullptr ? *workspace : local;
-  FillMinimize2Inputs(stats_, k + 1, cache_, &ws.inputs);
+  FillMinimize2Inputs(stats_, k + 1, cache_, &ws);
   Minimize2Forward& prefix = ws.SweepForBudget(k);
   prefix.Recompute(ws.inputs, 0);
   ComputeNoASuffix(ws.inputs, k, &ws.suffix);
@@ -305,15 +370,20 @@ std::vector<double> DisclosureAnalyzer::PerBucketDisclosure(
 
 DisclosureProfile DisclosureAnalyzer::Profile(
     size_t max_k, Minimize2Workspace* workspace) const {
-  DisclosureProfile profile =
-      ImplicationProfile(stats_, max_k, cache_, workspace);
+  Minimize2Workspace local;
+  Minimize2Workspace& ws = workspace != nullptr ? *workspace : local;
+  FillMinimize2Inputs(stats_, max_k + 1, cache_, &ws);
+  DisclosureProfile profile = SweepImplicationProfile(max_k, &ws);
   profile.negation = NegationCurve(max_k);
   return profile;
 }
 
 std::vector<double> DisclosureAnalyzer::ImplicationCurve(
     size_t max_k, Minimize2Workspace* workspace) const {
-  return ImplicationProfile(stats_, max_k, cache_, workspace).implication;
+  Minimize2Workspace local;
+  Minimize2Workspace& ws = workspace != nullptr ? *workspace : local;
+  FillMinimize2Inputs(stats_, max_k + 1, cache_, &ws);
+  return SweepImplicationProfile(max_k, &ws).implication;
 }
 
 std::vector<double> DisclosureAnalyzer::NegationCurve(size_t max_k) const {

@@ -14,49 +14,37 @@ namespace cksafe {
 
 namespace {
 
-// A minimal safe node's bucketization and its utility.
+// A frontier node's bucketization and utility.
 struct ScoredBucketization {
+  LatticeNode node;
   Bucketization bucketization;
   UtilityMetrics utility;
 };
 
-// Selects the best-utility node among `search.minimal_safe_nodes` and
-// assembles the release (the winner's bucketization and utility, its
-// residual worst case, the published permutation). `frontier[i]` scores
-// search.minimal_safe_nodes[i]. NotFound when the frontier is empty.
-// Calls may run concurrently on one cache.
-StatusOr<PublishedRelease> BuildRelease(
-    const PublisherOptions& options, DisclosureCache* cache,
-    LatticeSearchResult search,
-    const std::vector<const ScoredBucketization*>& frontier) {
-  CKSAFE_CHECK_EQ(frontier.size(), search.minimal_safe_nodes.size());
-  if (frontier.empty()) {
+// Assembles a release from the policy's chosen minimal safe node: its
+// bucketization and utility, its residual worst case and the published
+// permutation. NotFound when the search found no safe node (`chosen` is
+// then null). Calls may run concurrently on one cache.
+StatusOr<PublishedRelease> BuildRelease(const PublisherOptions& options,
+                                        DisclosureCache* cache,
+                                        LatticeSearchResult search,
+                                        const ScoredBucketization* chosen) {
+  if (chosen == nullptr) {
     return Status::NotFound(StrFormat(
         "no (c=%g, k=%zu)-safe generalization exists for this table",
         options.c, options.k));
   }
-
-  // Pick the minimal safe node with the best utility (the first on ties).
-  size_t best = 0;
-  for (size_t i = 1; i < frontier.size(); ++i) {
-    if (UtilityScore(frontier[i]->utility, options.objective) <
-        UtilityScore(frontier[best]->utility, options.objective)) {
-      best = i;
-    }
-  }
-  const ScoredBucketization& chosen = *frontier[best];
-  DisclosureAnalyzer analyzer(chosen.bucketization, cache);
-
-  PublishedRelease release{search.minimal_safe_nodes[best],
-                           chosen.bucketization,
-                           chosen.utility,
+  DisclosureAnalyzer analyzer(chosen->bucketization, cache);
+  PublishedRelease release{chosen->node,
+                           chosen->bucketization,
+                           chosen->utility,
                            analyzer.MaxDisclosureImplications(options.k),
                            {},
                            std::move(search.minimal_safe_nodes),
                            search.stats};
   Rng rng(options.seed);
   release.published_sensitive =
-      chosen.bucketization.SamplePublishedAssignment(&rng);
+      chosen->bucketization.SamplePublishedAssignment(&rng);
   return release;
 }
 
@@ -96,8 +84,8 @@ StatusOr<PolicyReleases> PublishPolicies(
   // itself profiled there: a child implied safe under every policy would
   // make the node implied safe too. AtNode covers the bottom node. A
   // rollup's histograms, in order, equal BucketizeAtNode's
-  // (bucketize_oracle_test), and ImplicationProfile is the implication
-  // half of DisclosureAnalyzer::Profile, so the pass inherits the
+  // (bucketize_oracle_test), and ImplicationProfile runs the input fill
+  // and sweep of DisclosureAnalyzer::Profile, so the pass inherits the
   // bit-identity contract of FindMinimalSafeNodesMultiPolicy.
   //
   // The previous level's histograms, by lattice code.
@@ -118,12 +106,16 @@ StatusOr<PolicyReleases> PublishPolicies(
     return NodeHistograms::RollUp(table, qis, *cheapest, node,
                                   sensitive_column);
   };
+  // Every profiled node's utility but loss, from its bucket sizes, by
+  // lattice code: every minimal safe node was profiled.
+  std::unordered_map<uint64_t, UtilityMetrics> sized;
   uint64_t table_requests = 0;
   const NodeBatchProfiler profile_level =
       [&](const std::vector<LatticeNode>& level, ThreadPool* pool)
       -> std::vector<std::optional<DisclosureProfile>> {
     std::vector<std::optional<NodeHistograms>> histograms(level.size());
     std::vector<std::optional<DisclosureProfile>> profiles(level.size());
+    std::vector<double> discernibility(level.size());
     ParallelFor(pool, level.size(), [&](size_t i) {
       auto grouped = group(level[i]);
       if (!grouped.ok()) {
@@ -133,13 +125,17 @@ StatusOr<PolicyReleases> PublishPolicies(
       histograms[i] = *std::move(grouped);
       // Classification reads only the implication curves.
       thread_local Minimize2Workspace workspace;
-      profiles[i] = ImplicationProfile(ComputeBucketStats(*histograms[i]),
-                                       max_k, cache, &workspace);
+      profiles[i] = ImplicationProfile(*histograms[i], max_k, cache,
+                                       &workspace, &discernibility[i]);
     });
     below.clear();
     for (size_t i = 0; i < level.size(); ++i) {
       if (!profiles[i].has_value()) continue;
-      table_requests += histograms[i]->num_buckets();
+      const size_t buckets = histograms[i]->num_buckets();
+      table_requests += buckets;
+      sized.emplace(lattice.Encode(level[i]),
+                    UtilityFromBucketSizes(level[i], table.num_rows(),
+                                           buckets, discernibility[i]));
       below.emplace(lattice.Encode(level[i]), *std::move(histograms[i]));
     }
     return profiles;
@@ -159,8 +155,8 @@ StatusOr<PolicyReleases> PublishPolicies(
   published.table_traffic =
       BatchTableTraffic{table_requests, cache->misses() - misses_before};
 
-  // Only frontier nodes are published: bucketize and score each distinct
-  // one once, in parallel, then assemble every policy's release.
+  // Only frontier nodes are published, and tenants' frontiers overlap:
+  // collect the distinct ones.
   const size_t num_policies = policies.size();
   std::vector<std::vector<size_t>> frontiers(num_policies);
   std::vector<const LatticeNode*> distinct;
@@ -174,7 +170,7 @@ StatusOr<PolicyReleases> PublishPolicies(
     }
   }
   std::vector<std::optional<ScoredBucketization>> scored(distinct.size());
-  ParallelFor(workers.get(), distinct.size(), [&](size_t i) {
+  const auto bucketize = [&](size_t i) {
     auto bucketization =
         BucketizeAtNode(table, qis, *distinct[i], sensitive_column);
     if (!bucketization.ok()) {
@@ -183,19 +179,58 @@ StatusOr<PolicyReleases> PublishPolicies(
     }
     const UtilityMetrics utility =
         ComputeUtility(table, qis, *distinct[i], *bucketization);
-    scored[i] = ScoredBucketization{*std::move(bucketization), utility};
-  });
+    scored[i] = ScoredBucketization{*distinct[i], *std::move(bucketization),
+                                    utility};
+  };
+
+  // Score each distinct frontier node. Every objective but loss reads only
+  // bucket sizes, which the sweep recorded; loss reads every row's bucket,
+  // so under it the whole frontier is bucketized first.
+  const UtilityObjective objective = base.objective;
+  if (objective == UtilityObjective::kLoss) {
+    ParallelFor(workers.get(), distinct.size(), bucketize);
+    CKSAFE_RETURN_IF_ERROR(first_error);
+  }
+  std::vector<double> score(distinct.size());
+  for (size_t i = 0; i < distinct.size(); ++i) {
+    if (scored[i].has_value()) {
+      score[i] = UtilityScore(scored[i]->utility, objective);
+      continue;
+    }
+    const auto it = sized.find(lattice.Encode(*distinct[i]));
+    CKSAFE_CHECK(it != sized.end()) << "a minimal safe node was not profiled";
+    score[i] = UtilityScore(it->second, objective);
+  }
+
+  // Each policy publishes its best-scoring node, the first in frontier
+  // order on ties. Only the chosen nodes are bucketized, once each.
+  std::vector<std::optional<size_t>> chosen(num_policies);
+  std::vector<size_t> to_bucketize;
+  for (size_t p = 0; p < num_policies; ++p) {
+    for (size_t i : frontiers[p]) {
+      if (!chosen[p].has_value() || score[i] < score[*chosen[p]]) {
+        chosen[p] = i;
+      }
+    }
+    if (chosen[p].has_value() && !scored[*chosen[p]].has_value() &&
+        std::find(to_bucketize.begin(), to_bucketize.end(), *chosen[p]) ==
+            to_bucketize.end()) {
+      to_bucketize.push_back(*chosen[p]);
+    }
+  }
+  ParallelFor(workers.get(), to_bucketize.size(),
+              [&](size_t j) { bucketize(to_bucketize[j]); });
   CKSAFE_RETURN_IF_ERROR(first_error);
+
   std::vector<std::optional<StatusOr<PublishedRelease>>> assembled(
       num_policies);
   ParallelFor(workers.get(), num_policies, [&](size_t p) {
     PublisherOptions options = base;
     options.c = policies[p].c;
     options.k = policies[p].k;
-    std::vector<const ScoredBucketization*> frontier;
-    for (size_t i : frontiers[p]) frontier.push_back(&*scored[i]);
-    assembled[p] = BuildRelease(options, cache,
-                                std::move(search.per_policy[p]), frontier);
+    assembled[p] = BuildRelease(
+        options, cache, std::move(search.per_policy[p]),
+        chosen[p].has_value() ? &*scored[*chosen[p]] : nullptr);
   });
   published.releases.reserve(num_policies);
   for (std::optional<StatusOr<PublishedRelease>>& release : assembled) {

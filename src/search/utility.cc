@@ -7,16 +7,13 @@ UtilityMetrics ComputeUtility(const Table& table,
                               const LatticeNode& node,
                               const Bucketization& bucketization) {
   CKSAFE_CHECK_EQ(node.size(), qis.size());
-  UtilityMetrics metrics;
+  double discernibility = 0.0;
   for (const Bucket& b : bucketization.buckets()) {
-    metrics.discernibility += static_cast<double>(b.size()) * b.size();
+    discernibility += static_cast<double>(b.size()) * b.size();
   }
-  metrics.avg_class_size =
-      bucketization.num_buckets() == 0
-          ? 0.0
-          : static_cast<double>(bucketization.num_tuples()) /
-                static_cast<double>(bucketization.num_buckets());
-  for (int level : node) metrics.height += level;
+  UtilityMetrics metrics = UtilityFromBucketSizes(
+      node, bucketization.num_tuples(), bucketization.num_buckets(),
+      discernibility);
 
   // Loss metric: for each record and quasi-identifier, the fraction
   // (group size - 1) / (domain size - 1) of the base domain its published
@@ -50,6 +47,19 @@ UtilityMetrics ComputeUtility(const Table& table,
     metrics.loss = total / (static_cast<double>(table.num_rows()) *
                             static_cast<double>(qis.size()));
   }
+  return metrics;
+}
+
+UtilityMetrics UtilityFromBucketSizes(const LatticeNode& node,
+                                      size_t num_tuples, size_t num_buckets,
+                                      double discernibility) {
+  UtilityMetrics metrics;
+  metrics.discernibility = discernibility;
+  metrics.avg_class_size = num_buckets == 0
+                               ? 0.0
+                               : static_cast<double>(num_tuples) /
+                                     static_cast<double>(num_buckets);
+  for (int level : node) metrics.height += level;
   return metrics;
 }
 

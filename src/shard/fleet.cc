@@ -89,9 +89,15 @@ StatusOr<std::unique_ptr<ShardFleet>> ShardFleet::Start(
     }
   }
   std::sort(fleet->ring_.begin(), fleet->ring_.end());
+  // Fork every shard before any receiver thread runs: a child forked while
+  // another thread holds an allocator lock (ASan's, say) inherits the lock
+  // held and hangs. On failure ~ShardFleet kills and reaps everything
+  // already forked.
   for (size_t i = 0; i < options.num_shards; ++i) {
-    // On failure ~ShardFleet reaps everything already forked.
-    CKSAFE_RETURN_IF_ERROR(fleet->SpawnAndConnect(i));
+    CKSAFE_RETURN_IF_ERROR(fleet->Spawn(i));
+  }
+  for (size_t i = 0; i < options.num_shards; ++i) {
+    CKSAFE_RETURN_IF_ERROR(fleet->Connect(i));
   }
   return fleet;
 }
@@ -119,21 +125,29 @@ ShardFleet::~ShardFleet() {
   }
 }
 
-Status ShardFleet::SpawnAndConnect(size_t shard) {
+Status ShardFleet::Spawn(size_t shard) {
   const ShardServerOptions& shard_options = shard_options_[shard];
   auto link = std::make_shared<Link>();
   CKSAFE_ASSIGN_OR_RETURN(
       link->pid, SpawnProcess([shard_options]() {
         return RunShardProcess(shard_options);
       }));
+  std::lock_guard<std::mutex> lock(links_mu_);
+  if (links_.size() <= shard) links_.resize(shard + 1);
+  links_[shard] = std::move(link);
+  return Status::OK();
+}
+
+Status ShardFleet::Connect(size_t shard) {
+  const std::shared_ptr<Link> link = GetLink(shard);
+  const std::string& socket_path = shard_options_[shard].socket_path;
   // The child binds its listener asynchronously; retry the connect until
   // it is up (or provably dead).
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(options_.connect_timeout_ms);
   for (;;) {
-    StatusOr<UnixSocket> connected =
-        UnixSocket::Connect(shard_options.socket_path);
+    StatusOr<UnixSocket> connected = UnixSocket::Connect(socket_path);
     if (connected.ok()) {
       link->socket = std::move(connected).value();
       break;
@@ -144,7 +158,7 @@ Status ShardFleet::SpawnAndConnect(size_t shard) {
       return Status::Unavailable(
           StrFormat("shard %zu exited before accepting connections "
                     "(socket %s)",
-                    shard, shard_options.socket_path.c_str()));
+                    shard, socket_path.c_str()));
     }
     if (std::chrono::steady_clock::now() >= deadline) {
       return Status::Unavailable(
@@ -153,10 +167,10 @@ Status ShardFleet::SpawnAndConnect(size_t shard) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
+  // Up before the receiver starts, which marks the link down again if the
+  // shard goes away.
+  link->down.store(false, std::memory_order_release);
   link->receiver = std::thread([this, link] { ReceiverLoop(link); });
-  std::lock_guard<std::mutex> lock(links_mu_);
-  if (links_.size() <= shard) links_.resize(shard + 1);
-  links_[shard] = std::move(link);
   return Status::OK();
 }
 
@@ -501,7 +515,8 @@ Status ShardFleet::RestartShard(size_t shard) {
   FailPending(link.get(), Status::Unavailable("shard restarting"));
   // Same socket path, same durable directory: a durable shard recovers
   // its store and rehydrates — the kill-and-recover contract.
-  return SpawnAndConnect(shard);
+  CKSAFE_RETURN_IF_ERROR(Spawn(shard));
+  return Connect(shard);
 }
 
 StatusOr<WireShardStats> ShardFleet::PingShard(size_t shard) {
@@ -526,6 +541,7 @@ Status ShardFleet::ShutdownAll() {
       if (shard >= links_.size() || links_[shard] == nullptr) continue;
       link = links_[shard];
     }
+    bool stopping = false;
     if (!link->down.load(std::memory_order_acquire)) {
       WireShutdownRequest request;
       request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
@@ -533,6 +549,7 @@ Status ShardFleet::ShutdownAll() {
           CallSync(shard, WireType::kShutdownRequest,
                    EncodeShutdownRequest(request), request.id,
                    WireType::kShutdownResponse);
+      stopping = acked.ok();
       if (!acked.ok() && first_error.ok()) first_error = acked.status();
     }
     link->down.store(true, std::memory_order_release);
@@ -540,6 +557,12 @@ Status ShardFleet::ShutdownAll() {
     if (link->receiver.joinable()) link->receiver.join();
     FailPending(link.get(), Status::Unavailable("fleet shutting down"));
     if (!link->reaped && link->pid >= 0) {
+      // A shard that never connected, or whose link failed, did not take
+      // the shutdown frame and may still be running.
+      if (!stopping) {
+        Status killed = KillProcess(link->pid, SIGKILL);
+        (void)killed;
+      }
       StatusOr<ProcessExit> reaped = WaitProcess(link->pid);
       if (reaped.ok()) {
         link->reaped = true;

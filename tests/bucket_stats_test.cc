@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "cksafe/core/disclosure.h"
+#include "cksafe/hierarchy/hierarchy.h"
 #include "cksafe/util/math_util.h"
 #include "testing_util.h"
 
@@ -166,6 +167,60 @@ TEST(DisclosureCacheTest, UpgradeDoesNotInvalidateOutstandingTables) {
   cache.Clear();
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_NEAR(before->MinProbability(2), p2, 1e-15);
+}
+
+TEST(DisclosureCacheTest, HistogramProfileLooksUpEachDistinctVectorOnce) {
+  // Eight buckets, one per quasi-identifier value, whose sorted counts
+  // repeat: {1} three times, {1,1} and {2,1} twice each, {3} once. A
+  // profile asks the cache once per distinct vector and counts the
+  // repeats as hits, so the counters read as one request per bucket.
+  const std::vector<std::vector<uint32_t>> histograms = {
+      {1, 0, 0, 0}, {0, 1, 0, 0}, {1, 1, 0, 0}, {0, 0, 2, 1},
+      {0, 0, 0, 1}, {1, 0, 1, 0}, {3, 0, 0, 0}, {0, 1, 0, 2}};
+  const Schema schema({AttributeDef::Numeric("Q", 0, 7),
+                       AttributeDef::Categorical("S", {"a", "b", "c", "d"})});
+  Table table(schema);
+  for (int32_t q = 0; q < 8; ++q) {
+    for (int32_t s = 0; s < 4; ++s) {
+      for (uint32_t i = 0; i < histograms[q][s]; ++i) {
+        ASSERT_TRUE(table.AppendRow({q, s}).ok());
+      }
+    }
+  }
+  const std::vector<QuasiIdentifier> qis = {
+      {0, MakeDefaultHierarchy(schema.attribute(0))}};
+  auto grouped = NodeHistograms::AtNode(table, qis, LatticeNode{0}, 1);
+  ASSERT_TRUE(grouped.ok()) << grouped.status();
+  ASSERT_EQ(grouped->num_buckets(), 8u);
+  constexpr size_t kMaxK = 3;
+
+  DisclosureCache cache;
+  Minimize2Workspace workspace;
+  const DisclosureProfile cold =
+      ImplicationProfile(*grouped, kMaxK, &cache, &workspace);
+  EXPECT_EQ(cache.hits() + cache.misses(), 8u);
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.entries(), 4u);
+
+  const DisclosureProfile warm =
+      ImplicationProfile(*grouped, kMaxK, &cache, &workspace);
+  EXPECT_EQ(cache.hits() + cache.misses(), 16u);
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cold.implication, warm.implication);
+  EXPECT_EQ(cold.implication_log_r, warm.implication_log_r);
+
+  // A cache holding {1} at the profile's budget and {2,1} below it: only
+  // {1,1}, {3} and the upgrade of {2,1} are new to it.
+  DisclosureCache partial;
+  partial.GetOrCompute(std::vector<uint32_t>{1}, kMaxK + 1);
+  partial.GetOrCompute(std::vector<uint32_t>{2, 1}, 1);
+  const uint64_t requests_before = partial.hits() + partial.misses();
+  const uint64_t misses_before = partial.misses();
+  const DisclosureProfile mixed = ImplicationProfile(*grouped, kMaxK, &partial);
+  EXPECT_EQ(partial.hits() + partial.misses() - requests_before, 8u);
+  EXPECT_EQ(partial.misses() - misses_before, 3u);
+  EXPECT_EQ(cold.implication, mixed.implication);
+  EXPECT_EQ(cold.implication_log_r, mixed.implication_log_r);
 }
 
 TEST(Minimize2EdgeTest, WitnessSpansBucketsWhenTargetBucketSaturates) {

@@ -343,7 +343,7 @@ TEST(BucketizeOracleTest, HistogramProfileMatchesAnalyzerOnEveryAdultNode) {
     const DisclosureProfile expected =
         DisclosureAnalyzer(*bucketization).Profile(kMaxK);
     const DisclosureProfile actual =
-        ImplicationProfile(ComputeBucketStats(*histograms), kMaxK, &cache);
+        ImplicationProfile(*histograms, kMaxK, &cache);
     EXPECT_EQ(expected.implication, actual.implication) << NodeLabel(node);
     EXPECT_EQ(expected.implication_log_r, actual.implication_log_r)
         << NodeLabel(node);

@@ -11,6 +11,7 @@
 #include <memory>
 #include <set>
 
+#include "cksafe/adult/adult.h"
 #include "cksafe/anon/diversity.h"
 #include "cksafe/core/disclosure.h"
 #include "cksafe/search/publisher.h"
@@ -181,6 +182,50 @@ TEST(UtilityTest, MetricsOnHospital) {
   EXPECT_LT(UtilityScore(sex_metrics, UtilityObjective::kDiscernibility),
             UtilityScore(sup_metrics, UtilityObjective::kDiscernibility));
   EXPECT_EQ(UtilityObjectiveName(UtilityObjective::kLoss), "loss");
+}
+
+TEST(UtilityTest, LevelPassRecordScoresAsTheBucketizationOnEveryAdultNode) {
+  // PublishPolicies ranks frontier nodes by what its level pass recorded
+  // of each profiled node: the bucket count, and the Σ|b|² the profile's
+  // input fill summed. That record must score every node exactly as
+  // ComputeUtility over BucketizeAtNode does, under every objective but
+  // loss; loss reads each row's bucket, which the record does not hold,
+  // so under it the pass bucketizes the frontier instead.
+  const uint64_t seed = testing::TestSeed(20261017);
+  SCOPED_TRACE(testing::SeedTrace(seed));
+  auto qis = AdultQuasiIdentifiers();
+  ASSERT_TRUE(qis.ok()) << qis.status();
+  const Table table = GenerateSyntheticAdult(300, seed);
+  const GeneralizationLattice lattice =
+      GeneralizationLattice::FromQuasiIdentifiers(*qis);
+  DisclosureCache cache;
+  Minimize2Workspace workspace;
+  for (const LatticeNode& node : lattice.AllNodes()) {
+    auto bucketization =
+        BucketizeAtNode(table, *qis, node, kAdultOccupationColumn);
+    ASSERT_TRUE(bucketization.ok()) << bucketization.status();
+    const UtilityMetrics expected =
+        ComputeUtility(table, *qis, node, *bucketization);
+    auto histograms =
+        NodeHistograms::AtNode(table, *qis, node, kAdultOccupationColumn);
+    ASSERT_TRUE(histograms.ok()) << histograms.status();
+    double sum_of_squares = -1.0;
+    ImplicationProfile(*histograms, 2, &cache, &workspace, &sum_of_squares);
+    const UtilityMetrics record = UtilityFromBucketSizes(
+        node, table.num_rows(), histograms->num_buckets(), sum_of_squares);
+    for (const UtilityObjective objective :
+         {UtilityObjective::kDiscernibility, UtilityObjective::kAvgClassSize,
+          UtilityObjective::kHeight, UtilityObjective::kLoss}) {
+      if (objective == UtilityObjective::kLoss) {
+        EXPECT_EQ(record.loss, 0.0);
+        continue;
+      }
+      EXPECT_EQ(UtilityScore(record, objective),
+                UtilityScore(expected, objective))
+          << UtilityObjectiveName(objective) << " at node "
+          << lattice.Encode(node);
+    }
+  }
 }
 
 TEST(PublisherTest, EndToEndOnHospital) {

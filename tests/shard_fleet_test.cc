@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <chrono>
 #include <future>
 #include <map>
@@ -18,6 +19,8 @@
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "cksafe/serve/release_snapshot.h"
 #include "cksafe/shard/fleet.h"
@@ -247,6 +250,23 @@ TEST(ShardFleetTest, ShutdownAllStopsServingAndRestartRecovers) {
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   EXPECT_TRUE(AnswerMatchesFresh(query, *answer, *snapshot));
   EXPECT_TRUE(fleet->ShutdownAll().ok());
+}
+
+TEST(ShardFleetTest, FailedStartReapsEveryForkedShard) {
+  // Start forks all three shards before connecting to any. The middle one
+  // cannot bind its socket and exits, so Start fails after connecting
+  // shard 0 and before connecting shard 2: the fleet must reap all three.
+  ScopedTempDir dir;
+  ShardFleetOptions options = BaseOptions(dir.path(), 3);
+  options.tweak_shard = [&](size_t shard, ShardServerOptions* shard_options) {
+    if (shard == 1) shard_options->socket_path = dir.path() + "/none/s.sock";
+  };
+  auto fleet_or = ShardFleet::Start(options);
+  EXPECT_EQ(fleet_or.status().code(), StatusCode::kUnavailable)
+      << fleet_or.status().ToString();
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
 }
 
 // An in-process ShardServer: Serve() runs on a thread of this process and

@@ -213,14 +213,14 @@ class ShardFleet {
   /// registration is gone and `resolve` will never run (any claimed
   /// window slot has been released); on OK it runs exactly once.
   Status CallRegistered(const std::shared_ptr<Link>& link, WireType type,
-                        std::vector<uint8_t> payload, uint64_t id,
+                        const std::vector<uint8_t>& payload, uint64_t id,
                         bool counted,
                         std::function<void(StatusOr<WireFrame>)> resolve);
 
   /// Synchronous call + response-type check.
   StatusOr<WireFrame> CallSync(size_t shard, WireType type,
-                               std::vector<uint8_t> payload, uint64_t id,
-                               WireType expect);
+                               const std::vector<uint8_t>& payload,
+                               uint64_t id, WireType expect);
 
   /// One publish RPC: `shard` adopts `snapshot` for `tenant`; returns the
   /// shard's verdict. Callers hold publish_mu_.

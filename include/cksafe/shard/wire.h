@@ -14,10 +14,11 @@
 //
 // The codec layer is deliberately separable from sockets: EncodeFrame /
 // DecodeFrame operate on byte buffers, which is what the fuzz harness
-// round-trips and mutates without any IO; SendFrame / RecvFrame are the
-// thin socket adapters sharing the exact same validation. Decoding NEVER
-// trusts a length before bounding it — a hostile or corrupt frame surfaces
-// as InvalidArgument/IOError, not an allocation bomb or a crash (the
+// round-trips and mutates without any IO; SendFrame and FrameReader are
+// the socket adapters sharing the exact same validation. Every encoder
+// sizes its buffer up front and allocates it once. Decoding NEVER trusts
+// a length before bounding it — a hostile or corrupt frame surfaces as
+// InvalidArgument/IOError, not an allocation bomb or a crash (the
 // shard_wire_fuzz_test contract).
 //
 // Doubles (query thresholds, disclosure answers) travel as IEEE-754 bit
@@ -169,20 +170,52 @@ struct WireShutdownResponse {
 // ---------------------------------------------------------------------------
 // Frame layer.
 
-/// Wraps a payload in a checksummed header. CHECK-fails on payloads over
-/// kMaxWirePayload (a programming error on the send side, not input).
-std::vector<uint8_t> EncodeFrame(WireType type, std::vector<uint8_t> payload);
+/// Wraps a payload in a checksummed header, in one buffer allocated once.
+/// CHECK-fails on payloads over kMaxWirePayload (a programming error on
+/// the send side, not input).
+std::vector<uint8_t> EncodeFrame(WireType type,
+                                 const std::vector<uint8_t>& payload);
 
 /// Validates and strips the header of a complete frame buffer. Rejects bad
 /// magic/version/type/reserved bits, length disagreeing with the buffer,
 /// oversized lengths, and checksum mismatches — all as InvalidArgument.
 StatusOr<WireFrame> DecodeFrame(const std::vector<uint8_t>& buffer);
 
-/// Socket adapters sharing DecodeFrame's validation. RecvFrame bounds the
-/// payload length BEFORE allocating the receive buffer.
+/// Encodes the frame and writes it whole.
 Status SendFrame(UnixSocket* socket, WireType type,
-                 std::vector<uint8_t> payload);
-StatusOr<WireFrame> RecvFrame(UnixSocket* socket);
+                 const std::vector<uint8_t>& payload);
+
+/// Reads the frames one socket carries, with DecodeFrame's validation,
+/// through a fixed kBufferSize-byte buffer: each recv takes whatever the
+/// peer has written, so a burst of small frames costs one syscall, and
+/// frames are cut from the buffer. A header's length is bounded BEFORE
+/// anything is allocated for it, and a frame longer than the buffer is
+/// read straight into its own payload, which grows with the bytes that
+/// arrive: a link holds at most the buffer plus twice the bytes received
+/// of the frame being read. The reader may hold bytes of frames it has
+/// not returned yet: it must be the socket's only reader, on one thread.
+class FrameReader {
+ public:
+  static constexpr size_t kBufferSize = size_t{64} << 10;
+
+  /// `socket` must outlive the reader.
+  explicit FrameReader(UnixSocket* socket);
+
+  /// The next frame, checksum verified. A peer close — between frames or
+  /// inside one — is an IOError whose message contains "connection
+  /// closed"; a malformed header or a checksum mismatch is
+  /// InvalidArgument. After any error the link is unusable.
+  StatusOr<WireFrame> Next();
+
+ private:
+  /// Receives until at least `need` (<= kBufferSize) bytes are buffered.
+  Status Fill(size_t need);
+
+  UnixSocket* socket_;
+  std::vector<uint8_t> buffer_;
+  size_t begin_ = 0;  ///< first byte not yet returned
+  size_t end_ = 0;    ///< one past the last byte received
+};
 
 // ---------------------------------------------------------------------------
 // Payload codecs (payload bytes only; frame separately).

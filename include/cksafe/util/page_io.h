@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cksafe/util/status.h"
@@ -30,8 +31,13 @@ inline constexpr size_t kPageSize = 4096;
 uint64_t Fnv1a64(const uint8_t* data, size_t size, uint64_t seed = 0xcbf29ce484222325ULL);
 
 /// Appends little-endian encoded primitives to a growable byte buffer.
+/// An encoder that knows its size passes it as `reserve`, so the buffer is
+/// allocated once, and takes the result with Release() instead of copying
+/// bytes() out.
 class ByteWriter {
  public:
+  explicit ByteWriter(size_t reserve = 0) { bytes_.reserve(reserve); }
+
   void PutU8(uint8_t v) { bytes_.push_back(v); }
   void PutU16(uint16_t v) { PutLittleEndian(v, 2); }
   void PutU32(uint32_t v) { PutLittleEndian(v, 4); }
@@ -42,9 +48,15 @@ class ByteWriter {
   void PutDouble(double v);
   /// Length-prefixed (u32) byte string.
   void PutString(std::string_view s);
+  /// Raw bytes, no length prefix.
+  void PutBytes(const uint8_t* data, size_t size) {
+    bytes_.insert(bytes_.end(), data, data + size);
+  }
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   size_t size() const { return bytes_.size(); }
+  /// Hands the buffer over without copying it; the writer is left empty.
+  std::vector<uint8_t> Release() { return std::move(bytes_); }
 
  private:
   void PutLittleEndian(uint64_t v, int width) {

@@ -3,14 +3,15 @@
 // The fleet's processes live on one machine and talk over SOCK_STREAM
 // AF_UNIX sockets: a shard binds a filesystem path (UnixListener), the
 // router connects to it (UnixSocket::Connect) and exchanges framed
-// messages (shard/wire.h) with exact-length sends and receives. These
-// wrappers keep all POSIX details — EINTR retry loops, MSG_NOSIGNAL so a
-// dead peer surfaces as a Status instead of SIGPIPE, fd lifetime — in one
-// place, exposing only Status-returning whole-buffer operations: a short
-// read or write never escapes as a partial transfer.
+// messages (shard/wire.h): whole-buffer sends, and receives that take
+// whatever the peer has written (the wire's FrameReader cuts frames out
+// of them). These wrappers keep all POSIX details — EINTR retry loops,
+// MSG_NOSIGNAL so a dead peer surfaces as a Status instead of SIGPIPE,
+// fd lifetime — in one place, behind Status-returning operations: a send
+// never escapes as a partial transfer.
 //
 // Error surface: every failure is an IOError naming the syscall; a clean
-// peer close during RecvExact is an IOError whose message contains
+// peer close during RecvSome is an IOError whose message contains
 // "connection closed", which the fleet maps to Unavailable. Both classes
 // are move-only fd owners; Close() is idempotent and implied by
 // destruction. Shutdown() on a listener aborts a concurrent Accept (the
@@ -29,7 +30,7 @@
 namespace cksafe {
 
 /// One connected stream socket. Concurrent use is safe only in the
-/// one-reader-one-writer pattern (a receiver thread in RecvExact while a
+/// one-reader-one-writer pattern (a receiver thread in RecvSome while a
 /// sender thread holds its own mutex around SendAll); anything more needs
 /// external locking.
 class UnixSocket {
@@ -50,13 +51,13 @@ class UnixSocket {
     return SendAll(bytes.data(), bytes.size());
   }
 
-  /// Reads exactly `size` bytes. A peer close before the first byte — or
-  /// mid-buffer — returns IOError("... connection closed ..."); the caller
-  /// never sees a partial buffer.
-  Status RecvExact(uint8_t* out, size_t size);
+  /// Blocks until the peer has written something, then reads what is
+  /// there, up to `size` (> 0) bytes, and returns the count (>= 1). A peer
+  /// close returns IOError("... connection closed ...").
+  StatusOr<size_t> RecvSome(uint8_t* out, size_t size);
 
   /// Half-closes both directions, waking a peer (or own thread) blocked in
-  /// RecvExact. Idempotent; safe to call from a thread other than the one
+  /// RecvSome. Idempotent; safe to call from a thread other than the one
   /// receiving.
   void Shutdown();
 

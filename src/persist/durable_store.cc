@@ -19,12 +19,13 @@ namespace {
 constexpr char kManifestFile[] = "MANIFEST";
 constexpr char kSegmentsFile[] = "segments.dat";
 
+/// `cache` may be nullptr (the analyzer's private cache).
 StoredProfile ComputeProfile(const Bucketization& bucketization,
-                             size_t max_k) {
+                             size_t max_k, DisclosureCache* cache) {
   StoredProfile profile;
   if (max_k == 0 || bucketization.num_buckets() == 0) return profile;
   const DisclosureProfile curves =
-      DisclosureAnalyzer(bucketization).Profile(max_k);
+      DisclosureAnalyzer(bucketization, cache).Profile(max_k);
   profile.implication = curves.implication;
   profile.negation = curves.negation;
   return profile;
@@ -171,13 +172,15 @@ Status DurableStore::AppendPublish(const std::string& tenant,
 
 Status DurableStore::AppendPublishGroup(std::span<const GroupEntry> entries) {
   // The riders read only the snapshots, so they run before the store
-  // mutex is taken and never block concurrent loads.
+  // mutex is taken and never block concurrent loads. They share one table
+  // cache: a round's tenants often publish the same buckets.
+  DisclosureCache cache;
   std::vector<StoredProfile> profiles;
   profiles.reserve(entries.size());
   for (const GroupEntry& entry : entries) {
     CKSAFE_CHECK(entry.snapshot != nullptr) << "group entry without snapshot";
     profiles.push_back(ComputeProfile(entry.snapshot->bucketization,
-                                      options_.profile_max_k));
+                                      options_.profile_max_k, &cache));
   }
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -439,9 +442,11 @@ StatusOr<DurableStore::VerifyReport> DurableStore::Verify() const {
       // Recompute the disclosure curves from the rehydrated buckets and
       // demand bit-identity — this certifies the decoded bucketization
       // semantically (same worst-case disclosure to the last bit), not
-      // just structurally.
-      const StoredProfile fresh = ComputeProfile(snapshot->bucketization,
-                                                 stored.implication.size() - 1);
+      // just structurally. A fresh analyzer's own cache: the audit trusts
+      // no table another record built.
+      const StoredProfile fresh =
+          ComputeProfile(snapshot->bucketization,
+                         stored.implication.size() - 1, /*cache=*/nullptr);
       if (fresh.implication.size() != stored.implication.size() ||
           fresh.negation.size() != stored.negation.size()) {
         return Status::IOError("recomputed profile shape differs at " + where);

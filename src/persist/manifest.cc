@@ -12,6 +12,8 @@ constexpr size_t kRecordHeaderSize = 16;
 // this is garbage, not a record (guards the scanner against a corrupt
 // length field causing a giant allocation).
 constexpr uint32_t kMaxRecordPayload = 1 << 20;
+// u64 offset, u32 pages, u64 blob_size, u64 blob_checksum.
+constexpr size_t kSegmentRefSize = 8 + 4 + 8 + 8;
 
 void PutSegmentRef(ByteWriter* w, const SegmentRef& ref) {
   w->PutU64(ref.offset);
@@ -52,7 +54,8 @@ StatusOr<ManifestRecord> DecodeRecordPayload(const uint8_t* data,
 }  // namespace
 
 std::vector<uint8_t> EncodeManifestRecord(const ManifestRecord& record) {
-  ByteWriter payload;
+  ByteWriter payload(4 + record.tenant.size() + 8 + 8 + kSegmentRefSize + 1 +
+                     (record.has_dict ? 4 + 4 + kSegmentRefSize : 0));
   payload.PutString(record.tenant);
   payload.PutU64(record.sequence);
   payload.PutU64(record.num_rows);
@@ -63,13 +66,12 @@ std::vector<uint8_t> EncodeManifestRecord(const ManifestRecord& record) {
     payload.PutU32(record.dict_count);
     PutSegmentRef(&payload, record.dict);
   }
-  ByteWriter framed;
+  ByteWriter framed(kRecordHeaderSize + payload.size());
   framed.PutU32(kManifestMagic);
   framed.PutU32(static_cast<uint32_t>(payload.size()));
   framed.PutU64(Fnv1a64(payload.bytes().data(), payload.size()));
-  std::vector<uint8_t> bytes = framed.bytes();
-  bytes.insert(bytes.end(), payload.bytes().begin(), payload.bytes().end());
-  return bytes;
+  framed.PutBytes(payload.bytes().data(), payload.size());
+  return framed.Release();
 }
 
 ManifestScan ScanManifest(const std::vector<uint8_t>& bytes) {

@@ -32,6 +32,12 @@ uint64_t GetLE(const uint8_t* in, int width) {
   return v;
 }
 
+uint32_t NonzeroCount(const std::vector<uint32_t>& histogram) {
+  uint32_t nonzero = 0;
+  for (const uint32_t count : histogram) nonzero += (count != 0);
+  return nonzero;
+}
+
 }  // namespace
 
 size_t PagesForBlob(size_t blob_size) {
@@ -137,12 +143,14 @@ StatusOr<std::string> LabelDictionary::Lookup(uint32_t id) const {
 
 std::vector<uint8_t> EncodeDictionaryDelta(
     const LabelDictionary::Delta& delta) {
-  ByteWriter w;
+  size_t size = 4 + 4 + 4;
+  for (const std::string& label : delta.labels) size += 4 + label.size();
+  ByteWriter w(size);
   w.PutU32(kDictionaryBlobMagic);
   w.PutU32(delta.first_id);
   w.PutU32(static_cast<uint32_t>(delta.labels.size()));
   for (const std::string& label : delta.labels) w.PutString(label);
-  return w.bytes();
+  return w.Release();
 }
 
 StatusOr<LabelDictionary::Delta> DecodeDictionaryDelta(
@@ -168,22 +176,28 @@ std::vector<uint8_t> EncodeSnapshotBlob(const ReleaseSnapshot& snapshot,
                                         const StoredProfile& profile,
                                         const LabelDictionary& dict,
                                         LabelDictionary::Delta* dict_delta) {
-  ByteWriter w;
+  const Bucketization& b = snapshot.bucketization;
+  size_t size = 4 + 8 + 8 + 4 + 4 * snapshot.node.size() + 4 + 4 + 1;
+  for (const Bucket& bucket : b.buckets()) {
+    size += 4 + 4 + 4 * bucket.members.size() + 4 +
+            8 * size_t{NonzeroCount(bucket.histogram)};
+  }
+  if (!profile.empty()) {
+    size += 4 + 8 * (profile.implication.size() + profile.negation.size());
+  }
+  ByteWriter w(size);
   w.PutU32(kSnapshotBlobMagic);
   w.PutU64(snapshot.sequence);
   w.PutU64(static_cast<uint64_t>(snapshot.num_rows));
   w.PutU32(static_cast<uint32_t>(snapshot.node.size()));
   for (int level : snapshot.node) w.PutI32(level);
-  const Bucketization& b = snapshot.bucketization;
   w.PutU32(static_cast<uint32_t>(b.sensitive_domain_size()));
   w.PutU32(static_cast<uint32_t>(b.num_buckets()));
   for (const Bucket& bucket : b.buckets()) {
     w.PutU32(dict.InternInto(bucket.qi_label, dict_delta));
     w.PutU32(static_cast<uint32_t>(bucket.members.size()));
     for (PersonId member : bucket.members) w.PutU32(member);
-    uint32_t nonzero = 0;
-    for (uint32_t count : bucket.histogram) nonzero += (count != 0);
-    w.PutU32(nonzero);
+    w.PutU32(NonzeroCount(bucket.histogram));
     for (size_t s = 0; s < bucket.histogram.size(); ++s) {
       if (bucket.histogram[s] == 0) continue;
       w.PutU32(static_cast<uint32_t>(s));
@@ -199,7 +213,7 @@ std::vector<uint8_t> EncodeSnapshotBlob(const ReleaseSnapshot& snapshot,
     for (double v : profile.implication) w.PutDouble(v);
     for (double v : profile.negation) w.PutDouble(v);
   }
-  return w.bytes();
+  return w.Release();
 }
 
 StatusOr<std::shared_ptr<const ReleaseSnapshot>> DecodeSnapshotBlob(

@@ -194,8 +194,9 @@ void ShardFleet::FailPending(Link* link, const Status& error) {
 }
 
 void ShardFleet::ReceiverLoop(std::shared_ptr<Link> link) {
+  FrameReader frames(&link->socket);
   for (;;) {
-    StatusOr<WireFrame> frame = RecvFrame(&link->socket);
+    StatusOr<WireFrame> frame = frames.Next();
     if (!frame.ok()) {
       // The shard is gone (killed, crashed, or shut down) or the stream
       // is corrupt: either way nothing more will be answered on this
@@ -230,7 +231,7 @@ void ShardFleet::ReceiverLoop(std::shared_ptr<Link> link) {
 
 Status ShardFleet::CallRegistered(
     const std::shared_ptr<Link>& link, WireType type,
-    std::vector<uint8_t> payload, uint64_t id, bool counted,
+    const std::vector<uint8_t>& payload, uint64_t id, bool counted,
     std::function<void(StatusOr<WireFrame>)> resolve) {
   if (link->down.load(std::memory_order_acquire)) {
     if (counted) link->in_flight.fetch_sub(1, std::memory_order_relaxed);
@@ -245,7 +246,7 @@ Status ShardFleet::CallRegistered(
   Status sent = Status::OK();
   {
     std::lock_guard<std::mutex> lock(link->send_mu);
-    sent = SendFrame(&link->socket, type, std::move(payload));
+    sent = SendFrame(&link->socket, type, payload);
   }
   if (!sent.ok()) {
     bool erased = false;
@@ -267,12 +268,12 @@ Status ShardFleet::CallRegistered(
 }
 
 StatusOr<WireFrame> ShardFleet::CallSync(size_t shard, WireType type,
-                                         std::vector<uint8_t> payload,
+                                         const std::vector<uint8_t>& payload,
                                          uint64_t id, WireType expect) {
   auto state = std::make_shared<std::promise<StatusOr<WireFrame>>>();
   std::future<StatusOr<WireFrame>> future = state->get_future();
   CKSAFE_RETURN_IF_ERROR(CallRegistered(
-      GetLink(shard), type, std::move(payload), id, /*counted=*/false,
+      GetLink(shard), type, payload, id, /*counted=*/false,
       [state](StatusOr<WireFrame> frame) { state->set_value(std::move(frame)); }));
   CKSAFE_ASSIGN_OR_RETURN(WireFrame frame, future.get());
   if (frame.type != expect) {

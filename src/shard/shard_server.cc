@@ -17,9 +17,9 @@ struct ShardServer::Connection {
   std::mutex send_mu;
   std::thread reader;
 
-  Status Send(WireType type, std::vector<uint8_t> payload) {
+  Status Send(WireType type, const std::vector<uint8_t>& payload) {
     std::lock_guard<std::mutex> lock(send_mu);
-    return SendFrame(&socket, type, std::move(payload));
+    return SendFrame(&socket, type, payload);
   }
 
   /// Sends `answer` (or its error) as the response to query `id`.
@@ -129,8 +129,9 @@ void ShardServer::Stop() {
 }
 
 void ShardServer::HandleConnection(const std::shared_ptr<Connection>& conn) {
+  FrameReader frames(&conn->socket);
   for (;;) {
-    StatusOr<WireFrame> frame = RecvFrame(&conn->socket);
+    StatusOr<WireFrame> frame = frames.Next();
     if (!frame.ok()) return;  // peer gone, malformed frame, or Stop()
     if (Status handled = HandleFrame(conn, std::move(frame).value());
         !handled.ok()) {

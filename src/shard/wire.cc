@@ -1,6 +1,7 @@
 #include "cksafe/shard/wire.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "cksafe/util/check.h"
@@ -67,6 +68,42 @@ uint64_t FrameChecksum(const uint8_t* header12, const uint8_t* payload,
                        size_t payload_len) {
   const uint64_t seed = Fnv1a64(header12, 12);
   return Fnv1a64(payload, payload_len, seed);
+}
+
+Status VerifyChecksum(const FrameHeader& header, const uint8_t* header12,
+                      const uint8_t* payload) {
+  const uint64_t expect =
+      FrameChecksum(header12, payload, header.payload_len);
+  if (expect != header.checksum) {
+    return Status::InvalidArgument(
+        StrFormat("frame checksum mismatch (stored %016llx, computed %016llx)",
+                  static_cast<unsigned long long>(header.checksum),
+                  static_cast<unsigned long long>(expect)));
+  }
+  return Status::OK();
+}
+
+// Encoded sizes, so each encoder allocates its buffer once.
+
+size_t StringSize(std::string_view s) { return 4 + s.size(); }
+
+size_t StatusSize(const Status& status) {
+  return 1 + StringSize(status.message());
+}
+
+size_t QuerySize(const Query& query) {
+  return StringSize(query.tenant) + 1 + 8 + 8 + 8;
+}
+
+constexpr size_t kAnswerSize = 8 + 1 + 8 + 8 + 8;
+
+size_t SnapshotInlineSize(const ReleaseSnapshot& snapshot) {
+  size_t size = 8 + 8 + 4 + 4 * snapshot.node.size() + 8 + 4;
+  for (const Bucket& bucket : snapshot.bucketization.buckets()) {
+    size += StringSize(bucket.qi_label) + 4 + 4 * bucket.members.size() +
+            4 * bucket.histogram.size();
+  }
+  return size;
 }
 
 // ---------------------------------------------------------------------------
@@ -149,25 +186,20 @@ Status BoundCount(const ByteReader& reader, uint64_t count,
 // ---------------------------------------------------------------------------
 // Frame layer.
 
-std::vector<uint8_t> EncodeFrame(WireType type, std::vector<uint8_t> payload) {
+std::vector<uint8_t> EncodeFrame(WireType type,
+                                 const std::vector<uint8_t>& payload) {
   CKSAFE_CHECK_LE(payload.size(), size_t{kMaxWirePayload})
       << "oversized frame payload is a sender bug";
-  ByteWriter header;
-  header.PutU32(kWireMagic);
-  header.PutU8(kWireVersion);
-  header.PutU8(static_cast<uint8_t>(type));
-  header.PutU16(0);  // reserved
-  header.PutU32(static_cast<uint32_t>(payload.size()));
-  const uint64_t checksum =
-      FrameChecksum(header.bytes().data(), payload.data(), payload.size());
-  std::vector<uint8_t> frame;
-  frame.reserve(kWireHeaderSize + payload.size());
-  frame.insert(frame.end(), header.bytes().begin(), header.bytes().end());
-  ByteWriter sum;
-  sum.PutU64(checksum);
-  frame.insert(frame.end(), sum.bytes().begin(), sum.bytes().end());
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  return frame;
+  ByteWriter frame(kWireHeaderSize + payload.size());
+  frame.PutU32(kWireMagic);
+  frame.PutU8(kWireVersion);
+  frame.PutU8(static_cast<uint8_t>(type));
+  frame.PutU16(0);  // reserved
+  frame.PutU32(static_cast<uint32_t>(payload.size()));
+  frame.PutU64(
+      FrameChecksum(frame.bytes().data(), payload.data(), payload.size()));
+  frame.PutBytes(payload.data(), payload.size());
+  return frame.Release();
 }
 
 StatusOr<WireFrame> DecodeFrame(const std::vector<uint8_t>& buffer) {
@@ -184,14 +216,8 @@ StatusOr<WireFrame> DecodeFrame(const std::vector<uint8_t>& buffer) {
                   "present",
                   header.payload_len, body));
   }
-  const uint64_t expect = FrameChecksum(
-      buffer.data(), buffer.data() + kWireHeaderSize, body);
-  if (expect != header.checksum) {
-    return Status::InvalidArgument(
-        StrFormat("frame checksum mismatch (stored %016llx, computed %016llx)",
-                  static_cast<unsigned long long>(header.checksum),
-                  static_cast<unsigned long long>(expect)));
-  }
+  CKSAFE_RETURN_IF_ERROR(
+      VerifyChecksum(header, buffer.data(), buffer.data() + kWireHeaderSize));
   WireFrame frame;
   frame.type = header.type;
   frame.payload.assign(buffer.begin() + kWireHeaderSize, buffer.end());
@@ -199,29 +225,61 @@ StatusOr<WireFrame> DecodeFrame(const std::vector<uint8_t>& buffer) {
 }
 
 Status SendFrame(UnixSocket* socket, WireType type,
-                 std::vector<uint8_t> payload) {
-  return socket->SendAll(EncodeFrame(type, std::move(payload)));
+                 const std::vector<uint8_t>& payload) {
+  return socket->SendAll(EncodeFrame(type, payload));
 }
 
-StatusOr<WireFrame> RecvFrame(UnixSocket* socket) {
+FrameReader::FrameReader(UnixSocket* socket)
+    : socket_(socket), buffer_(kBufferSize) {}
+
+Status FrameReader::Fill(size_t need) {
+  if (end_ - begin_ >= need) return Status::OK();
+  // Move the partial frame to the front so each recv has the most room.
+  std::memmove(buffer_.data(), buffer_.data() + begin_, end_ - begin_);
+  end_ -= begin_;
+  begin_ = 0;
+  while (end_ < need) {
+    CKSAFE_ASSIGN_OR_RETURN(
+        const size_t got,
+        socket_->RecvSome(buffer_.data() + end_, buffer_.size() - end_));
+    end_ += got;
+  }
+  return Status::OK();
+}
+
+StatusOr<WireFrame> FrameReader::Next() {
+  CKSAFE_RETURN_IF_ERROR(Fill(kWireHeaderSize));
   uint8_t header_bytes[kWireHeaderSize];
-  CKSAFE_RETURN_IF_ERROR(socket->RecvExact(header_bytes, kWireHeaderSize));
+  std::memcpy(header_bytes, buffer_.data() + begin_, kWireHeaderSize);
+  begin_ += kWireHeaderSize;
   CKSAFE_ASSIGN_OR_RETURN(const FrameHeader header, ParseHeader(header_bytes));
+  const size_t length = header.payload_len;  // bounded by ParseHeader
   WireFrame frame;
   frame.type = header.type;
-  frame.payload.resize(header.payload_len);  // bounded by ParseHeader
-  if (header.payload_len > 0) {
-    CKSAFE_RETURN_IF_ERROR(
-        socket->RecvExact(frame.payload.data(), header.payload_len));
+  if (length <= kBufferSize) {
+    CKSAFE_RETURN_IF_ERROR(Fill(length));
+    frame.payload.assign(buffer_.data() + begin_,
+                         buffer_.data() + begin_ + length);
+    begin_ += length;
+  } else {
+    // Everything buffered belongs to this frame; the rest bypasses the
+    // buffer. The payload at most doubles ahead of the bytes received, so
+    // a length the peer never sends is never allocated.
+    frame.payload.assign(buffer_.data() + begin_, buffer_.data() + end_);
+    begin_ = end_ = 0;
+    for (size_t got = frame.payload.size(); got < length;) {
+      frame.payload.resize(std::min(length, std::max(2 * got, kBufferSize)));
+      while (got < frame.payload.size()) {
+        CKSAFE_ASSIGN_OR_RETURN(
+            const size_t n,
+            socket_->RecvSome(frame.payload.data() + got,
+                              frame.payload.size() - got));
+        got += n;
+      }
+    }
   }
-  const uint64_t expect =
-      FrameChecksum(header_bytes, frame.payload.data(), frame.payload.size());
-  if (expect != header.checksum) {
-    return Status::InvalidArgument(
-        StrFormat("frame checksum mismatch (stored %016llx, computed %016llx)",
-                  static_cast<unsigned long long>(header.checksum),
-                  static_cast<unsigned long long>(expect)));
-  }
+  CKSAFE_RETURN_IF_ERROR(
+      VerifyChecksum(header, header_bytes, frame.payload.data()));
   return frame;
 }
 
@@ -311,10 +369,10 @@ StatusOr<std::shared_ptr<const ReleaseSnapshot>> DecodeSnapshotInline(
 // Message codecs.
 
 std::vector<uint8_t> EncodeQueryRequest(const WireQueryRequest& msg) {
-  ByteWriter writer;
+  ByteWriter writer(8 + QuerySize(msg.query));
   writer.PutU64(msg.id);
   EncodeQuery(msg.query, &writer);
-  return writer.bytes();
+  return writer.Release();
 }
 
 StatusOr<WireQueryRequest> DecodeQueryRequest(
@@ -330,11 +388,11 @@ StatusOr<WireQueryRequest> DecodeQueryRequest(
 }
 
 std::vector<uint8_t> EncodeQueryResponse(const WireQueryResponse& msg) {
-  ByteWriter writer;
+  ByteWriter writer(8 + StatusSize(msg.status) + kAnswerSize);
   writer.PutU64(msg.id);
   EncodeStatus(msg.status, &writer);
   EncodeAnswer(msg.answer, &writer);
-  return writer.bytes();
+  return writer.Release();
 }
 
 StatusOr<WireQueryResponse> DecodeQueryResponse(
@@ -352,11 +410,12 @@ StatusOr<WireQueryResponse> DecodeQueryResponse(
 
 std::vector<uint8_t> EncodePublishRequest(const WirePublishRequest& msg) {
   CKSAFE_CHECK(msg.snapshot != nullptr);
-  ByteWriter writer;
+  ByteWriter writer(8 + StringSize(msg.tenant) +
+                    SnapshotInlineSize(*msg.snapshot));
   writer.PutU64(msg.id);
   writer.PutString(msg.tenant);
   EncodeSnapshotInline(*msg.snapshot, &writer);
-  return writer.bytes();
+  return writer.Release();
 }
 
 StatusOr<WirePublishRequest> DecodePublishRequest(
@@ -376,11 +435,11 @@ StatusOr<WirePublishRequest> DecodePublishRequest(
 }
 
 std::vector<uint8_t> EncodePublishResponse(const WirePublishResponse& msg) {
-  ByteWriter writer;
+  ByteWriter writer(8 + StatusSize(msg.status) + 8);
   writer.PutU64(msg.id);
   EncodeStatus(msg.status, &writer);
   writer.PutU64(msg.sequence);
-  return writer.bytes();
+  return writer.Release();
 }
 
 StatusOr<WirePublishResponse> DecodePublishResponse(
@@ -397,10 +456,10 @@ StatusOr<WirePublishResponse> DecodePublishResponse(
 }
 
 std::vector<uint8_t> EncodeHandoffRequest(const WireHandoffRequest& msg) {
-  ByteWriter writer;
+  ByteWriter writer(8 + StringSize(msg.tenant));
   writer.PutU64(msg.id);
   writer.PutString(msg.tenant);
-  return writer.bytes();
+  return writer.Release();
 }
 
 StatusOr<WireHandoffRequest> DecodeHandoffRequest(
@@ -419,15 +478,19 @@ StatusOr<WireHandoffRequest> DecodeHandoffRequest(
 }
 
 std::vector<uint8_t> EncodeHandoffResponse(const WireHandoffResponse& msg) {
-  ByteWriter writer;
+  size_t size = 8 + StatusSize(msg.status) + 4;
+  for (const auto& snapshot : msg.snapshots) {
+    CKSAFE_CHECK(snapshot != nullptr);
+    size += SnapshotInlineSize(*snapshot);
+  }
+  ByteWriter writer(size);
   writer.PutU64(msg.id);
   EncodeStatus(msg.status, &writer);
   writer.PutU32(static_cast<uint32_t>(msg.snapshots.size()));
   for (const auto& snapshot : msg.snapshots) {
-    CKSAFE_CHECK(snapshot != nullptr);
     EncodeSnapshotInline(*snapshot, &writer);
   }
-  return writer.bytes();
+  return writer.Release();
 }
 
 StatusOr<WireHandoffResponse> DecodeHandoffResponse(
@@ -460,10 +523,10 @@ StatusOr<WireHandoffResponse> DecodeHandoffResponse(
 }
 
 std::vector<uint8_t> EncodeDropRequest(const WireDropRequest& msg) {
-  ByteWriter writer;
+  ByteWriter writer(8 + StringSize(msg.tenant));
   writer.PutU64(msg.id);
   writer.PutString(msg.tenant);
-  return writer.bytes();
+  return writer.Release();
 }
 
 StatusOr<WireDropRequest> DecodeDropRequest(
@@ -482,10 +545,10 @@ StatusOr<WireDropRequest> DecodeDropRequest(
 }
 
 std::vector<uint8_t> EncodeDropResponse(const WireDropResponse& msg) {
-  ByteWriter writer;
+  ByteWriter writer(8 + StatusSize(msg.status));
   writer.PutU64(msg.id);
   EncodeStatus(msg.status, &writer);
-  return writer.bytes();
+  return writer.Release();
 }
 
 StatusOr<WireDropResponse> DecodeDropResponse(
@@ -501,9 +564,9 @@ StatusOr<WireDropResponse> DecodeDropResponse(
 }
 
 std::vector<uint8_t> EncodePingRequest(const WirePingRequest& msg) {
-  ByteWriter writer;
+  ByteWriter writer(8);
   writer.PutU64(msg.id);
-  return writer.bytes();
+  return writer.Release();
 }
 
 StatusOr<WirePingRequest> DecodePingRequest(
@@ -518,7 +581,7 @@ StatusOr<WirePingRequest> DecodePingRequest(
 }
 
 std::vector<uint8_t> EncodePingResponse(const WirePingResponse& msg) {
-  ByteWriter writer;
+  ByteWriter writer(8 + StatusSize(msg.status) + 9 * 8);
   writer.PutU64(msg.id);
   EncodeStatus(msg.status, &writer);
   writer.PutU64(msg.stats.submitted);
@@ -530,7 +593,7 @@ std::vector<uint8_t> EncodePingResponse(const WirePingResponse& msg) {
   writer.PutU64(msg.stats.snapshot_reloads);
   writer.PutU64(msg.stats.publishes);
   writer.PutU64(msg.stats.tenants);
-  return writer.bytes();
+  return writer.Release();
 }
 
 StatusOr<WirePingResponse> DecodePingResponse(
@@ -555,9 +618,9 @@ StatusOr<WirePingResponse> DecodePingResponse(
 }
 
 std::vector<uint8_t> EncodeShutdownRequest(const WireShutdownRequest& msg) {
-  ByteWriter writer;
+  ByteWriter writer(8);
   writer.PutU64(msg.id);
-  return writer.bytes();
+  return writer.Release();
 }
 
 StatusOr<WireShutdownRequest> DecodeShutdownRequest(
@@ -572,10 +635,10 @@ StatusOr<WireShutdownRequest> DecodeShutdownRequest(
 }
 
 std::vector<uint8_t> EncodeShutdownResponse(const WireShutdownResponse& msg) {
-  ByteWriter writer;
+  ByteWriter writer(8 + StatusSize(msg.status));
   writer.PutU64(msg.id);
   EncodeStatus(msg.status, &writer);
-  return writer.bytes();
+  return writer.Release();
 }
 
 StatusOr<WireShutdownResponse> DecodeShutdownResponse(

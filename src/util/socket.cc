@@ -82,26 +82,18 @@ Status UnixSocket::SendAll(const uint8_t* data, size_t size) {
   return Status::OK();
 }
 
-Status UnixSocket::RecvExact(uint8_t* out, size_t size) {
+StatusOr<size_t> UnixSocket::RecvSome(uint8_t* out, size_t size) {
   if (fd_ < 0) return Status::FailedPrecondition("socket is closed");
-  size_t got = 0;
-  while (got < size) {
-    const ssize_t n = ::recv(fd_, out + got, size - got, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == ECONNRESET) {
-        return Status::IOError("recv: connection closed by peer");
-      }
-      return Errno("recv");
+  for (;;) {
+    const ssize_t n = ::recv(fd_, out, size, 0);
+    if (n > 0) return static_cast<size_t>(n);
+    if (n == 0) return Status::IOError("recv: connection closed by peer");
+    if (errno == EINTR) continue;
+    if (errno == ECONNRESET) {
+      return Status::IOError("recv: connection closed by peer");
     }
-    if (n == 0) {
-      return Status::IOError(
-          StrFormat("recv: connection closed by peer after %zu of %zu bytes",
-                    got, size));
-    }
-    got += static_cast<size_t>(n);
+    return Errno("recv");
   }
-  return Status::OK();
 }
 
 void UnixSocket::Shutdown() {

@@ -256,7 +256,22 @@ TEST(PersistRecoveryTest, GroupsWriteTheSameBytesAsSingleAppends) {
   // them): both files must come out byte-identical.
   const uint64_t seed = testing::TestSeed(20260816);
   SCOPED_TRACE(testing::SeedTrace(seed));
-  const std::vector<Round> rounds = MakePlan(seed, 6);
+  std::vector<Round> rounds = MakePlan(seed, 6);
+  // Plus a round in which two tenants publish the same buckets, so the
+  // second rider's tables all come from the group's shared cache.
+  std::map<std::string, uint64_t> latest;
+  for (const PublishPlan& p : CommitOrder(rounds)) {
+    latest[p.tenant] = p.snapshot->sequence;
+  }
+  Rng rng(seed + 1);
+  const auto shared = testing::MakeBuckets(
+      testing::RandomHistograms(&rng, 4, 3, 7), 3);
+  Round same_buckets;
+  for (const char* tenant : {"alpha", "beta"}) {
+    same_buckets.push_back(
+        {tenant, MakeReleaseSnapshot(latest[tenant] + 1, shared.bucketization)});
+  }
+  rounds.push_back(same_buckets);
   DurableStoreOptions options;
   options.profile_max_k = 2;
 

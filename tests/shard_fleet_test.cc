@@ -314,14 +314,15 @@ class ShardServerTest : public ::testing::Test {
     return sent;
   }
 
-  /// Reads one response per query in `sent`, in whatever order the shard
-  /// answers, and checks each against a fresh analyzer over `snapshot`.
-  void ExpectAnswered(UnixSocket* client,
+  /// Reads one response per query in `sent` through the client's
+  /// `reader`, in whatever order the shard answers, and checks each
+  /// against a fresh analyzer over `snapshot`.
+  void ExpectAnswered(FrameReader* reader,
                       const std::map<uint64_t, Query>& sent,
                       const ReleaseSnapshot& snapshot) {
     std::set<uint64_t> answered;
     for (size_t i = 0; i < sent.size(); ++i) {
-      StatusOr<WireFrame> frame = RecvFrame(client);
+      StatusOr<WireFrame> frame = reader->Next();
       ASSERT_TRUE(frame.ok()) << frame.status().ToString();
       ASSERT_EQ(frame->type, WireType::kQueryResponse);
       StatusOr<WireQueryResponse> response =
@@ -354,9 +355,10 @@ TEST_F(ShardServerTest, AnswersABurstMatchedByIdBitIdentically) {
   ASSERT_TRUE(server_->engine()->PublishSnapshot("gold", snapshot).ok());
   auto client = UnixSocket::Connect(socket_path_);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
+  FrameReader reader(&*client);
 
   const auto sent = SendBurst(&*client, &rng, "gold", 64 + rng.NextBelow(64));
-  ExpectAnswered(&*client, sent, *snapshot);
+  ExpectAnswered(&reader, sent, *snapshot);
 }
 
 TEST_F(ShardServerTest, StopsAndDestroysWithCompletionsPending) {
@@ -367,8 +369,9 @@ TEST_F(ShardServerTest, StopsAndDestroysWithCompletionsPending) {
   ASSERT_TRUE(server_->engine()->PublishSnapshot("gold", snapshot).ok());
   auto client = UnixSocket::Connect(socket_path_);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
+  FrameReader reader(&*client);
   const auto first = SendBurst(&*client, &rng, "gold", 1 + rng.NextBelow(64));
-  ExpectAnswered(&*client, first, *snapshot);
+  ExpectAnswered(&reader, first, *snapshot);
 
   // A second burst the client never reads: its completions write to a
   // closed peer, or are still queued when the server stops and goes away.

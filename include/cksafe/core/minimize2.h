@@ -20,10 +20,8 @@
 // minimization scans in cache-resident tiles, and a monotone-argmin prune
 // (per-budget MINIMIZE1 minima are nonincreasing, rows are prefix-min
 // summarized) cuts the per-cell O(k) scan — exactly, never changing which
-// candidate wins (DESIGN.md §9.2). Since PR 7 the scans themselves run
-// behind the runtime-dispatched SIMD backends of simd/dispatch.h
-// (structure-of-arrays reversed rows; AVX2 with a scalar fallback, every
-// backend bit-identical — DESIGN.md §11).
+// candidate wins (DESIGN.md §9.2). The scans read the previous rows
+// reversed, so both operands stream forward (DESIGN.md §11).
 //
 // Row i depends only on row i - 1 and bucket i - 1, so after a mutation of
 // bucket j only rows > j need recomputation — the workhorse behind the
@@ -132,8 +130,8 @@ class Minimize2Forward {
   const LogProb* NoALogRow(size_t i) const;
 
   /// Full argmin arrays (flattened rows x (k + 1); row 0 unused), exposed
-  /// so the SIMD differential tests can assert bit-identity of every
-  /// recorded choice across dispatch backends, not just the witness path.
+  /// so tests can assert that a dirty-suffix Recompute records every
+  /// choice a from-scratch sweep records, not just the witness path.
   const std::vector<uint16_t>& NoChoicesForTest() const {
     return no_choice_t_;
   }
@@ -156,9 +154,9 @@ class Minimize2Forward {
   std::vector<uint16_t> no_choice_t_;
   std::vector<uint16_t> wa_choice_t_;
   std::vector<uint8_t> wa_choice_branch_;
-  // Structure-of-arrays scratch for the scan backends (simd/dispatch.h):
-  // the previous rows reversed (rev[j] = row[k - j]) and their reversed
-  // prefix-min pruning companions, rebuilt per row, reused across calls.
+  // Scratch of the scans (core/minimize2.cc): the previous rows reversed
+  // (rev[j] = row[k - j]) and their reversed prefix-min pruning
+  // companions, rebuilt per row, reused across calls.
   std::vector<LogProb> rev_no_;
   std::vector<LogProb> rev_wa_;
   std::vector<LogProb> rev_pm_no_;

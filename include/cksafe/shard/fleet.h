@@ -78,20 +78,12 @@ struct ShardFleetOptions {
   /// Fleet-side backpressure: max queries in flight per shard link.
   size_t max_in_flight_per_shard = 1024;
 
-  /// Virtual nodes per shard on the hash ring.
-  size_t virtual_nodes = 16;
-
-  /// How long Start / RestartShard keeps retrying the initial connect
-  /// while the forked child binds its listener.
-  int64_t connect_timeout_ms = 30000;
-
   /// Test seam: tweak one shard's options before its process is forked
   /// (e.g. arm test_crash_after_bytes on shard 2 only).
   std::function<void(size_t shard, ShardServerOptions* options)> tweak_shard;
 
   /// ShardServer pass-throughs applied to every shard.
   size_t buffer_pool_pages = 64;
-  size_t profile_max_k = 0;
   int64_t test_stall_queries_ms = 0;
 };
 

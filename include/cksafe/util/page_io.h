@@ -92,6 +92,14 @@ class ByteReader {
   size_t pos_ = 0;
 };
 
+/// Bounds a decoded element count by the bytes `reader` has left: each
+/// element takes at least `element_bytes`, so a count the remaining bytes
+/// cannot hold is refused, with `code`, before anything is allocated for
+/// it. The wire decoders refuse with InvalidArgument, the persist decoders
+/// with IOError.
+Status BoundCount(const ByteReader& reader, uint64_t count,
+                  size_t element_bytes, const char* what, StatusCode code);
+
 /// Append-only file with an explicit durability point. All writes go to the
 /// end; Sync() fsyncs, and Truncate() discards an uncommitted tail during
 /// crash recovery. The destructor closes without syncing — durability is

@@ -2,8 +2,10 @@
 
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "cksafe/util/check.h"
+#include "cksafe/util/string_util.h"
 
 namespace cksafe {
 namespace {
@@ -163,6 +165,9 @@ StatusOr<LabelDictionary::Delta> DecodeDictionaryDelta(
   LabelDictionary::Delta delta;
   CKSAFE_ASSIGN_OR_RETURN(delta.first_id, r.U32());
   CKSAFE_ASSIGN_OR_RETURN(uint32_t count, r.U32());
+  // Each label is at least its u32 length prefix.
+  CKSAFE_RETURN_IF_ERROR(
+      BoundCount(r, count, 4, "dictionary label", StatusCode::kIOError));
   delta.labels.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     CKSAFE_ASSIGN_OR_RETURN(std::string label, r.String());
@@ -229,18 +234,26 @@ StatusOr<std::shared_ptr<const ReleaseSnapshot>> DecodeSnapshotBlob(
   CKSAFE_ASSIGN_OR_RETURN(uint64_t num_rows, r.U64());
   snapshot->num_rows = static_cast<size_t>(num_rows);
   CKSAFE_ASSIGN_OR_RETURN(uint32_t node_size, r.U32());
+  CKSAFE_RETURN_IF_ERROR(
+      BoundCount(r, node_size, 4, "lattice node", StatusCode::kIOError));
   snapshot->node.resize(node_size);
   for (uint32_t i = 0; i < node_size; ++i) {
     CKSAFE_ASSIGN_OR_RETURN(snapshot->node[i], r.I32());
   }
   CKSAFE_ASSIGN_OR_RETURN(uint32_t domain, r.U32());
   CKSAFE_ASSIGN_OR_RETURN(uint32_t num_buckets, r.U32());
-  Bucketization bucketization(domain);
+  // Buckets are staged first so member ids can be checked against the
+  // total member count (the dense partition every release is) before
+  // Bucketization sizes its person-indexed table by the largest id.
+  std::vector<Bucket> staged;
+  uint64_t total_members = 0;
   for (uint32_t bi = 0; bi < num_buckets; ++bi) {
     Bucket bucket;
     CKSAFE_ASSIGN_OR_RETURN(uint32_t label_id, r.U32());
     CKSAFE_ASSIGN_OR_RETURN(bucket.qi_label, dict.Lookup(label_id));
     CKSAFE_ASSIGN_OR_RETURN(uint32_t member_count, r.U32());
+    CKSAFE_RETURN_IF_ERROR(
+        BoundCount(r, member_count, 4, "member", StatusCode::kIOError));
     bucket.members.reserve(member_count);
     for (uint32_t m = 0; m < member_count; ++m) {
       CKSAFE_ASSIGN_OR_RETURN(uint32_t member, r.U32());
@@ -256,6 +269,19 @@ StatusOr<std::shared_ptr<const ReleaseSnapshot>> DecodeSnapshotBlob(
       }
       bucket.histogram[index] = count;
     }
+    total_members += member_count;
+    staged.push_back(std::move(bucket));
+  }
+  Bucketization bucketization(domain);
+  for (Bucket& bucket : staged) {
+    for (const PersonId member : bucket.members) {
+      if (member >= total_members) {
+        return Status::IOError(
+            StrFormat("member id %u outside the dense partition of %llu "
+                      "tuples",
+                      member, static_cast<unsigned long long>(total_members)));
+      }
+    }
     // AddBucket re-runs the structural invariants (membership disjoint,
     // histogram totals match), so a decoded-but-inconsistent segment is
     // rejected here rather than surfacing as wrong answers later.
@@ -267,6 +293,9 @@ StatusOr<std::shared_ptr<const ReleaseSnapshot>> DecodeSnapshotBlob(
   CKSAFE_ASSIGN_OR_RETURN(uint8_t has_profile, r.U8());
   if (has_profile == 1) {
     CKSAFE_ASSIGN_OR_RETURN(uint32_t curve_len, r.U32());
+    // Each point is two doubles: implication and negation.
+    CKSAFE_RETURN_IF_ERROR(
+        BoundCount(r, curve_len, 16, "profile point", StatusCode::kIOError));
     profile->implication.resize(curve_len);
     profile->negation.resize(curve_len);
     for (uint32_t i = 0; i < curve_len; ++i) {

@@ -17,6 +17,13 @@
 namespace cksafe {
 namespace {
 
+// Virtual nodes per shard on the hash ring.
+constexpr size_t kVirtualNodes = 16;
+
+// How long Start / RestartShard keeps retrying the initial connect while
+// the forked child binds its listener.
+constexpr int64_t kConnectTimeoutMs = 30000;
+
 uint64_t HashBytes(const std::string& s) {
   // Raw FNV-1a clusters badly on short keys that differ in one trailing
   // character: each shard's virtual nodes would sort into one contiguous
@@ -74,7 +81,6 @@ StatusOr<std::unique_ptr<ShardFleet>> ShardFleet::Start(
           StrFormat("%s/shard-%zu", options.durable_root.c_str(), i);
     }
     shard.buffer_pool_pages = options.buffer_pool_pages;
-    shard.profile_max_k = options.profile_max_k;
     shard.router_queue_capacity = options.router_queue_capacity;
     shard.test_stall_queries_ms = options.test_stall_queries_ms;
     if (options.tweak_shard) options.tweak_shard(i, &shard);
@@ -83,7 +89,7 @@ StatusOr<std::unique_ptr<ShardFleet>> ShardFleet::Start(
   // The ring is fixed for the fleet's lifetime: virtual nodes smooth the
   // per-shard tenant share, migration overrides handle the rest.
   for (size_t i = 0; i < options.num_shards; ++i) {
-    for (size_t v = 0; v < std::max<size_t>(options.virtual_nodes, 1); ++v) {
+    for (size_t v = 0; v < kVirtualNodes; ++v) {
       fleet->ring_.emplace_back(
           HashBytes(StrFormat("shard-%zu#%zu", i, v)), i);
     }
@@ -145,7 +151,7 @@ Status ShardFleet::Connect(size_t shard) {
   // it is up (or provably dead).
   const auto deadline =
       std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options_.connect_timeout_ms);
+      std::chrono::milliseconds(kConnectTimeoutMs);
   for (;;) {
     StatusOr<UnixSocket> connected = UnixSocket::Connect(socket_path);
     if (connected.ok()) {
@@ -163,7 +169,7 @@ Status ShardFleet::Connect(size_t shard) {
     if (std::chrono::steady_clock::now() >= deadline) {
       return Status::Unavailable(
           StrFormat("shard %zu did not come up within %lld ms", shard,
-                    static_cast<long long>(options_.connect_timeout_ms)));
+                    static_cast<long long>(kConnectTimeoutMs)));
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }

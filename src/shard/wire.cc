@@ -168,19 +168,6 @@ Status DecodeAnswer(ByteReader* reader, QueryAnswer* out) {
   return Status::OK();
 }
 
-/// Bounds a decoded element count by the bytes actually present: each
-/// element consumes at least `element_bytes`, so a count the remaining
-/// buffer cannot possibly hold is rejected before any allocation.
-Status BoundCount(const ByteReader& reader, uint64_t count,
-                  size_t element_bytes, const char* what) {
-  if (count > reader.remaining() / element_bytes) {
-    return Status::InvalidArgument(
-        StrFormat("%s count %llu exceeds the %zu bytes remaining", what,
-                  static_cast<unsigned long long>(count), reader.remaining()));
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -312,7 +299,8 @@ StatusOr<std::shared_ptr<const ReleaseSnapshot>> DecodeSnapshotInline(
   CKSAFE_ASSIGN_OR_RETURN(const uint64_t num_rows, reader->U64());
   snapshot->num_rows = static_cast<size_t>(num_rows);
   CKSAFE_ASSIGN_OR_RETURN(const uint32_t node_size, reader->U32());
-  CKSAFE_RETURN_IF_ERROR(BoundCount(*reader, node_size, 4, "lattice node"));
+  CKSAFE_RETURN_IF_ERROR(BoundCount(*reader, node_size, 4, "lattice node",
+                                    StatusCode::kInvalidArgument));
   snapshot->node.reserve(node_size);
   for (uint32_t i = 0; i < node_size; ++i) {
     CKSAFE_ASSIGN_OR_RETURN(const int32_t level, reader->I32());
@@ -332,13 +320,15 @@ StatusOr<std::shared_ptr<const ReleaseSnapshot>> DecodeSnapshotInline(
     Bucket bucket;
     CKSAFE_ASSIGN_OR_RETURN(bucket.qi_label, reader->String());
     CKSAFE_ASSIGN_OR_RETURN(const uint32_t member_count, reader->U32());
-    CKSAFE_RETURN_IF_ERROR(BoundCount(*reader, member_count, 4, "member"));
+    CKSAFE_RETURN_IF_ERROR(BoundCount(*reader, member_count, 4, "member",
+                                      StatusCode::kInvalidArgument));
     bucket.members.reserve(member_count);
     for (uint32_t i = 0; i < member_count; ++i) {
       CKSAFE_ASSIGN_OR_RETURN(const uint32_t member, reader->U32());
       bucket.members.push_back(member);
     }
-    CKSAFE_RETURN_IF_ERROR(BoundCount(*reader, domain, 4, "histogram"));
+    CKSAFE_RETURN_IF_ERROR(BoundCount(*reader, domain, 4, "histogram",
+                                      StatusCode::kInvalidArgument));
     bucket.histogram.reserve(static_cast<size_t>(domain));
     for (uint64_t s = 0; s < domain; ++s) {
       CKSAFE_ASSIGN_OR_RETURN(const uint32_t count, reader->U32());
@@ -501,7 +491,8 @@ StatusOr<WireHandoffResponse> DecodeHandoffResponse(
   CKSAFE_RETURN_IF_ERROR(DecodeStatus(&reader, &msg.status));
   CKSAFE_ASSIGN_OR_RETURN(const uint32_t count, reader.U32());
   // Each snapshot costs >= 32 payload bytes; bound before reserving.
-  CKSAFE_RETURN_IF_ERROR(BoundCount(reader, count, 32, "handoff snapshot"));
+  CKSAFE_RETURN_IF_ERROR(BoundCount(reader, count, 32, "handoff snapshot",
+                                    StatusCode::kInvalidArgument));
   msg.snapshots.reserve(count);
   uint64_t previous = 0;
   for (uint32_t i = 0; i < count; ++i) {

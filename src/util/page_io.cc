@@ -7,6 +7,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "cksafe/util/string_util.h"
+
 namespace cksafe {
 namespace {
 
@@ -47,6 +49,17 @@ StatusOr<uint64_t> ByteReader::LittleEndian(int width) {
   }
   pos_ += static_cast<size_t>(width);
   return v;
+}
+
+Status BoundCount(const ByteReader& reader, uint64_t count,
+                  size_t element_bytes, const char* what, StatusCode code) {
+  if (count > reader.remaining() / element_bytes) {
+    return Status(
+        code,
+        StrFormat("%s count %llu exceeds the %zu bytes remaining", what,
+                  static_cast<unsigned long long>(count), reader.remaining()));
+  }
+  return Status::OK();
 }
 
 StatusOr<uint8_t> ByteReader::U8() {

@@ -233,6 +233,64 @@ TEST(SegmentTest, RandomSnapshotsRoundTrip) {
   }
 }
 
+// Overwrites the little-endian u32 at `offset` of an encoded blob.
+void PatchU32(std::vector<uint8_t>* blob, size_t offset, uint32_t value) {
+  ASSERT_LE(offset + 4, blob->size());
+  for (size_t i = 0; i < 4; ++i) {
+    (*blob)[offset + i] = static_cast<uint8_t>(value >> (8 * i));
+  }
+}
+
+TEST(SegmentTest, HostileCountsAndMemberIdsAreIOErrorsNotAllocations) {
+  // A blob that passes its checksum can still declare counts or ids no
+  // blob of its size holds. Each must be refused before the decoder
+  // allocates for it: a 4-billion-label reserve, a 4-billion-level node, a
+  // person table sized by member id 0xFFFFFFF0, a 4-billion-point profile.
+  LabelDictionary::Delta labels;
+  labels.labels = {"a"};
+  std::vector<uint8_t> dict_blob = EncodeDictionaryDelta(labels);
+  PatchU32(&dict_blob, 8, 0xFFFFFFFFu);  // after magic and first id
+  const Status dict_status = DecodeDictionaryDelta(dict_blob).status();
+  EXPECT_EQ(dict_status.code(), StatusCode::kIOError) << dict_status;
+  EXPECT_NE(dict_status.message().find("dictionary label count"),
+            std::string::npos)
+      << dict_status;
+
+  // One bucket holding person 0, no lattice levels, a one-point profile.
+  Bucketization one_bucket(2);
+  ASSERT_TRUE(one_bucket.AddBucket(Bucket{{0}, {1, 0}, "q"}).ok());
+  const auto snapshot = MakeReleaseSnapshot(1, std::move(one_bucket));
+  LabelDictionary dict;
+  LabelDictionary::Delta delta;
+  StoredProfile profile;
+  profile.implication = {0.5};
+  profile.negation = {0.25};
+  const std::vector<uint8_t> blob =
+      EncodeSnapshotBlob(*snapshot, profile, dict, &delta);
+  ASSERT_TRUE(dict.Apply(delta).ok());
+  // magic, sequence, rows | node size | domain, buckets, label, members
+  // | member id ... | profile marker | curve length, two doubles.
+  constexpr size_t kNodeSizeAt = 4 + 8 + 8;
+  constexpr size_t kMemberIdAt = kNodeSizeAt + 4 + 4 + 4 + 4 + 4;
+  const size_t curve_len_at = blob.size() - 4 - 16;
+
+  const auto expect_refused = [&](size_t offset, uint32_t value,
+                                  const std::string& reason) {
+    std::vector<uint8_t> bad = blob;
+    PatchU32(&bad, offset, value);
+    StoredProfile ignored;
+    const Status status = DecodeSnapshotBlob(bad, dict, &ignored).status();
+    EXPECT_EQ(status.code(), StatusCode::kIOError) << status;
+    EXPECT_NE(status.message().find(reason), std::string::npos) << status;
+  };
+  expect_refused(kNodeSizeAt, 0xFFFFFFFFu, "lattice node count");
+  expect_refused(kMemberIdAt, 0xFFFFFFF0u, "outside the dense partition");
+  expect_refused(curve_len_at, 0xFFFFFFFFu, "profile point count");
+  // The unpatched blob still decodes.
+  StoredProfile decoded_profile;
+  EXPECT_TRUE(DecodeSnapshotBlob(blob, dict, &decoded_profile).ok());
+}
+
 // --- manifest ---
 
 TEST(ManifestTest, ScanRecoversRecordsAndStopsAtTornTail) {

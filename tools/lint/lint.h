@@ -23,8 +23,7 @@
 //                         the layer DAG declared in tools/lint/layers.txt
 //                         (the docs/ARCHITECTURE.md tower). Same-rank
 //                         edges are only legal inside an explicitly
-//                         declared cohesive group (`core+simd`,
-//                         `persist+serve`).
+//                         declared cohesive group (`persist+serve`).
 //   L4 persist-ordering   direct AppendFile/RandomReadFile/.Sync() use
 //                         outside persist/ + util/page_io. The manifest
 //                         owns the commit point; ad-hoc file IO elsewhere
@@ -111,7 +110,7 @@ struct LintReport {
 /// Parses layers.txt. Format, one rank per line, bottom-up:
 ///   util
 ///   hierarchy knowledge        # same rank, independent groups
-///   core+simd                  # one cohesive group, mutual includes OK
+///   persist+serve              # one cohesive group, mutual includes OK
 /// `#` starts a comment. Returns false and sets `error` on malformed
 /// input (duplicate layer, empty group, ...).
 bool ParseLayerConfig(std::string_view text, LayerConfig* out,

@@ -27,23 +27,22 @@ struct ExactEngineOptions {
   uint64_t max_worlds = 1ULL << 22;
 };
 
-/// Bounds for brute-force searches over formula families.
+/// Bounds for brute-force searches over formula families. Every search
+/// scores each formula against every target atom (Definition 5).
 struct BruteForceOptions {
   /// Refuse searches that would evaluate more formulas than this.
   uint64_t max_formulas = 20'000'000;
-  /// Evaluate the full Definition-5 disclosure risk (max over all target
-  /// atoms) per formula; when false, only the formula's own consequent
-  /// atoms are considered as targets (faster, sufficient for Theorem 9
-  /// families).
-  bool all_targets = true;
   /// Restrict simple implications to antecedent person != consequent
   /// person. Used to reproduce the paper's Section 2.3 example, which
-  /// implicitly excludes self-implications (see DESIGN.md).
+  /// implicitly excludes self-implications (see DESIGN.md). Read only by
+  /// MaxDisclosureSimpleImplications.
   bool require_distinct_persons = false;
   /// Restrict atoms to values actually present in the person's bucket.
   /// Without this, an implication whose consequent has zero probability
   /// still encodes a negation of its antecedent, so the Section 2.3
-  /// example additionally needs this restriction to yield 10/19.
+  /// example additionally needs this restriction to yield 10/19. Read by
+  /// MaxDisclosureSimpleImplications and MaxDisclosureNegations;
+  /// MaxDisclosureBasicImplications reads neither restriction.
   bool require_present_values = false;
 };
 
@@ -112,6 +111,12 @@ class ExactEngine {
   ExactEngine() = default;
 
   size_t AtomIndex(const Atom& atom) const;
+
+  /// The atom at dense index `atom_index`; inverse of AtomIndex.
+  Atom AtomAt(size_t atom_index) const {
+    return Atom{persons_[atom_index / domain_size_],
+                static_cast<int32_t>(atom_index % domain_size_)};
+  }
 
   /// True iff the atom's value occurs in the atom's person's bucket.
   bool IsPresentValue(size_t atom_index) const {

@@ -1,13 +1,152 @@
 #include "cksafe/exact/exact_engine.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "cksafe/exact/world_enumerator.h"
 #include "cksafe/util/math_util.h"
 #include "cksafe/util/string_util.h"
 
 namespace cksafe {
+namespace {
+
+// The best disclosure found so far: the first maximum of Pr(target | sat)
+// under strict >, so a later tie never replaces it and the enumeration
+// order picks the witness.
+struct Best {
+  double value = -1.0;  // below every probability: the first target wins
+  size_t target = 0;    // dense atom index
+};
+
+// Scores the consistent world-set `sat`, |sat| = denom > 0, against every
+// atom in index order. bound[t] >= |sat ∧ atom t|, and target t is skipped
+// when min(bound[t], denom) / denom <= best->value. The skip changes no
+// result: the numerator is at most that bound, IEEE division by a positive
+// count is monotone, and a value that does not exceed best->value never
+// replaces it. Returns true iff `best` changed.
+bool ScoreLeaf(const std::vector<Bitset>& atoms, const Bitset& sat,
+               size_t denom, const std::vector<size_t>& bound, Best* best) {
+  const double d = static_cast<double>(denom);
+  bool improved = false;
+  for (size_t t = 0; t < atoms.size(); ++t) {
+    if (static_cast<double>(std::min(bound[t], denom)) / d <= best->value) {
+      continue;
+    }
+    const double p = static_cast<double>(Bitset::AndCount(sat, atoms[t])) / d;
+    if (p > best->value) {
+      *best = Best{p, t};
+      improved = true;
+    }
+  }
+  return improved;
+}
+
+// The one brute-force search of every formula family: it walks the
+// conjunctions of k candidate world-sets and scores each consistent one
+// with ScoreLeaf. The per-depth scratch bitsets and the target bounds are
+// allocated once, so a step allocates nothing.
+class FormulaSearch {
+ public:
+  FormulaSearch(const std::vector<Bitset>& atoms, size_t num_worlds, size_t k)
+      : atoms_(atoms),
+        scratch_(k + 1, Bitset(num_worlds, /*all_ones=*/true)),
+        bound_(atoms.size(), num_worlds),
+        chosen_(k),
+        winner_(k) {}
+
+  // Walks the k-multisets of `candidates` (k-sets unless `repeat`) in
+  // lexicographic index order. Returns true iff some leaf improved best().
+  bool Enumerate(const std::vector<Bitset>& candidates, bool repeat) {
+    candidates_ = &candidates;
+    repeat_ = repeat;
+    improved_ = false;
+    Walk(0, 0);
+    return improved_;
+  }
+
+  bool found() const { return best_.value >= 0.0; }
+  const Best& best() const { return best_; }
+  // The best leaf's indices into the candidates of the last Enumerate that
+  // returned true, in enumeration order.
+  const std::vector<size_t>& winner() const { return winner_; }
+
+ private:
+  void Walk(size_t depth, size_t start) {
+    const Bitset& prefix = scratch_[depth];
+    if (depth == chosen_.size()) {
+      const size_t denom = prefix.Count();
+      if (denom > 0 && ScoreLeaf(atoms_, prefix, denom, bound_, &best_)) {
+        improved_ = true;
+        winner_ = chosen_;
+      }
+      return;
+    }
+    if (depth + 1 == chosen_.size()) {
+      // Each leaf below is prefix ∧ candidate, a subset of prefix.
+      for (size_t t = 0; t < atoms_.size(); ++t) {
+        bound_[t] = Bitset::AndCount(prefix, atoms_[t]);
+      }
+    }
+    for (size_t i = start; i < candidates_->size(); ++i) {
+      scratch_[depth + 1] = prefix;
+      scratch_[depth + 1] &= (*candidates_)[i];
+      chosen_[depth] = i;
+      Walk(depth + 1, repeat_ ? i : i + 1);
+    }
+  }
+
+  const std::vector<Bitset>& atoms_;
+  std::vector<Bitset> scratch_;  // [d] = conjunction of chosen_[0, d)
+  // [t] = |scratch_[k - 1] ∧ atom t|, or the world count when k = 0.
+  std::vector<size_t> bound_;
+  std::vector<size_t> chosen_;
+  std::vector<size_t> winner_;
+  Best best_;
+  const std::vector<Bitset>* candidates_ = nullptr;
+  bool repeat_ = true;
+  bool improved_ = false;
+};
+
+// C(n + k - 1, k): the number of k-multisets of n candidates.
+double MultisetCount(double n, size_t k) {
+  double count = 1.0;
+  for (size_t i = 0; i < k; ++i) {
+    count *= n + static_cast<double>(i);
+    count /= static_cast<double>(i + 1);
+  }
+  return count;
+}
+
+Status CheckFormulaBudget(double formula_count,
+                          const BruteForceOptions& options) {
+  if (formula_count <= static_cast<double>(options.max_formulas)) {
+    return Status::OK();
+  }
+  return Status::ResourceExhausted(
+      StrFormat("brute force would evaluate %.3g formulas, cap is %llu",
+                formula_count,
+                static_cast<unsigned long long>(options.max_formulas)));
+}
+
+// Every non-empty subset of {0, ..., n - 1} with at most `cap` elements, in
+// lexicographic order.
+std::vector<std::vector<size_t>> AtomSubsets(size_t n, size_t cap) {
+  std::vector<std::vector<size_t>> subsets;
+  std::vector<size_t> current;
+  size_t next = 0;
+  for (;;) {
+    if (current.size() < cap && next < n) {
+      current.push_back(next++);
+      subsets.push_back(current);
+    } else if (current.empty()) {
+      return subsets;
+    } else {
+      next = current.back() + 1;
+      current.pop_back();
+    }
+  }
+}
+
+}  // namespace
 
 StatusOr<ExactEngine> ExactEngine::Create(const Bucketization& bucketization,
                                           ExactEngineOptions options) {
@@ -122,155 +261,72 @@ StatusOr<ExactDisclosure> ExactEngine::DisclosureRisk(
   }
   ExactDisclosure best;
   best.formula = formula;
-  for (size_t i = 0; i < persons_.size(); ++i) {
-    for (size_t s = 0; s < domain_size_; ++s) {
-      const size_t numer =
-          Bitset::AndCount(sat, atom_bits_[i * domain_size_ + s]);
-      const double p = static_cast<double>(numer) / static_cast<double>(denom);
-      if (p > best.disclosure) {
-        best.disclosure = p;
-        best.target = Atom{persons_[i], static_cast<int32_t>(s)};
-      }
-    }
+  Best leaf;
+  if (ScoreLeaf(atom_bits_, sat, denom,
+                std::vector<size_t>(atom_bits_.size(), denom), &leaf)) {
+    best.disclosure = leaf.value;
+    best.target = AtomAt(leaf.target);
   }
   return best;
 }
 
-namespace {
-
-// Disclosure of a satisfying-world bitset against either all atoms or a
-// specific set of candidate targets.
-struct TargetScan {
-  double disclosure = 0.0;
-  size_t best_atom_index = 0;
-};
-
-}  // namespace
-
 StatusOr<ExactDisclosure> ExactEngine::MaxDisclosureSimpleImplications(
     size_t k, bool same_consequent, BruteForceOptions options) const {
   const size_t num_atoms = persons_.size() * domain_size_;
-  // Formula count estimate: multisets of implications.
-  //   same consequent: num_atoms consequents x C(num_atoms + k - 1, k)
-  //   general: C(num_atoms^2 + k - 1, k)
-  double formula_count;
-  if (same_consequent) {
-    formula_count = static_cast<double>(num_atoms) *
-                    BinomialCoefficient(static_cast<uint32_t>(num_atoms + k - 1),
-                                        static_cast<uint32_t>(k));
-  } else {
-    const double pairs = static_cast<double>(num_atoms) * num_atoms;
-    formula_count = 1.0;
-    for (size_t i = 0; i < k; ++i) formula_count *= (pairs + i);
-    for (size_t i = 1; i <= k; ++i) formula_count /= static_cast<double>(i);
-  }
-  if (formula_count > static_cast<double>(options.max_formulas)) {
-    return Status::ResourceExhausted(
-        StrFormat("brute force would evaluate %.3g formulas, cap is %llu",
-                  formula_count,
-                  static_cast<unsigned long long>(options.max_formulas)));
-  }
+  // Multisets of implications: num_atoms consequents x k-multisets of
+  // antecedents, or k-multisets of all num_atoms^2 implications.
+  const double atoms = static_cast<double>(num_atoms);
+  CKSAFE_RETURN_IF_ERROR(CheckFormulaBudget(
+      same_consequent ? atoms * MultisetCount(atoms, k)
+                      : MultisetCount(atoms * atoms, k),
+      options));
 
-  auto atom_at = [&](size_t index) {
-    return Atom{persons_[index / domain_size_],
-                static_cast<int32_t>(index % domain_size_)};
-  };
-
-  ExactDisclosure best;
-  bool found = false;
-
-  // Evaluates one candidate conjunction bitmap; updates `best`.
-  auto consider = [&](const Bitset& sat,
-                      const std::vector<SimpleImplication>& implications) {
-    const size_t denom = sat.Count();
-    if (denom == 0) return;  // inconsistent knowledge: conditioning undefined
-    auto scan_target = [&](const Bitset& target_bits, const Atom& target) {
-      const size_t numer = Bitset::AndCount(sat, target_bits);
-      const double p = static_cast<double>(numer) / static_cast<double>(denom);
-      if (!found || p > best.disclosure) {
-        found = true;
-        best.disclosure = p;
-        best.target = target;
-        KnowledgeFormula formula;
-        for (const SimpleImplication& imp : implications) {
-          formula.AddSimple(imp);
-        }
-        best.formula = std::move(formula);
-      }
-    };
-    if (options.all_targets) {
-      for (size_t t = 0; t < num_atoms; ++t) {
-        scan_target(atom_bits_[t], atom_at(t));
-      }
-    } else {
-      for (const SimpleImplication& imp : implications) {
-        scan_target(AtomWorlds(imp.consequent), imp.consequent);
-      }
+  // The implications a -> c, as one list per consequent in consequent
+  // order or as one list of every pair; ids[i] = a * num_atoms + c.
+  FormulaSearch search(atom_bits_, num_worlds_, k);
+  std::vector<Bitset> candidates;
+  std::vector<size_t> ids;
+  std::vector<size_t> winner;  // ids of the best formula's implications
+  auto add = [&](size_t a, size_t c) {
+    if (options.require_present_values &&
+        (!IsPresentValue(a) || !IsPresentValue(c))) {
+      return;
     }
+    if (options.require_distinct_persons &&
+        a / domain_size_ == c / domain_size_) {
+      return;
+    }
+    candidates.push_back(atom_bits_[a].Not() | atom_bits_[c]);
+    ids.push_back(a * num_atoms + c);
   };
-
-  std::vector<SimpleImplication> current;
-
+  auto run = [&] {
+    if (search.Enumerate(candidates, /*repeat=*/true)) {
+      winner.clear();
+      for (size_t i : search.winner()) winner.push_back(ids[i]);
+    }
+    candidates.clear();
+    ids.clear();
+  };
   if (same_consequent) {
-    // For each consequent atom, choose a multiset of k antecedents.
     for (size_t c = 0; c < num_atoms; ++c) {
       if (options.require_present_values && !IsPresentValue(c)) continue;
-      const Atom consequent = atom_at(c);
-      std::function<void(size_t, const Bitset&)> rec = [&](size_t start,
-                                                           const Bitset& sat) {
-        if (current.size() == k) {
-          consider(sat, current);
-          return;
-        }
-        for (size_t a = start; a < num_atoms; ++a) {
-          if (options.require_present_values && !IsPresentValue(a)) continue;
-          const Atom antecedent = atom_at(a);
-          if (options.require_distinct_persons &&
-              antecedent.person == consequent.person) {
-            continue;
-          }
-          Bitset imp_bits = AtomWorlds(antecedent).Not();
-          imp_bits |= atom_bits_[c];
-          current.push_back(SimpleImplication{antecedent, consequent});
-          rec(a, sat & imp_bits);
-          current.pop_back();
-        }
-      };
-      rec(0, Bitset(num_worlds_, /*all_ones=*/true));
+      for (size_t a = 0; a < num_atoms; ++a) add(a, c);
+      run();
     }
   } else {
-    // Multisets of k arbitrary simple implications (ordered pairs of atoms).
-    const size_t num_pairs = num_atoms * num_atoms;
-    std::function<void(size_t, const Bitset&)> rec = [&](size_t start,
-                                                         const Bitset& sat) {
-      if (current.size() == k) {
-        consider(sat, current);
-        return;
-      }
-      for (size_t pair = start; pair < num_pairs; ++pair) {
-        if (options.require_present_values &&
-            (!IsPresentValue(pair / num_atoms) ||
-             !IsPresentValue(pair % num_atoms))) {
-          continue;
-        }
-        const Atom antecedent = atom_at(pair / num_atoms);
-        const Atom consequent = atom_at(pair % num_atoms);
-        if (options.require_distinct_persons &&
-            antecedent.person == consequent.person) {
-          continue;
-        }
-        Bitset imp_bits = AtomWorlds(antecedent).Not();
-        imp_bits |= AtomWorlds(consequent);
-        current.push_back(SimpleImplication{antecedent, consequent});
-        rec(pair, sat & imp_bits);
-        current.pop_back();
-      }
-    };
-    rec(0, Bitset(num_worlds_, /*all_ones=*/true));
+    for (size_t a = 0; a < num_atoms; ++a) {
+      for (size_t c = 0; c < num_atoms; ++c) add(a, c);
+    }
+    run();
   }
 
-  if (!found) {
+  if (!search.found()) {
     return Status::Internal("no consistent formula found (empty instance?)");
+  }
+  ExactDisclosure best{search.best().value, AtomAt(search.best().target), {}};
+  for (size_t pair : winner) {
+    best.formula.AddSimple(SimpleImplication{AtomAt(pair / num_atoms),
+                                             AtomAt(pair % num_atoms)});
   }
   return best;
 }
@@ -279,163 +335,88 @@ StatusOr<ExactDisclosure> ExactEngine::MaxDisclosureBasicImplications(
     size_t k, size_t max_antecedents, size_t max_consequents,
     BruteForceOptions options) const {
   if (max_antecedents == 0 || max_consequents == 0) {
-    return Status::InvalidArgument("basic implications need >= 1 atom per side");
+    return Status::InvalidArgument(
+        "basic implications need >= 1 atom per side");
   }
   const size_t num_atoms = persons_.size() * domain_size_;
-  auto atom_at = [&](size_t index) {
-    return Atom{persons_[index / domain_size_],
-                static_cast<int32_t>(index % domain_size_)};
-  };
-
-  // Materialize every candidate implication: (non-empty atom subset of size
-  // <= max_antecedents) -> (non-empty atom subset of size <= max_consequents).
-  std::vector<std::vector<size_t>> sides[2];
-  const size_t side_caps[2] = {max_antecedents, max_consequents};
+  // A candidate is (non-empty atom subset of size <= max_antecedents) ->
+  // (non-empty atom subset of size <= max_consequents). Count the subsets
+  // of both sides before building either.
+  const size_t side_caps[2] = {std::min(max_antecedents, num_atoms),
+                               std::min(max_consequents, num_atoms)};
+  double side_counts[2] = {0.0, 0.0};
   for (int side = 0; side < 2; ++side) {
-    std::vector<size_t> current;
-    std::function<void(size_t)> rec = [&](size_t start) {
-      if (!current.empty()) sides[side].push_back(current);
-      if (current.size() == side_caps[side]) return;
-      for (size_t a = start; a < num_atoms; ++a) {
-        current.push_back(a);
-        rec(a + 1);
-        current.pop_back();
-      }
-    };
-    rec(0);
+    for (size_t i = 1; i <= side_caps[side]; ++i) {
+      side_counts[side] += BinomialCoefficient(
+          static_cast<uint32_t>(num_atoms), static_cast<uint32_t>(i));
+    }
   }
+  CKSAFE_RETURN_IF_ERROR(CheckFormulaBudget(
+      MultisetCount(side_counts[0] * side_counts[1], k), options));
 
-  const double num_implications =
-      static_cast<double>(sides[0].size()) * sides[1].size();
-  // Multisets of k implications.
-  double formula_count = 1.0;
-  for (size_t i = 0; i < k; ++i) formula_count *= (num_implications + i);
-  for (size_t i = 1; i <= k; ++i) formula_count /= static_cast<double>(i);
-  if (formula_count > static_cast<double>(options.max_formulas)) {
-    return Status::ResourceExhausted(
-        StrFormat("brute force would evaluate %.3g formulas, cap is %llu",
-                  formula_count,
-                  static_cast<unsigned long long>(options.max_formulas)));
-  }
-
-  // Bitmap and AST per candidate implication.
-  std::vector<Bitset> imp_bits;
-  std::vector<BasicImplication> imp_ast;
-  imp_bits.reserve(sides[0].size() * sides[1].size());
-  for (const auto& ante : sides[0]) {
+  const auto antecedents = AtomSubsets(num_atoms, side_caps[0]);
+  const auto consequents = AtomSubsets(num_atoms, side_caps[1]);
+  // candidates[i]: antecedents[i / |consequents|] -> consequents[i % ...].
+  std::vector<Bitset> candidates;
+  candidates.reserve(antecedents.size() * consequents.size());
+  for (const std::vector<size_t>& ante : antecedents) {
     Bitset ante_bits(num_worlds_, /*all_ones=*/true);
     for (size_t a : ante) ante_bits &= atom_bits_[a];
     const Bitset not_ante = ante_bits.Not();
-    for (const auto& cons : sides[1]) {
+    for (const std::vector<size_t>& cons : consequents) {
       Bitset holds = not_ante;
       for (size_t c : cons) holds |= atom_bits_[c];
-      imp_bits.push_back(std::move(holds));
-      BasicImplication imp;
-      for (size_t a : ante) imp.antecedents.push_back(atom_at(a));
-      for (size_t c : cons) imp.consequents.push_back(atom_at(c));
-      imp_ast.push_back(std::move(imp));
+      candidates.push_back(std::move(holds));
     }
   }
+  FormulaSearch search(atom_bits_, num_worlds_, k);
+  search.Enumerate(candidates, /*repeat=*/true);
 
-  ExactDisclosure best;
-  bool found = false;
-  std::vector<size_t> chosen;
-  auto consider = [&](const Bitset& sat) {
-    const size_t denom = sat.Count();
-    if (denom == 0) return;
-    for (size_t t = 0; t < num_atoms; ++t) {
-      const size_t numer = Bitset::AndCount(sat, atom_bits_[t]);
-      const double p = static_cast<double>(numer) / static_cast<double>(denom);
-      if (!found || p > best.disclosure) {
-        found = true;
-        best.disclosure = p;
-        best.target = atom_at(t);
-        KnowledgeFormula formula;
-        for (size_t i : chosen) formula.Add(imp_ast[i]);
-        best.formula = std::move(formula);
-      }
+  if (!search.found()) return Status::Internal("no consistent formula found");
+  ExactDisclosure best{search.best().value, AtomAt(search.best().target), {}};
+  for (size_t i : search.winner()) {
+    BasicImplication imp;
+    for (size_t a : antecedents[i / consequents.size()]) {
+      imp.antecedents.push_back(AtomAt(a));
     }
-  };
-  std::function<void(size_t, const Bitset&)> rec = [&](size_t start,
-                                                       const Bitset& sat) {
-    if (chosen.size() == k) {
-      consider(sat);
-      return;
+    for (size_t c : consequents[i % consequents.size()]) {
+      imp.consequents.push_back(AtomAt(c));
     }
-    for (size_t i = start; i < imp_bits.size(); ++i) {
-      chosen.push_back(i);
-      rec(i, sat & imp_bits[i]);
-      chosen.pop_back();
-    }
-  };
-  rec(0, Bitset(num_worlds_, /*all_ones=*/true));
-
-  if (!found) return Status::Internal("no consistent formula found");
+    best.formula.Add(std::move(imp));
+  }
   return best;
 }
 
 StatusOr<ExactDisclosure> ExactEngine::MaxDisclosureNegations(
     size_t k, BruteForceOptions options) const {
   const size_t num_atoms = persons_.size() * domain_size_;
-  const double formula_count =
+  CKSAFE_RETURN_IF_ERROR(CheckFormulaBudget(
       BinomialCoefficient(static_cast<uint32_t>(num_atoms),
-                          static_cast<uint32_t>(k));
-  if (formula_count > static_cast<double>(options.max_formulas)) {
-    return Status::ResourceExhausted(
-        StrFormat("brute force would evaluate %.3g formulas, cap is %llu",
-                  formula_count,
-                  static_cast<unsigned long long>(options.max_formulas)));
+                          static_cast<uint32_t>(k)),
+      options));
+
+  // ¬atom per allowed atom. A duplicated negation is redundant, so the
+  // search walks k-sets.
+  std::vector<Bitset> candidates;
+  std::vector<size_t> ids;  // candidate -> atom index
+  for (size_t a = 0; a < num_atoms; ++a) {
+    if (options.require_present_values && !IsPresentValue(a)) continue;
+    candidates.push_back(atom_bits_[a].Not());
+    ids.push_back(a);
   }
+  FormulaSearch search(atom_bits_, num_worlds_, k);
+  search.Enumerate(candidates, /*repeat=*/false);
 
-  auto atom_at = [&](size_t index) {
-    return Atom{persons_[index / domain_size_],
-                static_cast<int32_t>(index % domain_size_)};
-  };
-
-  ExactDisclosure best;
-  bool found = false;
-  std::vector<size_t> chosen;
-
-  auto consider = [&](const Bitset& sat) {
-    const size_t denom = sat.Count();
-    if (denom == 0) return;
-    for (size_t t = 0; t < num_atoms; ++t) {
-      const size_t numer = Bitset::AndCount(sat, atom_bits_[t]);
-      const double p = static_cast<double>(numer) / static_cast<double>(denom);
-      if (!found || p > best.disclosure) {
-        found = true;
-        best.disclosure = p;
-        best.target = atom_at(t);
-        KnowledgeFormula formula;
-        for (size_t index : chosen) {
-          const Atom atom = atom_at(index);
-          const int32_t other =
-              (atom.value + 1) % static_cast<int32_t>(domain_size_);
-          formula.AddNegation(atom, other);
-        }
-        best.formula = std::move(formula);
-      }
-    }
-  };
-
-  // Combinations (no repetition: a duplicated negation is redundant).
-  std::function<void(size_t, const Bitset&)> rec = [&](size_t start,
-                                                       const Bitset& sat) {
-    if (chosen.size() == k) {
-      consider(sat);
-      return;
-    }
-    for (size_t a = start; a < num_atoms; ++a) {
-      if (options.require_present_values && !IsPresentValue(a)) continue;
-      chosen.push_back(a);
-      rec(a + 1, sat & atom_bits_[a].Not());
-      chosen.pop_back();
-    }
-  };
-  rec(0, Bitset(num_worlds_, /*all_ones=*/true));
-
-  if (!found) {
+  if (!search.found()) {
     return Status::Internal("no consistent negation set found");
+  }
+  // Only the witness is encoded: the negation encoding needs a second
+  // domain value.
+  ExactDisclosure best{search.best().value, AtomAt(search.best().target), {}};
+  for (size_t i : search.winner()) {
+    const Atom atom = AtomAt(ids[i]);
+    best.formula.AddNegation(
+        atom, (atom.value + 1) % static_cast<int32_t>(domain_size_));
   }
   return best;
 }

@@ -65,6 +65,22 @@ TEST(DisclosurePropertyTest, DpMatchesExactEngineBruteForceOnTinyTables) {
       EXPECT_NEAR(dp.disclosure, brute->disclosure, 1e-9)
           << "trial " << trial << " k=" << k;
 
+      // The oracle's own witness re-scores to its value, and it is k
+      // implications sharing one consequent.
+      auto rescored =
+          engine->ConditionalProbability(brute->target, brute->formula);
+      ASSERT_TRUE(rescored.ok()) << rescored.status();
+      EXPECT_EQ(*rescored, brute->disclosure)
+          << "trial " << trial << " k=" << k;
+      ASSERT_EQ(brute->formula.k(), k);
+      for (const BasicImplication& imp : brute->formula.implications()) {
+        ASSERT_EQ(imp.antecedents.size(), 1u);
+        ASSERT_EQ(imp.consequents.size(), 1u);
+        EXPECT_EQ(imp.consequents[0],
+                  brute->formula.implications()[0].consequents[0])
+            << "trial " << trial << " k=" << k;
+      }
+
       // The DP's reconstructed witness really attains its claimed value.
       auto witness = engine->ConditionalProbability(dp.target, dp.ToFormula());
       ASSERT_TRUE(witness.ok()) << witness.status();

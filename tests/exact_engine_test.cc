@@ -151,6 +151,11 @@ TEST_F(HospitalExactTest, MaxDisclosureOneImplication) {
   ASSERT_TRUE(distinct.ok());
   EXPECT_NEAR(distinct->disclosure, 10.0 / 17.0, kProbabilityEpsilon);
   EXPECT_GT(distinct->disclosure, 10.0 / 19.0);
+  const KnowledgePrinter printer(table_, kHospitalSensitiveColumn);
+  EXPECT_EQ(printer.AtomToString(distinct->target),
+            "t[Bob].Disease=lung cancer");
+  EXPECT_EQ(printer.FormulaToString(distinct->formula),
+            "(t[Bob].Disease=flu -> t[Gloria].Disease=breast cancer)");
 }
 
 TEST_F(HospitalExactTest, SameConsequentFamilyAttainsTheMaximum) {
@@ -162,6 +167,15 @@ TEST_F(HospitalExactTest, SameConsequentFamilyAttainsTheMaximum) {
     ASSERT_TRUE(same.ok());
     EXPECT_NEAR(full->disclosure, same->disclosure, kProbabilityEpsilon)
         << "k=" << k;
+    if (k == 2) {
+      // The general search's witness rules out two of Bob's three values.
+      const KnowledgePrinter printer(table_, kHospitalSensitiveColumn);
+      EXPECT_EQ(full->disclosure, 1.0);
+      EXPECT_EQ(printer.AtomToString(full->target), "t[Bob].Disease=mumps");
+      EXPECT_EQ(printer.FormulaToString(full->formula),
+                "(t[Bob].Disease=flu -> t[Bob].Disease=lung cancer) AND "
+                "(t[Bob].Disease=lung cancer -> t[Bob].Disease=flu)");
+    }
   }
 }
 

@@ -106,6 +106,16 @@ TEST(ProfilePropertyTest, ProfileMatchesExactOracleForSmallK) {
       if (brute_neg.ok()) {
         EXPECT_NEAR(profile.negation[k], brute_neg->disclosure, 1e-9)
             << "trial " << trial << " k=" << k;
+        // Its witness is k negations that re-score to its value.
+        ASSERT_EQ(brute_neg->formula.k(), k);
+        for (const BasicImplication& imp : brute_neg->formula.implications()) {
+          EXPECT_TRUE(imp.IsNegationShape());
+        }
+        auto rescored = engine->ConditionalProbability(brute_neg->target,
+                                                       brute_neg->formula);
+        ASSERT_TRUE(rescored.ok()) << rescored.status();
+        EXPECT_EQ(*rescored, brute_neg->disclosure)
+            << "trial " << trial << " k=" << k;
       }
     }
   }

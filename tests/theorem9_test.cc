@@ -46,6 +46,22 @@ TEST_P(Theorem9Test, BasicImplicationsCannotBeatSimpleSameConsequent) {
   // Theorem 9: the three maxima agree.
   EXPECT_NEAR(rich->disclosure, simple->disclosure, 1e-9);
   EXPECT_NEAR(rich->disclosure, dp, 1e-9);
+
+  // Both witnesses are k implications that re-score to their values, and
+  // the simple one shares a single consequent.
+  for (const ExactDisclosure* witness : {&*rich, &*simple}) {
+    ASSERT_TRUE(witness->formula.Validate().ok());
+    ASSERT_EQ(witness->formula.k(), param.k);
+    auto p = engine->ConditionalProbability(witness->target, witness->formula);
+    ASSERT_TRUE(p.ok()) << p.status();
+    EXPECT_EQ(*p, witness->disclosure);
+  }
+  for (const BasicImplication& imp : simple->formula.implications()) {
+    ASSERT_EQ(imp.antecedents.size(), 1u);
+    ASSERT_EQ(imp.consequents.size(), 1u);
+    EXPECT_EQ(imp.consequents[0],
+              simple->formula.implications()[0].consequents[0]);
+  }
 }
 
 std::vector<Theorem9Case> MakeTheorem9Cases() {
@@ -85,6 +101,18 @@ TEST(Theorem9EdgeTest, BudgetGuardTrips) {
   options.max_formulas = 100;
   auto result =
       engine->MaxDisclosureBasicImplications(2, 2, 2, options);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(Theorem9EdgeTest, BudgetGuardTripsBeforeBuildingSubsets) {
+  // Hospital-sized: 60 atoms, so each side has sum_{i<=6} C(60, i) ~ 5.6e7
+  // subsets. The search must refuse from their count, not after building
+  // them.
+  auto fixture = MakeBuckets({{2, 2, 1, 0, 0, 0}, {2, 0, 0, 1, 1, 1}}, 6);
+  auto engine = ExactEngine::Create(fixture.bucketization);
+  ASSERT_TRUE(engine.ok());
+  auto result = engine->MaxDisclosureBasicImplications(1, 6, 6);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }

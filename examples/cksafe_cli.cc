@@ -32,8 +32,6 @@
 //   cksafe_cli multi --adult --rows=2000 --policies=gold=0.5:4,std=0.7:2,free=0.85:1
 //   cksafe_cli analyze --input=patients.csv --sensitive=Disease --qi=Age,Sex,Zip
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -895,23 +893,13 @@ Status RunFleet(const CliConfig& config) {
                 static_cast<unsigned long long>(FingerprintWorkload(replay)));
   }
 
-  // Socket directory: fresh and short-named (sockaddr_un caps the path).
-  char socket_dir[] = "/tmp/cksafe-fleet-XXXXXX";
-  if (mkdtemp(socket_dir) == nullptr) {
-    return Status::IOError("mkdtemp failed for the fleet socket directory");
-  }
   ShardFleetOptions fleet_options;
   fleet_options.num_shards = static_cast<size_t>(config.shards);
-  fleet_options.socket_dir = socket_dir;
   fleet_options.durable_root = config.persist;
   fleet_options.router_queue_capacity = static_cast<size_t>(config.queue);
   fleet_options.buffer_pool_pages = static_cast<size_t>(config.pool_pages);
-  auto fleet_or = ShardFleet::Start(std::move(fleet_options));
-  if (!fleet_or.ok()) {
-    ::rmdir(socket_dir);
-    return fleet_or.status();
-  }
-  std::unique_ptr<ShardFleet> fleet = std::move(fleet_or).value();
+  CKSAFE_ASSIGN_OR_RETURN(std::unique_ptr<ShardFleet> fleet,
+                          ShardFleet::Start(std::move(fleet_options)));
   const size_t num_shards = fleet->num_shards();
 
   // Publish every tenant policy from one shared sweep, each release to
@@ -1031,7 +1019,6 @@ Status RunFleet(const CliConfig& config) {
   const SnapshotRegistry registry = fleet->PublishedRegistry();
   CKSAFE_RETURN_IF_ERROR(fleet->ShutdownAll());
   fleet.reset();
-  ::rmdir(socket_dir);
   return VerifyReplay(per_client, registry, "workload");
 }
 

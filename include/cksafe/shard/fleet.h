@@ -3,8 +3,11 @@
 // tenant migration.
 //
 // A ShardFleet forks `num_shards` ShardServer processes (util/subprocess),
-// connects one wire-protocol link to each, and routes every tenant to one
-// shard by consistent hashing (an FNV-1a ring with virtual nodes, so
+// each onto its end of a socket pair made just before its fork, so each
+// shard has one wire-protocol link and no socket file exists. A shard is
+// ready once it answers one ping, and it exits when its link closes —
+// when the fleet shuts it down or dies. The fleet routes every tenant to
+// one shard by consistent hashing (an FNV-1a ring with virtual nodes, so
 // adding shards moves only ~1/N of the tenants). Reads multiplex over the
 // link: responses carry the request id and may return out of order, so a
 // per-link receiver thread resolves a pending-call map. Writes go through
@@ -39,12 +42,14 @@
 #include <sys/types.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -64,8 +69,8 @@ struct ShardFleetOptions {
   /// Number of shard processes to fork (>= 1).
   size_t num_shards = 2;
 
-  /// Directory for the shards' socket files (`<dir>/shard-<i>.sock`).
-  /// Must exist; keep it short — sockaddr_un caps the path length.
+  /// Ignored: shards are linked by socket pairs and need no socket files.
+  /// Kept so that callers which still set it compile.
   std::string socket_dir;
 
   /// Non-empty => shard i runs durable over `<durable_root>/shard-<i>`
@@ -89,9 +94,10 @@ struct ShardFleetOptions {
 
 class ShardFleet {
  public:
-  /// Forks every shard, then connects to each: no receiver thread runs
-  /// while a shard is forked. On failure the already-spawned children are
-  /// killed and reaped.
+  /// Forks every shard, then waits for each one's first ping answer: no
+  /// receiver thread runs while a shard is forked. A shard that exits, or
+  /// does not answer within 30 s, fails Start with Unavailable; the
+  /// already-spawned children are then killed and reaped.
   static StatusOr<std::unique_ptr<ShardFleet>> Start(ShardFleetOptions options);
 
   /// Best-effort ShutdownAll + SIGKILL of anything still alive.
@@ -141,12 +147,15 @@ class ShardFleet {
   /// and marks it down.
   Status KillShard(size_t shard);
 
-  /// Re-forks a killed/stopped shard on its old socket path (and durable
-  /// directory, when configured) and reconnects. Unlike Start it forks
-  /// from a threaded parent, by design: the other links' receivers keep
-  /// running. So a child can inherit a lock one of them held at the fork
-  /// (gcc 12's ASan allocator has no fork handlers); only spawning by
-  /// fork+exec, or from a single-threaded spawner, would close that.
+  /// Re-forks a killed/stopped shard onto a new socket pair (and its old
+  /// durable directory, when configured) and waits for its first ping
+  /// answer, as Start does. Unlike Start it forks from a threaded parent,
+  /// by design: the other links' receivers keep running. So a child can
+  /// inherit a lock one of them held at the fork (gcc 12's ASan allocator
+  /// has no fork handlers); only spawning by fork+exec, or from a
+  /// single-threaded spawner, would close that. Calls must not overlap:
+  /// a shard forked during another's spawn could hold that shard's end of
+  /// its pair, and keep its link open after it died.
   Status RestartShard(size_t shard);
 
   StatusOr<WireShardStats> PingShard(size_t shard);
@@ -175,15 +184,15 @@ class ShardFleet {
     bool counted = false;  ///< held an in-flight window slot
   };
 
-  /// One shard link. Immutable socket identity once connected; replaced
-  /// wholesale (as a new Link) by RestartShard.
+  /// One shard link: the fleet's end of the shard's socket pair, set
+  /// before the fork; replaced wholesale (as a new Link) by RestartShard.
   struct Link {
     UnixSocket socket;
     std::mutex send_mu;
     std::mutex pending_mu;
     std::map<uint64_t, PendingCall> pending;
     std::atomic<size_t> in_flight{0};
-    std::atomic<bool> down{true};  ///< until Connect succeeds
+    std::atomic<bool> down{true};  ///< until AwaitReady starts the receiver
     std::thread receiver;
     pid_t pid = -1;
     bool reaped = false;
@@ -191,11 +200,12 @@ class ShardFleet {
 
   explicit ShardFleet(ShardFleetOptions options);
 
-  /// Forks the shard's process and registers its (down) link.
+  /// Makes the shard's socket pair, forks the shard onto one end, closes
+  /// that end here, and registers the other as the shard's (down) link.
   Status Spawn(size_t shard);
-  /// Connects the spawned shard's link, marks it up and starts its
-  /// receiver.
-  Status Connect(size_t shard);
+  /// Marks the spawned shard's link up, starts its receiver and waits for
+  /// the shard's first ping answer; on failure kills the shard.
+  Status AwaitReady(size_t shard);
   std::shared_ptr<Link> GetLink(size_t shard) const;
   void ReceiverLoop(std::shared_ptr<Link> link);
   static void FailPending(Link* link, const Status& error);
@@ -209,10 +219,12 @@ class ShardFleet {
                         bool counted,
                         std::function<void(StatusOr<WireFrame>)> resolve);
 
-  /// Synchronous call + response-type check.
-  StatusOr<WireFrame> CallSync(size_t shard, WireType type,
-                               const std::vector<uint8_t>& payload,
-                               uint64_t id, WireType expect);
+  /// Synchronous call + response-type check. With a `timeout`, a call
+  /// still unanswered after it fails with Unavailable.
+  StatusOr<WireFrame> CallSync(
+      size_t shard, WireType type, const std::vector<uint8_t>& payload,
+      uint64_t id, WireType expect,
+      std::optional<std::chrono::milliseconds> timeout = std::nullopt);
 
   /// One publish RPC: `shard` adopts `snapshot` for `tenant`; returns the
   /// shard's verdict. Callers hold publish_mu_.

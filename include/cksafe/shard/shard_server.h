@@ -1,10 +1,13 @@
 // One shard process: a ServingEngine behind a wire-protocol front door.
 //
 // A ShardServer owns one ServingEngine (in-memory, or durable when a store
-// directory is configured) and serves the shard/wire.h protocol on a
-// UNIX-domain socket, with one reader thread per connection. Queries are
+// directory is configured) and serves the shard/wire.h protocol on one
+// link: its end of the socket pair the fleet made before forking it.
+// Serve() reads the link on the calling thread until the peer closes it,
+// a frame is malformed or a response cannot be sent, or Stop() — so a
+// shard whose fleet dies sees its link close and exits. Queries are
 // admitted into the engine's QueryRouter — the shard's bounded admission
-// queue — asynchronously: the reader keeps admitting while each query's
+// queue — asynchronously: Serve keeps admitting while each query's
 // completion callback, run by the router as it answers, writes the
 // response itself, so one slow batch never stops the shard from accepting
 // (or backpressuring) the next requests. Responses therefore leave in
@@ -37,8 +40,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "cksafe/serve/serving_engine.h"
 #include "cksafe/shard/wire.h"
@@ -48,9 +49,6 @@
 namespace cksafe {
 
 struct ShardServerOptions {
-  /// Filesystem path the shard listens on.
-  std::string socket_path;
-
   /// Non-empty => durable engine over this store directory (created or
   /// crash-recovered on startup; the adopted-publish history is rebuilt
   /// from it).
@@ -70,49 +68,46 @@ struct ShardServerOptions {
 
 class ShardServer {
  public:
-  /// Builds the engine (recovering a durable store if configured) and
-  /// binds the listener. The shard is not serving until Serve().
+  /// Builds the engine (recovering a durable store if configured) over
+  /// `link`, the shard's end of its socket pair. The shard is not serving
+  /// until Serve().
   static StatusOr<std::unique_ptr<ShardServer>> Create(
-      ShardServerOptions options);
+      ShardServerOptions options, UnixSocket link);
 
   ~ShardServer();
   ShardServer(const ShardServer&) = delete;
   ShardServer& operator=(const ShardServer&) = delete;
 
-  /// Accept-and-serve loop; blocks until Stop() (from another thread or a
-  /// shutdown frame) and every connection handler has drained.
-  Status Serve();
+  /// Reads and answers the link's frames on the calling thread. Returns
+  /// when the peer closes the link, a frame is malformed, a response
+  /// cannot be sent, or Stop() is called.
+  void Serve();
 
-  /// Wakes Serve(): closes the listener and every live connection.
-  /// Idempotent, callable from any thread (including handlers).
+  /// Wakes Serve() by shutting the link down. Idempotent, callable from
+  /// any thread (including Serve's own, on a shutdown frame).
   void Stop();
 
   /// The wrapped engine (in-process tests).
   ServingEngine* engine() { return engine_.get(); }
 
  private:
-  /// One accepted connection: the socket, its write lock and its reader
-  /// thread.
-  struct Connection;
+  /// The link's socket and its write lock.
+  struct Link;
 
-  explicit ShardServer(ShardServerOptions options);
+  ShardServer(ShardServerOptions options, UnixSocket link);
 
-  void HandleConnection(const std::shared_ptr<Connection>& conn);
-  /// Joins every connection's reader without holding conns_mu_ (a reader
-  /// handling a shutdown frame blocks on it inside Stop()).
-  void JoinConnections();
-  /// Control frames (publish/handoff/drop/ping/shutdown) answered inline
-  /// on the reader thread; queries are answered by their completions.
-  Status HandleFrame(const std::shared_ptr<Connection>& conn,
-                     WireFrame frame);
+  /// Control frames (publish/handoff/drop/ping/shutdown) are answered
+  /// inline on Serve's thread; queries are answered by their completions.
+  Status HandleFrame(WireFrame frame);
 
   WireShardStats Stats() const;
 
   const ShardServerOptions options_;
   std::unique_ptr<ServingEngine> engine_;
-  UnixListener listener_;
+  /// Every admitted query's completion holds a reference too, so the link
+  /// outlives the queries, even while the engine drains at teardown.
+  const std::shared_ptr<Link> link_;
 
-  std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> publishes_{0};
 
   /// tenant -> sequence -> snapshot: every publish this shard has adopted
@@ -120,14 +115,12 @@ class ShardServer {
   mutable std::mutex history_mu_;
   std::map<std::string, std::map<uint64_t, std::shared_ptr<const ReleaseSnapshot>>>
       history_;
-
-  std::mutex conns_mu_;
-  std::vector<std::shared_ptr<Connection>> conns_;
 };
 
-/// Child-process entry point: Create + Serve, mapping any error to a
-/// non-zero exit code. The fleet forks shards onto this.
-int RunShardProcess(const ShardServerOptions& options);
+/// Child-process entry point: Create over `link`, then Serve. Returns 0
+/// once the link is done, 1 when Create fails. The fleet forks shards
+/// onto this.
+int RunShardProcess(const ShardServerOptions& options, UnixSocket link);
 
 }  // namespace cksafe
 

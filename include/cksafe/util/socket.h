@@ -1,28 +1,30 @@
 // Minimal UNIX-domain stream-socket wrappers for the shard tier.
 //
 // The fleet's processes live on one machine and talk over SOCK_STREAM
-// AF_UNIX sockets: a shard binds a filesystem path (UnixListener), the
-// router connects to it (UnixSocket::Connect) and exchanges framed
-// messages (shard/wire.h): whole-buffer sends, and receives that take
-// whatever the peer has written (the wire's FrameReader cuts frames out
-// of them). These wrappers keep all POSIX details — EINTR retry loops,
-// MSG_NOSIGNAL so a dead peer surfaces as a Status instead of SIGPIPE,
-// fd lifetime — in one place, behind Status-returning operations: a send
-// never escapes as a partial transfer.
+// AF_UNIX sockets: the fleet makes one connected pair per shard
+// (UnixSocket::Pair) before it forks the shard, keeps one end and hands
+// the shard the other, and the two exchange framed messages
+// (shard/wire.h): whole-buffer sends, and receives that take whatever the
+// peer has written (the wire's FrameReader cuts frames out of them). No
+// socket file exists and nothing listens. These wrappers keep all POSIX
+// details — EINTR retry loops, MSG_NOSIGNAL so a dead peer surfaces as a
+// Status instead of SIGPIPE, fd lifetime — in one place, behind
+// Status-returning operations: a send never escapes as a partial
+// transfer.
 //
 // Error surface: every failure is an IOError naming the syscall; a clean
 // peer close during RecvSome is an IOError whose message contains
-// "connection closed", which the fleet maps to Unavailable. Both classes
-// are move-only fd owners; Close() is idempotent and implied by
-// destruction. Shutdown() on a listener aborts a concurrent Accept (the
-// Linux semantics the shard server's stop path relies on).
+// "connection closed", which the fleet maps to Unavailable. A peer close
+// is seen only once every copy of the peer's fd is closed, so each side of
+// a fork closes the end of the pair it handed to the other. UnixSocket is
+// a move-only fd owner; Close() is idempotent and implied by destruction.
 
 #ifndef CKSAFE_UTIL_SOCKET_H_
 #define CKSAFE_UTIL_SOCKET_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "cksafe/util/status.h"
@@ -42,8 +44,10 @@ class UnixSocket {
   UnixSocket(const UnixSocket&) = delete;
   UnixSocket& operator=(const UnixSocket&) = delete;
 
-  /// Connects to the listener bound at `path`.
-  static StatusOr<UnixSocket> Connect(const std::string& path);
+  /// A connected pair of sockets (socketpair): what one end sends, the
+  /// other receives. Both are close-on-exec: a forked child keeps them,
+  /// a program the process execs does not hold them open.
+  static StatusOr<std::pair<UnixSocket, UnixSocket>> Pair();
 
   /// Writes exactly `size` bytes (EINTR/short-write retry inside).
   Status SendAll(const uint8_t* data, size_t size);
@@ -64,43 +68,10 @@ class UnixSocket {
   void Close();
   bool is_open() const { return fd_ >= 0; }
 
-  /// Adopts an already-connected fd (listener Accept path).
+ private:
   explicit UnixSocket(int fd) : fd_(fd) {}
 
- private:
   int fd_ = -1;
-};
-
-/// A bound, listening UNIX-domain socket. Bind unlinks any stale socket
-/// file at the path first (crashed predecessors leave them behind).
-class UnixListener {
- public:
-  UnixListener() = default;
-  ~UnixListener();
-  UnixListener(UnixListener&& other) noexcept;
-  UnixListener& operator=(UnixListener&& other) noexcept;
-  UnixListener(const UnixListener&) = delete;
-  UnixListener& operator=(const UnixListener&) = delete;
-
-  /// Binds and listens at `path` (unlinking a stale file). The path must
-  /// fit in sockaddr_un (~107 bytes) — InvalidArgument otherwise.
-  Status Bind(const std::string& path);
-
-  /// Blocks for the next connection. After Shutdown() (from any thread)
-  /// returns IOError instead of blocking forever — the server loop's exit
-  /// signal.
-  StatusOr<UnixSocket> Accept();
-
-  /// Aborts a blocked Accept. Idempotent.
-  void Shutdown();
-
-  void Close();
-  bool is_open() const { return fd_ >= 0; }
-  const std::string& path() const { return path_; }
-
- private:
-  int fd_ = -1;
-  std::string path_;
 };
 
 }  // namespace cksafe

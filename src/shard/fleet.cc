@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 #include <signal.h>
@@ -20,9 +21,9 @@ namespace {
 // Virtual nodes per shard on the hash ring.
 constexpr size_t kVirtualNodes = 16;
 
-// How long Start / RestartShard keeps retrying the initial connect while
-// the forked child binds its listener.
-constexpr int64_t kConnectTimeoutMs = 30000;
+// How long Start / RestartShard waits for a forked shard's first ping
+// answer (a durable shard rehydrates its store before it serves).
+constexpr std::chrono::milliseconds kStartTimeout{30000};
 
 uint64_t HashBytes(const std::string& s) {
   // Raw FNV-1a clusters badly on short keys that differ in one trailing
@@ -60,9 +61,6 @@ StatusOr<std::unique_ptr<ShardFleet>> ShardFleet::Start(
   if (options.num_shards == 0) {
     return Status::InvalidArgument("a fleet needs at least one shard");
   }
-  if (options.socket_dir.empty()) {
-    return Status::InvalidArgument("a fleet needs a socket directory");
-  }
   if (!options.durable_root.empty()) {
     // Each shard's store mkdirs its own leaf; the shared root is ours.
     if (::mkdir(options.durable_root.c_str(), 0755) != 0 && errno != EEXIST) {
@@ -74,8 +72,6 @@ StatusOr<std::unique_ptr<ShardFleet>> ShardFleet::Start(
   std::unique_ptr<ShardFleet> fleet(new ShardFleet(options));
   for (size_t i = 0; i < options.num_shards; ++i) {
     ShardServerOptions shard;
-    shard.socket_path =
-        StrFormat("%s/shard-%zu.sock", options.socket_dir.c_str(), i);
     if (!options.durable_root.empty()) {
       shard.durable_dir =
           StrFormat("%s/shard-%zu", options.durable_root.c_str(), i);
@@ -103,7 +99,7 @@ StatusOr<std::unique_ptr<ShardFleet>> ShardFleet::Start(
     CKSAFE_RETURN_IF_ERROR(fleet->Spawn(i));
   }
   for (size_t i = 0; i < options.num_shards; ++i) {
-    CKSAFE_RETURN_IF_ERROR(fleet->Connect(i));
+    CKSAFE_RETURN_IF_ERROR(fleet->AwaitReady(i));
   }
   return fleet;
 }
@@ -133,51 +129,42 @@ ShardFleet::~ShardFleet() {
 
 Status ShardFleet::Spawn(size_t shard) {
   const ShardServerOptions& shard_options = shard_options_[shard];
+  CKSAFE_ASSIGN_OR_RETURN(auto ends, UnixSocket::Pair());
   auto link = std::make_shared<Link>();
-  CKSAFE_ASSIGN_OR_RETURN(
-      link->pid, SpawnProcess([shard_options]() {
-        return RunShardProcess(shard_options);
-      }));
+  link->socket = std::move(ends.first);
+  UnixSocket& shard_end = ends.second;
+  const auto child_main = [&]() {
+    link->socket.Close();  // the shard keeps only its own end
+    return RunShardProcess(shard_options, std::move(shard_end));
+  };
+  CKSAFE_ASSIGN_OR_RETURN(link->pid, SpawnProcess(child_main));
+  // Close the shard's end before anything else is forked: a later shard
+  // holding a copy would keep this link open after its shard died.
+  shard_end.Close();
   std::lock_guard<std::mutex> lock(links_mu_);
   if (links_.size() <= shard) links_.resize(shard + 1);
   links_[shard] = std::move(link);
   return Status::OK();
 }
 
-Status ShardFleet::Connect(size_t shard) {
+Status ShardFleet::AwaitReady(size_t shard) {
   const std::shared_ptr<Link> link = GetLink(shard);
-  const std::string& socket_path = shard_options_[shard].socket_path;
-  // The child binds its listener asynchronously; retry the connect until
-  // it is up (or provably dead).
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(kConnectTimeoutMs);
-  for (;;) {
-    StatusOr<UnixSocket> connected = UnixSocket::Connect(socket_path);
-    if (connected.ok()) {
-      link->socket = std::move(connected).value();
-      break;
-    }
-    if (!ProcessAlive(link->pid)) {
-      StatusOr<ProcessExit> reaped = WaitProcess(link->pid);
-      if (reaped.ok()) link->reaped = true;
-      return Status::Unavailable(
-          StrFormat("shard %zu exited before accepting connections "
-                    "(socket %s)",
-                    shard, socket_path.c_str()));
-    }
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return Status::Unavailable(
-          StrFormat("shard %zu did not come up within %lld ms", shard,
-                    static_cast<long long>(kConnectTimeoutMs)));
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
   // Up before the receiver starts, which marks the link down again if the
   // shard goes away.
   link->down.store(false, std::memory_order_release);
   link->receiver = std::thread([this, link] { ReceiverLoop(link); });
-  return Status::OK();
+  // A shard that exits before it serves closes its end, and the receiver
+  // fails the ping; one that hangs runs into the timeout.
+  WirePingRequest request;
+  request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  const StatusOr<WireFrame> pong =
+      CallSync(shard, WireType::kPingRequest, EncodePingRequest(request),
+               request.id, WireType::kPingResponse, kStartTimeout);
+  if (pong.ok()) return Status::OK();
+  Status killed = KillShard(shard);
+  (void)killed;
+  return Status::Unavailable(StrFormat("shard %zu did not start: %s", shard,
+                                       pong.status().message().c_str()));
 }
 
 std::shared_ptr<ShardFleet::Link> ShardFleet::GetLink(size_t shard) const {
@@ -273,14 +260,21 @@ Status ShardFleet::CallRegistered(
   return Status::OK();
 }
 
-StatusOr<WireFrame> ShardFleet::CallSync(size_t shard, WireType type,
-                                         const std::vector<uint8_t>& payload,
-                                         uint64_t id, WireType expect) {
+StatusOr<WireFrame> ShardFleet::CallSync(
+    size_t shard, WireType type, const std::vector<uint8_t>& payload,
+    uint64_t id, WireType expect,
+    std::optional<std::chrono::milliseconds> timeout) {
   auto state = std::make_shared<std::promise<StatusOr<WireFrame>>>();
   std::future<StatusOr<WireFrame>> future = state->get_future();
   CKSAFE_RETURN_IF_ERROR(CallRegistered(
       GetLink(shard), type, payload, id, /*counted=*/false,
       [state](StatusOr<WireFrame> frame) { state->set_value(std::move(frame)); }));
+  if (timeout.has_value() &&
+      future.wait_for(*timeout) != std::future_status::ready) {
+    return Status::Unavailable(
+        StrFormat("shard %zu did not answer within %lld ms", shard,
+                  static_cast<long long>(timeout->count())));
+  }
   CKSAFE_ASSIGN_OR_RETURN(WireFrame frame, future.get());
   if (frame.type != expect) {
     return Status::Internal(
@@ -520,10 +514,10 @@ Status ShardFleet::RestartShard(size_t shard) {
   }
   if (link->receiver.joinable()) link->receiver.join();
   FailPending(link.get(), Status::Unavailable("shard restarting"));
-  // Same socket path, same durable directory: a durable shard recovers
-  // its store and rehydrates — the kill-and-recover contract.
+  // A new link, the same durable directory: a durable shard recovers its
+  // store and rehydrates — the kill-and-recover contract.
   CKSAFE_RETURN_IF_ERROR(Spawn(shard));
-  return Connect(shard);
+  return AwaitReady(shard);
 }
 
 StatusOr<WireShardStats> ShardFleet::PingShard(size_t shard) {
@@ -564,8 +558,8 @@ Status ShardFleet::ShutdownAll() {
     if (link->receiver.joinable()) link->receiver.join();
     FailPending(link.get(), Status::Unavailable("fleet shutting down"));
     if (!link->reaped && link->pid >= 0) {
-      // A shard that never connected, or whose link failed, did not take
-      // the shutdown frame and may still be running.
+      // A shard that never started serving, or whose link failed, did not
+      // take the shutdown frame and may still be running.
       if (!stopping) {
         Status killed = KillProcess(link->pid, SIGKILL);
         (void)killed;

@@ -1,6 +1,7 @@
 #include "cksafe/shard/shard_server.h"
 
 #include <chrono>
+#include <thread>
 #include <utility>
 
 #include "cksafe/util/check.h"
@@ -8,14 +9,12 @@
 
 namespace cksafe {
 
-/// One accepted connection. Its reader thread answers control frames
-/// inline and admits queries; each query's completion writes its own
-/// response. send_mu serializes every writer on the socket. Completions
-/// hold a shared_ptr, so the connection outlives every query it admitted.
-struct ShardServer::Connection {
+/// The link. Serve's thread answers control frames inline and admits
+/// queries; each query's completion writes its own response. send_mu
+/// serializes every writer on the socket.
+struct ShardServer::Link {
   UnixSocket socket;
   std::mutex send_mu;
-  std::thread reader;
 
   Status Send(WireType type, const std::vector<uint8_t>& payload) {
     std::lock_guard<std::mutex> lock(send_mu);
@@ -35,39 +34,19 @@ struct ShardServer::Connection {
   }
 };
 
-ShardServer::ShardServer(ShardServerOptions options)
-    : options_(std::move(options)) {}
-
-ShardServer::~ShardServer() {
-  Stop();
-  // Serve() joins the handler threads; if Serve was never entered (or
-  // already returned) there is nothing left running, but join any
-  // stragglers from a Create-then-destroy without Serve.
-  JoinConnections();
+ShardServer::ShardServer(ShardServerOptions options, UnixSocket link)
+    : options_(std::move(options)), link_(std::make_shared<Link>()) {
+  link_->socket = std::move(link);
 }
 
-void ShardServer::JoinConnections() {
-  // Snapshot under the lock, join outside it: a reader thread handling a
-  // shutdown frame is itself inside Stop() waiting for conns_mu_, so
-  // joining while holding the lock would deadlock. Once stopping_ is set
-  // the accept loop adds no new connections, so the snapshot is complete.
-  std::vector<Connection*> to_join;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    to_join.reserve(conns_.size());
-    for (auto& conn : conns_) to_join.push_back(conn.get());
-  }
-  for (Connection* conn : to_join) {
-    if (conn->reader.joinable()) conn->reader.join();
-  }
-}
+// Completions still queued in the router fail their writes on the shut
+// link as the engine drains.
+ShardServer::~ShardServer() { Stop(); }
 
 StatusOr<std::unique_ptr<ShardServer>> ShardServer::Create(
-    ShardServerOptions options) {
-  if (options.socket_path.empty()) {
-    return Status::InvalidArgument("shard needs a socket path");
-  }
-  std::unique_ptr<ShardServer> server(new ShardServer(options));
+    ShardServerOptions options, UnixSocket link) {
+  std::unique_ptr<ShardServer> server(
+      new ShardServer(options, std::move(link)));
   QueryRouter::Options router_options;
   router_options.queue_capacity = options.router_queue_capacity;
   if (options.durable_dir.empty()) {
@@ -94,51 +73,21 @@ StatusOr<std::unique_ptr<ShardServer>> ShardServer::Create(
       }
     }
   }
-  CKSAFE_RETURN_IF_ERROR(server->listener_.Bind(options.socket_path));
   return server;
 }
 
-Status ShardServer::Serve() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    StatusOr<UnixSocket> accepted = listener_.Accept();
-    if (!accepted.ok()) {
-      if (stopping_.load(std::memory_order_acquire)) break;
-      return accepted.status();
-    }
-    auto conn = std::make_shared<Connection>();
-    conn->socket = std::move(accepted).value();
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.push_back(conn);
-    }
-    // conns_ holds a reference until the reader is joined, so the thread's
-    // own copy is never the last one.
-    conn->reader = std::thread([this, conn] { HandleConnection(conn); });
-  }
-  JoinConnections();
-  return Status::OK();
-}
-
-void ShardServer::Stop() {
-  if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
-  listener_.Shutdown();
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (auto& conn : conns_) {
-    conn->socket.Shutdown();
-  }
-}
-
-void ShardServer::HandleConnection(const std::shared_ptr<Connection>& conn) {
-  FrameReader frames(&conn->socket);
+void ShardServer::Serve() {
+  FrameReader frames(&link_->socket);
   for (;;) {
+    // An error is the peer's close, a malformed frame, or Stop().
     StatusOr<WireFrame> frame = frames.Next();
-    if (!frame.ok()) return;  // peer gone, malformed frame, or Stop()
-    if (Status handled = HandleFrame(conn, std::move(frame).value());
-        !handled.ok()) {
-      return;  // send failed: the peer is gone
-    }
+    if (!frame.ok()) return;
+    // A failed send means the peer is gone; a bad payload hangs up.
+    if (!HandleFrame(std::move(frame).value()).ok()) return;
   }
 }
+
+void ShardServer::Stop() { link_->socket.Shutdown(); }
 
 WireShardStats ShardServer::Stats() const {
   const RouterStats router = engine_->router()->stats();
@@ -156,8 +105,7 @@ WireShardStats ShardServer::Stats() const {
   return stats;
 }
 
-Status ShardServer::HandleFrame(const std::shared_ptr<Connection>& conn,
-                                WireFrame frame) {
+Status ShardServer::HandleFrame(WireFrame frame) {
   switch (frame.type) {
     case WireType::kQueryRequest: {
       StatusOr<WireQueryRequest> request = DecodeQueryRequest(frame.payload);
@@ -168,13 +116,14 @@ Status ShardServer::HandleFrame(const std::shared_ptr<Connection>& conn,
       }
       const uint64_t id = request->id;
       const Status admitted = engine_->router()->Submit(
-          std::move(request->query), [conn, id](StatusOr<QueryAnswer> answer) {
-            // Peer gone: shut the socket down so the reader exits too.
-            if (!conn->SendAnswer(id, answer).ok()) conn->socket.Shutdown();
+          std::move(request->query),
+          [link = link_, id](StatusOr<QueryAnswer> answer) {
+            // Peer gone: shut the socket down so Serve returns too.
+            if (!link->SendAnswer(id, answer).ok()) link->socket.Shutdown();
           });
       // Admission failure — including the ResourceExhausted backpressure
       // signal — is answered inline; nothing was queued.
-      return admitted.ok() ? Status::OK() : conn->SendAnswer(id, admitted);
+      return admitted.ok() ? Status::OK() : link_->SendAnswer(id, admitted);
     }
     case WireType::kPublishRequest: {
       StatusOr<WirePublishRequest> request =
@@ -216,7 +165,7 @@ Status ShardServer::HandleFrame(const std::shared_ptr<Connection>& conn,
           history_[request->tenant][snapshot->sequence] = snapshot;
         }
       }
-      return conn->Send(WireType::kPublishResponse,
+      return link_->Send(WireType::kPublishResponse,
                         EncodePublishResponse(response));
     }
     case WireType::kHandoffRequest: {
@@ -243,7 +192,7 @@ Status ShardServer::HandleFrame(const std::shared_ptr<Connection>& conn,
           }
         }
       }
-      return conn->Send(WireType::kHandoffResponse,
+      return link_->Send(WireType::kHandoffResponse,
                         EncodeHandoffResponse(response));
     }
     case WireType::kDropRequest: {
@@ -263,7 +212,7 @@ Status ShardServer::HandleFrame(const std::shared_ptr<Connection>& conn,
                         request->tenant.c_str()));
         }
       }
-      return conn->Send(WireType::kDropResponse,
+      return link_->Send(WireType::kDropResponse,
                         EncodeDropResponse(response));
     }
     case WireType::kPingRequest: {
@@ -272,7 +221,7 @@ Status ShardServer::HandleFrame(const std::shared_ptr<Connection>& conn,
       WirePingResponse response;
       response.id = request->id;
       response.stats = Stats();
-      return conn->Send(WireType::kPingResponse,
+      return link_->Send(WireType::kPingResponse,
                         EncodePingResponse(response));
     }
     case WireType::kShutdownRequest: {
@@ -283,7 +232,7 @@ Status ShardServer::HandleFrame(const std::shared_ptr<Connection>& conn,
       response.id = request->id;
       // Acknowledge BEFORE stopping: the fleet's shutdown call completes
       // only once the shard has committed to stopping.
-      const Status sent = conn->Send(WireType::kShutdownResponse,
+      const Status sent = link_->Send(WireType::kShutdownResponse,
                                      EncodeShutdownResponse(response));
       Stop();
       return sent;
@@ -300,11 +249,12 @@ Status ShardServer::HandleFrame(const std::shared_ptr<Connection>& conn,
   return Status::InvalidArgument("unhandled frame type");
 }
 
-int RunShardProcess(const ShardServerOptions& options) {
-  StatusOr<std::unique_ptr<ShardServer>> server = ShardServer::Create(options);
+int RunShardProcess(const ShardServerOptions& options, UnixSocket link) {
+  StatusOr<std::unique_ptr<ShardServer>> server =
+      ShardServer::Create(options, std::move(link));
   if (!server.ok()) return 1;
-  const Status served = (*server)->Serve();
-  return served.ok() ? 0 : 2;
+  (*server)->Serve();
+  return 0;
 }
 
 }  // namespace cksafe

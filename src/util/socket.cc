@@ -5,7 +5,6 @@
 #include <utility>
 
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "cksafe/util/string_util.h"
@@ -15,19 +14,6 @@ namespace {
 
 Status Errno(const char* what) {
   return Status::IOError(StrFormat("%s: %s", what, std::strerror(errno)));
-}
-
-StatusOr<sockaddr_un> MakeAddr(const std::string& path) {
-  sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  if (path.empty() || path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument(
-        StrFormat("socket path length %zu out of range [1, %zu)", path.size(),
-                  sizeof(addr.sun_path)));
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  return addr;
 }
 
 }  // namespace
@@ -47,20 +33,12 @@ UnixSocket& UnixSocket::operator=(UnixSocket&& other) noexcept {
   return *this;
 }
 
-StatusOr<UnixSocket> UnixSocket::Connect(const std::string& path) {
-  CKSAFE_ASSIGN_OR_RETURN(sockaddr_un addr, MakeAddr(path));
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return Errno("socket");
-  int rc;
-  do {
-    rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-  } while (rc < 0 && errno == EINTR);
-  if (rc < 0) {
-    Status err = Errno("connect");
-    ::close(fd);
-    return err;
+StatusOr<std::pair<UnixSocket, UnixSocket>> UnixSocket::Pair() {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) < 0) {
+    return Errno("socketpair");
   }
-  return UnixSocket(fd);
+  return std::make_pair(UnixSocket(fds[0]), UnixSocket(fds[1]));
 }
 
 Status UnixSocket::SendAll(const uint8_t* data, size_t size) {
@@ -104,74 +82,6 @@ void UnixSocket::Close() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
-  }
-}
-
-UnixListener::~UnixListener() { Close(); }
-
-UnixListener::UnixListener(UnixListener&& other) noexcept
-    : fd_(other.fd_), path_(std::move(other.path_)) {
-  other.fd_ = -1;
-  other.path_.clear();
-}
-
-UnixListener& UnixListener::operator=(UnixListener&& other) noexcept {
-  if (this != &other) {
-    Close();
-    fd_ = other.fd_;
-    path_ = std::move(other.path_);
-    other.fd_ = -1;
-    other.path_.clear();
-  }
-  return *this;
-}
-
-Status UnixListener::Bind(const std::string& path) {
-  if (fd_ >= 0) return Status::FailedPrecondition("listener already bound");
-  CKSAFE_ASSIGN_OR_RETURN(sockaddr_un addr, MakeAddr(path));
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return Errno("socket");
-  ::unlink(path.c_str());  // a crashed predecessor's stale socket file
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
-    Status err = Errno("bind");
-    ::close(fd);
-    return err;
-  }
-  if (::listen(fd, 64) < 0) {
-    Status err = Errno("listen");
-    ::close(fd);
-    return err;
-  }
-  fd_ = fd;
-  path_ = path;
-  return Status::OK();
-}
-
-StatusOr<UnixSocket> UnixListener::Accept() {
-  if (fd_ < 0) return Status::FailedPrecondition("listener is closed");
-  int fd;
-  do {
-    fd = ::accept(fd_, nullptr, nullptr);
-  } while (fd < 0 && errno == EINTR);
-  if (fd < 0) return Errno("accept");
-  return UnixSocket(fd);
-}
-
-void UnixListener::Shutdown() {
-  // On Linux, shutdown() of a listening socket wakes a blocked accept()
-  // with an error — the server's stop signal. The fd stays valid (and the
-  // error sticky) until Close().
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
-void UnixListener::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-    if (!path_.empty()) {
-      ::unlink(path_.c_str());
-      path_.clear();
-    }
   }
 }
 

@@ -54,14 +54,4 @@ StatusOr<ProcessExit> WaitProcess(pid_t pid) {
   return exit;
 }
 
-bool ProcessAlive(pid_t pid) {
-  // Probe without reaping. WNOWAIT is a waitid-only flag (waitpid rejects
-  // it with EINVAL), and only waitid leaves the zombie reapable for a
-  // later WaitProcess. si_pid stays 0 when the child is still running.
-  siginfo_t info;
-  info.si_pid = 0;
-  const int rc = ::waitid(P_PID, pid, &info, WEXITED | WNOHANG | WNOWAIT);
-  return rc == 0 && info.si_pid == 0;
-}
-
 }  // namespace cksafe

@@ -39,10 +39,8 @@ TEST(ShardFaultInjectionTest, KillMidQueryResolvesEveryPendingFuture) {
   const uint64_t seed = TestSeed(20260840);
   SCOPED_TRACE(SeedTrace(seed));
   Rng rng(seed);
-  ScopedTempDir dir;
   ShardFleetOptions options;
   options.num_shards = 2;
-  options.socket_dir = dir.path();
   options.test_stall_queries_ms = 300;  // queries are in flight when we kill
   auto fleet_or = ShardFleet::Start(options);
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
@@ -97,11 +95,9 @@ TEST(ShardFaultInjectionTest, DurableShardRehydratesBitIdenticallyAfterKill) {
   const uint64_t seed = TestSeed(20260841);
   SCOPED_TRACE(SeedTrace(seed));
   Rng rng(seed);
-  ScopedTempDir sockets;
   ScopedTempDir stores;
   ShardFleetOptions options;
   options.num_shards = 2;
-  options.socket_dir = sockets.path();
   options.durable_root = stores.path() + "/fleet";
   auto fleet_or = ShardFleet::Start(options);
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
@@ -161,7 +157,9 @@ TEST(ShardFaultInjectionTest, KillMidPublishRecoversToACommittedPrefix) {
   Rng rng(seed);
 
   // The publish plan, fixed up front so the crash-seam threshold can be
-  // derived from a clean in-process run over the very same snapshots.
+  // derived from a clean in-process run over the very same snapshots. The
+  // tenant is one of t0 … t9, all names of one length, so the probe's
+  // byte count holds for whichever one the fleet routes to shard 0.
   std::vector<std::shared_ptr<const ReleaseSnapshot>> plan;
   for (uint64_t sequence = 1; sequence <= 4; ++sequence) {
     plan.push_back(RandomSnapshot(&rng, sequence, 3, 3));
@@ -174,7 +172,7 @@ TEST(ShardFaultInjectionTest, KillMidPublishRecoversToACommittedPrefix) {
     auto store = DurableStore::Open(store_options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     for (const auto& snapshot : plan) {
-      ASSERT_TRUE((*store)->AppendPublish("gold", *snapshot).ok());
+      ASSERT_TRUE((*store)->AppendPublish("t0", *snapshot).ok());
     }
     total_bytes =
         std::filesystem::file_size(store_options.dir + "/MANIFEST") +
@@ -182,59 +180,71 @@ TEST(ShardFaultInjectionTest, KillMidPublishRecoversToACommittedPrefix) {
   }
   ASSERT_GT(total_bytes, 0u);
 
-  ScopedTempDir sockets;
-  ScopedTempDir stores;
-  ShardFleetOptions options;
-  options.num_shards = 1;
-  options.socket_dir = sockets.path();
-  options.durable_root = stores.path() + "/fleet";
-  // Halfway through the byte stream: the SIGKILL lands mid-append, inside
-  // some publish — not on a tidy boundary of our choosing.
-  const int64_t threshold = static_cast<int64_t>(total_bytes / 2);
-  options.tweak_shard = [threshold](size_t, ShardServerOptions* shard) {
-    shard->test_crash_after_bytes = threshold;
-  };
-  auto fleet_or = ShardFleet::Start(options);
-  ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
-  std::unique_ptr<ShardFleet> fleet = std::move(fleet_or).value();
-
-  // Drive the plan through the crashing shard. Each failure is a real
-  // SIGKILL mid-publish; recovery is restart + resync + re-adopt (the
-  // idempotent re-adopt makes a commit-then-crash retry safe).
-  size_t crashes = 0;
-  for (const auto& snapshot : plan) {
-    for (size_t attempt = 0;; ++attempt) {
-      ASSERT_LT(attempt, 10u) << "publish never converged";
-      const Status published = fleet->PublishSnapshot("gold", snapshot);
-      if (published.ok()) break;
-      ++crashes;
-      ASSERT_TRUE(fleet->ShardDown(0));
-      ASSERT_TRUE(fleet->RestartShard(0).ok());
-      // Re-sync the writer with whatever actually committed; the handoff
-      // is checked bit-identically against the registry.
-      ASSERT_TRUE(fleet->ResyncTenant("gold").ok());
+  // With two shards the seam is armed on shard 0 only, which is forked
+  // first. Shard 1 starts with a copy of every fd the fleet had open at
+  // its fork, so the crashed shard's link closes only because the fleet
+  // closed its copy of shard 0's end before forking shard 1.
+  for (const size_t num_shards : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(::testing::Message() << num_shards << " shard(s)");
+    ScopedTempDir stores;
+    ShardFleetOptions options;
+    options.num_shards = num_shards;
+    options.durable_root = stores.path() + "/fleet";
+    // Halfway through the byte stream: the SIGKILL lands mid-append,
+    // inside some publish — not on a tidy boundary of our choosing.
+    const int64_t threshold = static_cast<int64_t>(total_bytes / 2);
+    options.tweak_shard = [threshold](size_t shard,
+                                      ShardServerOptions* shard_options) {
+      if (shard == 0) shard_options->test_crash_after_bytes = threshold;
+    };
+    auto fleet_or = ShardFleet::Start(options);
+    ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
+    std::unique_ptr<ShardFleet> fleet = std::move(fleet_or).value();
+    std::string tenant;
+    for (size_t i = 0; tenant.empty(); ++i) {
+      ASSERT_LT(i, 10u) << "no single-digit tenant routes to shard 0";
+      const std::string candidate = "t" + std::to_string(i);
+      if (fleet->ShardOf(candidate) == 0) tenant = candidate;
     }
-  }
-  // total/2 sits strictly inside a 4-publish stream, so the seam fired.
-  EXPECT_GE(crashes, 1u);
 
-  // One more kill/restart on the now-complete store: the full history
-  // must rehydrate and serve bit-identically.
-  ASSERT_TRUE(fleet->KillShard(0).ok());
-  ASSERT_TRUE(fleet->RestartShard(0).ok());
-  ASSERT_TRUE(fleet->ResyncTenant("gold").ok());
-  const auto registry = fleet->PublishedRegistry();
-  const size_t iters = TestIters(30);
-  for (size_t i = 0; i < iters; ++i) {
-    const Query query = RandomQuery(&rng, "gold");
-    const auto answer = fleet->Ask(query);
-    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-    EXPECT_EQ(answer->snapshot_sequence, 4u);
-    const auto snapshot = registry.find({"gold", answer->snapshot_sequence});
-    ASSERT_NE(snapshot, registry.end());
-    EXPECT_TRUE(AnswerMatchesFresh(query, *answer, *snapshot->second));
+    // Drive the plan through the crashing shard. Each failure is a real
+    // SIGKILL mid-publish; recovery is restart + resync + re-adopt (the
+    // idempotent re-adopt makes a commit-then-crash retry safe).
+    size_t crashes = 0;
+    for (const auto& snapshot : plan) {
+      for (size_t attempt = 0;; ++attempt) {
+        ASSERT_LT(attempt, 10u) << "publish never converged";
+        const Status published = fleet->PublishSnapshot(tenant, snapshot);
+        if (published.ok()) break;
+        ++crashes;
+        ASSERT_TRUE(fleet->ShardDown(0));
+        ASSERT_TRUE(fleet->RestartShard(0).ok());
+        // Re-sync the writer with whatever actually committed; the
+        // handoff is checked bit-identically against the registry.
+        ASSERT_TRUE(fleet->ResyncTenant(tenant).ok());
+      }
+    }
+    // total/2 sits strictly inside a 4-publish stream, so the seam fired.
+    EXPECT_GE(crashes, 1u);
+
+    // One more kill/restart on the now-complete store: the full history
+    // must rehydrate and serve bit-identically.
+    ASSERT_TRUE(fleet->KillShard(0).ok());
+    ASSERT_TRUE(fleet->RestartShard(0).ok());
+    ASSERT_TRUE(fleet->ResyncTenant(tenant).ok());
+    const auto registry = fleet->PublishedRegistry();
+    const size_t iters = TestIters(30);
+    for (size_t i = 0; i < iters; ++i) {
+      const Query query = RandomQuery(&rng, tenant);
+      const auto answer = fleet->Ask(query);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      EXPECT_EQ(answer->snapshot_sequence, 4u);
+      const auto snapshot = registry.find({tenant, answer->snapshot_sequence});
+      ASSERT_NE(snapshot, registry.end());
+      EXPECT_TRUE(AnswerMatchesFresh(query, *answer, *snapshot->second));
+    }
+    EXPECT_TRUE(fleet->ShutdownAll().ok());
   }
-  EXPECT_TRUE(fleet->ShutdownAll().ok());
 }
 
 }  // namespace

@@ -20,7 +20,11 @@
 #include <utility>
 #include <vector>
 
+#include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
+#include <time.h>
+#include <unistd.h>
 
 #include "cksafe/serve/release_snapshot.h"
 #include "cksafe/shard/fleet.h"
@@ -28,6 +32,7 @@
 #include "cksafe/shard/wire.h"
 #include "cksafe/util/random.h"
 #include "cksafe/util/socket.h"
+#include "cksafe/util/subprocess.h"
 #include "shard_testing_util.h"
 #include "testing_util.h"
 
@@ -42,11 +47,9 @@ using testing::SeedTrace;
 using testing::TestIters;
 using testing::TestSeed;
 
-ShardFleetOptions BaseOptions(const std::string& socket_dir,
-                              size_t num_shards) {
+ShardFleetOptions BaseOptions(size_t num_shards) {
   ShardFleetOptions options;
   options.num_shards = num_shards;
-  options.socket_dir = socket_dir;
   return options;
 }
 
@@ -54,8 +57,7 @@ TEST(ShardFleetTest, AnswersAreBitIdenticalToAFreshAnalyzer) {
   const uint64_t seed = TestSeed(20260820);
   SCOPED_TRACE(SeedTrace(seed));
   Rng rng(seed);
-  ScopedTempDir dir;
-  auto fleet_or = ShardFleet::Start(BaseOptions(dir.path(), 3));
+  auto fleet_or = ShardFleet::Start(BaseOptions(3));
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
   std::unique_ptr<ShardFleet> fleet = std::move(fleet_or).value();
 
@@ -87,8 +89,7 @@ TEST(ShardFleetTest, AnswersAreBitIdenticalToAFreshAnalyzer) {
 }
 
 TEST(ShardFleetTest, RoutingIsDeterministicAndSpreadsTenants) {
-  ScopedTempDir dir;
-  auto fleet_or = ShardFleet::Start(BaseOptions(dir.path(), 3));
+  auto fleet_or = ShardFleet::Start(BaseOptions(3));
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
   std::unique_ptr<ShardFleet> fleet = std::move(fleet_or).value();
 
@@ -111,8 +112,7 @@ TEST(ShardFleetTest, UnknownTenantAndOutOfRangeBucketReturnStatus) {
   const uint64_t seed = TestSeed(20260821);
   SCOPED_TRACE(SeedTrace(seed));
   Rng rng(seed);
-  ScopedTempDir dir;
-  auto fleet_or = ShardFleet::Start(BaseOptions(dir.path(), 2));
+  auto fleet_or = ShardFleet::Start(BaseOptions(2));
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
   std::unique_ptr<ShardFleet> fleet = std::move(fleet_or).value();
 
@@ -143,8 +143,7 @@ TEST(ShardFleetTest, InFlightWindowShedsWithResourceExhausted) {
   const uint64_t seed = TestSeed(20260822);
   SCOPED_TRACE(SeedTrace(seed));
   Rng rng(seed);
-  ScopedTempDir dir;
-  ShardFleetOptions options = BaseOptions(dir.path(), 1);
+  ShardFleetOptions options = BaseOptions(1);
   options.max_in_flight_per_shard = 4;
   options.test_stall_queries_ms = 200;  // hold queries so the window fills
   auto fleet_or = ShardFleet::Start(options);
@@ -185,8 +184,7 @@ TEST(ShardFleetTest, PingReportsPublishesTenantsAndAnsweredQueries) {
   const uint64_t seed = TestSeed(20260823);
   SCOPED_TRACE(SeedTrace(seed));
   Rng rng(seed);
-  ScopedTempDir dir;
-  auto fleet_or = ShardFleet::Start(BaseOptions(dir.path(), 2));
+  auto fleet_or = ShardFleet::Start(BaseOptions(2));
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
   std::unique_ptr<ShardFleet> fleet = std::move(fleet_or).value();
 
@@ -218,8 +216,7 @@ TEST(ShardFleetTest, ShutdownAllStopsServingAndRestartRecovers) {
   const uint64_t seed = TestSeed(20260824);
   SCOPED_TRACE(SeedTrace(seed));
   Rng rng(seed);
-  ScopedTempDir dir;
-  auto fleet_or = ShardFleet::Start(BaseOptions(dir.path(), 2));
+  auto fleet_or = ShardFleet::Start(BaseOptions(2));
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
   std::unique_ptr<ShardFleet> fleet = std::move(fleet_or).value();
   const auto snapshot = RandomSnapshot(&rng, 1);
@@ -235,7 +232,7 @@ TEST(ShardFleetTest, ShutdownAllStopsServingAndRestartRecovers) {
   EXPECT_FALSE(fleet->Submit(query).ok());  // down => fail fast, no hang
 
   // Restarting a live shard is a caller error; restarting a down one
-  // brings a fresh (empty, in-memory) shard back onto the same socket.
+  // brings a fresh (empty, in-memory) shard back on a new link.
   for (size_t shard = 0; shard < fleet->num_shards(); ++shard) {
     ASSERT_TRUE(fleet->RestartShard(shard).ok());
     EXPECT_FALSE(fleet->ShardDown(shard));
@@ -253,13 +250,14 @@ TEST(ShardFleetTest, ShutdownAllStopsServingAndRestartRecovers) {
 }
 
 TEST(ShardFleetTest, FailedStartReapsEveryForkedShard) {
-  // Start forks all three shards before connecting to any. The middle one
-  // cannot bind its socket and exits, so Start fails after connecting
-  // shard 0 and before connecting shard 2: the fleet must reap all three.
+  // Start forks all three shards before pinging any. The middle one
+  // cannot open its store (the parent of its directory does not exist)
+  // and exits, so Start fails after shard 0 answered and before shard 2
+  // was pinged: the fleet must reap all three.
   ScopedTempDir dir;
-  ShardFleetOptions options = BaseOptions(dir.path(), 3);
+  ShardFleetOptions options = BaseOptions(3);
   options.tweak_shard = [&](size_t shard, ShardServerOptions* shard_options) {
-    if (shard == 1) shard_options->socket_path = dir.path() + "/none/s.sock";
+    if (shard == 1) shard_options->durable_dir = dir.path() + "/none/store";
   };
   auto fleet_or = ShardFleet::Start(options);
   EXPECT_EQ(fleet_or.status().code(), StatusCode::kUnavailable)
@@ -269,19 +267,92 @@ TEST(ShardFleetTest, FailedStartReapsEveryForkedShard) {
   EXPECT_EQ(errno, ECHILD);
 }
 
+// The body of ShardsExitWhenTheirFleetDies, run in a helper process that
+// becomes a child subreaper (which acts on the helper only): it forks a
+// driver that starts a 2-shard fleet and dies by SIGKILL once Start has
+// returned OK, so the orphaned shards become the helper's children. Exit
+// codes: 0 when both shards exit within 30 s; 13 when the driver never
+// reported a started fleet; 20 + n when only n shards exited in time,
+// after the rest were SIGKILLed and reaped.
+int ReapTheShardsOfAKilledFleet() {
+  if (::prctl(PR_SET_CHILD_SUBREAPER, 1) != 0) return 10;
+  int started[2];
+  if (::pipe(started) != 0) return 11;
+  const StatusOr<pid_t> driver = SpawnProcess([&]() {
+    ::close(started[0]);
+    ::setpgid(0, 0);  // the shards join the driver's process group
+    auto fleet = ShardFleet::Start(BaseOptions(2));
+    if (!fleet.ok()) return 1;
+    const char byte = 1;
+    if (::write(started[1], &byte, 1) != 1) return 2;
+    ::raise(SIGKILL);  // no ShutdownAll, no ~ShardFleet
+    return 3;
+  });
+  if (!driver.ok()) return 12;
+  ::close(started[1]);
+  char byte = 0;
+  const bool fleet_started = ::read(started[0], &byte, 1) == 1;
+  if (!WaitProcess(*driver).ok() || !fleet_started) return 13;
+
+  // SIGCHLD stays pending while blocked, so sigtimedwait wakes for every
+  // shard exit after the first waitpid, and waitpid finds any before it.
+  sigset_t child_exited;
+  sigemptyset(&child_exited);
+  sigaddset(&child_exited, SIGCHLD);
+  ::sigprocmask(SIG_BLOCK, &child_exited, nullptr);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  int reaped = 0;
+  while (reaped < 2) {
+    const pid_t pid = ::waitpid(-1, nullptr, WNOHANG);
+    if (pid > 0) {
+      ++reaped;
+      continue;
+    }
+    const auto left = deadline - std::chrono::steady_clock::now();
+    if (pid < 0 || left <= std::chrono::steady_clock::duration::zero()) break;
+    const long long ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(left).count();
+    const timespec timeout = {static_cast<time_t>(ns / 1000000000),
+                              static_cast<long>(ns % 1000000000)};
+    ::sigtimedwait(&child_exited, nullptr, &timeout);
+  }
+  if (reaped == 2) return 0;
+  ::kill(-*driver, SIGKILL);  // whatever is left of the driver's group
+  while (::waitpid(-1, nullptr, 0) > 0) {
+  }
+  return 20 + reaped;
+}
+
+TEST(ShardFleetTest, ShardsExitWhenTheirFleetDies) {
+  // A shard serves one link and exits when it closes, so a fleet process
+  // that dies without ShutdownAll leaves no shard running.
+  const StatusOr<pid_t> helper = SpawnProcess(ReapTheShardsOfAKilledFleet);
+  ASSERT_TRUE(helper.ok()) << helper.status().ToString();
+  const StatusOr<ProcessExit> helper_exit = WaitProcess(*helper);
+  ASSERT_TRUE(helper_exit.ok()) << helper_exit.status().ToString();
+  EXPECT_TRUE(helper_exit->exited);
+  EXPECT_EQ(helper_exit->exit_code, 0)
+      << "13: the fleet never started; 20 + n: only n of 2 shards exited "
+         "within 30 s of their fleet's SIGKILL";
+}
+
 // An in-process ShardServer: Serve() runs on a thread of this process and
-// a raw UnixSocket client speaks the wire protocol to it, so ASan and TSan
-// see the shard's reader threads and the router completions that write
-// the responses (the fleet tests fork their shards out of their sight).
+// the test holds the other end of the server's socket pair, speaking the
+// wire protocol on it, so ASan and TSan see the shard's Serve thread and
+// the router completions that write the responses (the fleet tests fork
+// their shards out of their sight).
 class ShardServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ShardServerOptions options;
-    options.socket_path = socket_path_;
-    auto server = ShardServer::Create(options);
+    auto ends = UnixSocket::Pair();
+    ASSERT_TRUE(ends.ok()) << ends.status().ToString();
+    client_ = std::move(ends->first);
+    auto server = ShardServer::Create(ShardServerOptions(),
+                                      std::move(ends->second));
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = std::move(server).value();
-    serve_ = std::thread([this] { served_ = server_->Serve(); });
+    serve_ = std::async(std::launch::async, [this] { server_->Serve(); });
   }
 
   void TearDown() override { StopAndDestroyServer(); }
@@ -291,8 +362,7 @@ class ShardServerTest : public ::testing::Test {
   void StopAndDestroyServer() {
     if (server_ == nullptr) return;
     server_->Stop();
-    serve_.join();
-    EXPECT_TRUE(served_.ok()) << served_.ToString();
+    serve_.get();
     server_.reset();
   }
 
@@ -339,11 +409,9 @@ class ShardServerTest : public ::testing::Test {
     }
   }
 
-  ScopedTempDir dir_;
-  const std::string socket_path_ = dir_.path() + "/shard.sock";
+  UnixSocket client_;
   std::unique_ptr<ShardServer> server_;
-  std::thread serve_;
-  Status served_ = Status::OK();
+  std::future<void> serve_;
   uint64_t next_id_ = 1;
 };
 
@@ -353,11 +421,9 @@ TEST_F(ShardServerTest, AnswersABurstMatchedByIdBitIdentically) {
   Rng rng(seed);
   const auto snapshot = RandomSnapshot(&rng, 1);
   ASSERT_TRUE(server_->engine()->PublishSnapshot("gold", snapshot).ok());
-  auto client = UnixSocket::Connect(socket_path_);
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
-  FrameReader reader(&*client);
+  FrameReader reader(&client_);
 
-  const auto sent = SendBurst(&*client, &rng, "gold", 64 + rng.NextBelow(64));
+  const auto sent = SendBurst(&client_, &rng, "gold", 64 + rng.NextBelow(64));
   ExpectAnswered(&reader, sent, *snapshot);
 }
 
@@ -367,17 +433,23 @@ TEST_F(ShardServerTest, StopsAndDestroysWithCompletionsPending) {
   Rng rng(seed);
   const auto snapshot = RandomSnapshot(&rng, 1);
   ASSERT_TRUE(server_->engine()->PublishSnapshot("gold", snapshot).ok());
-  auto client = UnixSocket::Connect(socket_path_);
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
-  FrameReader reader(&*client);
-  const auto first = SendBurst(&*client, &rng, "gold", 1 + rng.NextBelow(64));
+  FrameReader reader(&client_);
+  const auto first = SendBurst(&client_, &rng, "gold", 1 + rng.NextBelow(64));
   ExpectAnswered(&reader, first, *snapshot);
 
   // A second burst the client never reads: its completions write to a
   // closed peer, or are still queued when the server stops and goes away.
-  SendBurst(&*client, &rng, "gold", 256 + rng.NextBelow(256));
-  client->Close();
+  SendBurst(&client_, &rng, "gold", 256 + rng.NextBelow(256));
+  client_.Close();
   StopAndDestroyServer();
+}
+
+TEST_F(ShardServerTest, ServeReturnsWhenThePeerCloses) {
+  // The shard's only client is its fleet: once the fleet's end is closed,
+  // Serve() returns without Stop(), and a forked shard exits.
+  client_.Close();
+  EXPECT_EQ(serve_.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
 }
 
 }  // namespace

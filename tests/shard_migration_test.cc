@@ -43,10 +43,8 @@ TEST(ShardMigrationTest, AnswersStayBitIdenticalWhileMigrationRaces) {
   const uint64_t seed = TestSeed(20260830);
   SCOPED_TRACE(SeedTrace(seed));
   Rng rng(seed);
-  ScopedTempDir dir;
   ShardFleetOptions options;
   options.num_shards = 2;
-  options.socket_dir = dir.path();
   auto fleet_or = ShardFleet::Start(options);
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
   std::unique_ptr<ShardFleet> fleet = std::move(fleet_or).value();
@@ -131,10 +129,8 @@ TEST(ShardMigrationTest, MigrateBackThenPublishAdvancesSequences) {
   const uint64_t seed = TestSeed(20260831);
   SCOPED_TRACE(SeedTrace(seed));
   Rng rng(seed);
-  ScopedTempDir dir;
   ShardFleetOptions options;
   options.num_shards = 3;
-  options.socket_dir = dir.path();
   auto fleet_or = ShardFleet::Start(options);
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
   std::unique_ptr<ShardFleet> fleet = std::move(fleet_or).value();
@@ -179,10 +175,8 @@ TEST(ShardMigrationTest, MigrationEdges) {
   const uint64_t seed = TestSeed(20260832);
   SCOPED_TRACE(SeedTrace(seed));
   Rng rng(seed);
-  ScopedTempDir dir;
   ShardFleetOptions options;
   options.num_shards = 2;
-  options.socket_dir = dir.path();
   auto fleet_or = ShardFleet::Start(options);
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
   std::unique_ptr<ShardFleet> fleet = std::move(fleet_or).value();
@@ -211,11 +205,9 @@ TEST(ShardMigrationTest, DurableTargetServesBitIdenticallyAfterCrash) {
   const uint64_t seed = TestSeed(20260833);
   SCOPED_TRACE(SeedTrace(seed));
   Rng rng(seed);
-  ScopedTempDir sockets;
   ScopedTempDir stores;
   ShardFleetOptions options;
   options.num_shards = 2;
-  options.socket_dir = sockets.path();
   options.durable_root = stores.path() + "/fleet";
   auto fleet_or = ShardFleet::Start(options);
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();

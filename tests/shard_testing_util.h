@@ -1,8 +1,8 @@
-// Shared helpers for the shard-tier tests: scoped temp directories (socket
-// paths must stay short enough for sockaddr_un), seeded random snapshots,
-// and the bit-identity oracle every differential test shares — an answer
-// matches iff a fresh synchronous DisclosureAnalyzer over the snapshot the
-// answer names reproduces it with exact double equality.
+// Shared helpers for the shard-tier tests: scoped temp directories for
+// durable stores, seeded random snapshots, and the bit-identity oracle
+// every differential test shares — an answer matches iff a fresh
+// synchronous DisclosureAnalyzer over the snapshot the answer names
+// reproduces it with exact double equality.
 
 #ifndef CKSAFE_TESTS_SHARD_TESTING_UTIL_H_
 #define CKSAFE_TESTS_SHARD_TESTING_UTIL_H_
@@ -23,8 +23,7 @@
 namespace cksafe {
 namespace testing {
 
-/// mkdtemp under /tmp (not the build tree: UNIX socket paths cap at
-/// ~108 bytes) with recursive removal on destruction.
+/// mkdtemp under /tmp with recursive removal on destruction.
 class ScopedTempDir {
  public:
   ScopedTempDir() {

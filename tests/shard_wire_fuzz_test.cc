@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
-
 #include <algorithm>
 #include <cstring>
 #include <iterator>
@@ -20,7 +18,6 @@
 
 #include "cksafe/serve/release_snapshot.h"
 #include "cksafe/shard/wire.h"
-#include "cksafe/util/check.h"
 #include "cksafe/util/random.h"
 #include "cksafe/util/socket.h"
 #include "shard_testing_util.h"
@@ -163,12 +160,6 @@ std::vector<uint8_t> Concatenate(const std::vector<WireFrame>& frames) {
     stream.insert(stream.end(), bytes.begin(), bytes.end());
   }
   return stream;
-}
-
-std::pair<UnixSocket, UnixSocket> SocketPair() {
-  int fds[2];
-  CKSAFE_CHECK_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  return {UnixSocket(fds[0]), UnixSocket(fds[1])};
 }
 
 TEST(ShardWireFuzzTest, FrameRoundTripsRandomPayloadsForEveryType) {
@@ -483,7 +474,7 @@ TEST(ShardWireFuzzTest, BitFlippedFramesAreRejected) {
     // corruption must surface as a Status (seeded: deterministic verdict),
     // from a buffer and from a socket alike.
     const auto frame = DecodeFrame(mutant);
-    auto [sender, receiver] = SocketPair();
+    auto [sender, receiver] = UnixSocket::Pair().value();
     ASSERT_TRUE(sender.SendAll(mutant).ok());
     sender.Close();
     const auto received = FrameReader(&receiver).Next();
@@ -549,7 +540,7 @@ TEST(ShardWireFuzzTest, FrameReaderCutsFramesFromAnyChunking) {
                   std::move(big_frame));
     const std::vector<uint8_t> stream = Concatenate(frames);
 
-    auto [sender, receiver] = SocketPair();
+    auto [sender, receiver] = UnixSocket::Pair().value();
     const uint64_t chunk_seed = rng.NextUint64();
     std::thread writer([&stream, &sender = sender, chunk_seed] {
       Rng chunks(chunk_seed);
@@ -601,7 +592,7 @@ TEST(ShardWireFuzzTest, FrameReaderReturnsEveryWholeFrameBeforeACut) {
   }
   for (size_t cut = 0; cut <= stream.size(); ++cut) {
     SCOPED_TRACE("cut at byte " + std::to_string(cut));
-    auto [sender, receiver] = SocketPair();
+    auto [sender, receiver] = UnixSocket::Pair().value();
     ASSERT_TRUE(sender.SendAll(stream.data(), cut).ok());
     sender.Close();
     FrameReader reader(&receiver);
@@ -632,7 +623,7 @@ TEST(ShardWireFuzzTest, OversizedDeclaredPayloadIsRejectedWithoutAllocating) {
   std::memcpy(&hostile[8], &huge, sizeof(huge));
   EXPECT_FALSE(DecodeFrame(hostile).ok());
 
-  auto [sender, receiver] = SocketPair();
+  auto [sender, receiver] = UnixSocket::Pair().value();
   ASSERT_TRUE(sender.SendAll(hostile).ok());
   sender.Shutdown();
   const auto frame = FrameReader(&receiver).Next();

@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -870,34 +871,21 @@ Status RunFleet(const CliConfig& config) {
   } else {
     CKSAFE_ASSIGN_OR_RETURN(policies, ParsePolicies(config.policies));
   }
-  std::vector<std::string> tenant_names;
-  for (const ParsedPolicy& policy : policies) {
-    tenant_names.push_back(policy.name);
-  }
-
-  // The workload: a replay file verbatim, or the seeded workload foundry
-  // over the configured tenants.
   std::vector<Query> replay;
   if (!config.replay.empty()) {
     CKSAFE_ASSIGN_OR_RETURN(replay, LoadReplayQueries(config.replay));
-  } else {
-    WorkloadFoundryConfig workload;
-    workload.seed = static_cast<uint64_t>(config.seed);
-    workload.num_queries = static_cast<size_t>(config.queries);
-    workload.tenants = tenant_names;
-    workload.max_k = static_cast<size_t>(config.max_k);
-    CKSAFE_ASSIGN_OR_RETURN(replay, GenerateWorkload(workload));
-    std::printf("workload: %zu foundry queries (seed %llu), "
-                "fingerprint %016llx\n",
-                replay.size(), static_cast<unsigned long long>(workload.seed),
-                static_cast<unsigned long long>(FingerprintWorkload(replay)));
   }
 
   ShardFleetOptions fleet_options;
   fleet_options.num_shards = static_cast<size_t>(config.shards);
   fleet_options.durable_root = config.persist;
-  fleet_options.router_queue_capacity = static_cast<size_t>(config.queue);
-  fleet_options.buffer_pool_pages = static_cast<size_t>(config.pool_pages);
+  const size_t queue = static_cast<size_t>(config.queue);
+  const size_t pool_pages = static_cast<size_t>(config.pool_pages);
+  fleet_options.tweak_shard = [queue, pool_pages](size_t,
+                                                  ShardServerOptions* shard) {
+    shard->router_queue_capacity = queue;
+    shard->buffer_pool_pages = pool_pages;
+  };
   CKSAFE_ASSIGN_OR_RETURN(std::unique_ptr<ShardFleet> fleet,
                           ShardFleet::Start(std::move(fleet_options)));
   const size_t num_shards = fleet->num_shards();
@@ -914,7 +902,8 @@ Status RunFleet(const CliConfig& config) {
   }
   CKSAFE_ASSIGN_OR_RETURN(std::vector<TenantRelease> releases,
                           publisher.PublishAll());
-  size_t published = 0;
+  std::vector<std::string> served;
+  size_t min_buckets = std::numeric_limits<size_t>::max();
   for (const TenantRelease& release : releases) {
     if (!release.release.ok()) {
       std::printf("tenant %s: %s (not served)\n", release.tenant.c_str(),
@@ -929,10 +918,27 @@ Status RunFleet(const CliConfig& config) {
                 release.tenant.c_str(), fleet->ShardOf(release.tenant),
                 static_cast<unsigned long long>(snapshot->sequence),
                 snapshot->bucketization.num_buckets());
-    ++published;
+    served.push_back(release.tenant);
+    min_buckets = std::min(min_buckets, snapshot->bucketization.num_buckets());
   }
-  if (published == 0) {
+  if (served.empty()) {
     return Status::InvalidArgument("no tenant produced a publishable release");
+  }
+  // Without a replay file (used verbatim), the seeded workload foundry
+  // asks only what every answer can serve: the tenants actually served,
+  // and buckets that each of their snapshots has.
+  if (config.replay.empty()) {
+    WorkloadFoundryConfig workload;
+    workload.seed = static_cast<uint64_t>(config.seed);
+    workload.num_queries = static_cast<size_t>(config.queries);
+    workload.tenants = served;
+    workload.max_k = static_cast<size_t>(config.max_k);
+    workload.max_bucket = min_buckets - 1;
+    CKSAFE_ASSIGN_OR_RETURN(replay, GenerateWorkload(workload));
+    std::printf("workload: %zu foundry queries (seed %llu), "
+                "fingerprint %016llx\n",
+                replay.size(), static_cast<unsigned long long>(workload.seed),
+                static_cast<unsigned long long>(FingerprintWorkload(replay)));
   }
 
   // Optional live-migration churn under the load: round-robin tenants to
@@ -945,7 +951,7 @@ Status RunFleet(const CliConfig& config) {
     migrator = std::thread([&] {
       for (int64_t m = 0; m < config.migrations && !stop_migrator; ++m) {
         const std::string& tenant =
-            tenant_names[static_cast<size_t>(m) % tenant_names.size()];
+            served[static_cast<size_t>(m) % served.size()];
         const size_t target = (fleet->ShardOf(tenant) + 1) % num_shards;
         if (!fleet->MigrateTenant(tenant, target).ok()) {
           migration_failed = true;
@@ -1014,8 +1020,7 @@ Status RunFleet(const CliConfig& config) {
   }
 
   // Stop the fleet before verifying: verification only needs the writer's
-  // registry, and a clean shutdown here means a wedged shard fails the run
-  // instead of hanging the exit.
+  // registry, and a shard that cannot be reaped fails the run here.
   const SnapshotRegistry registry = fleet->PublishedRegistry();
   CKSAFE_RETURN_IF_ERROR(fleet->ShutdownAll());
   fleet.reset();

@@ -6,13 +6,14 @@
 // each onto its end of a socket pair made just before its fork, so each
 // shard has one wire-protocol link and no socket file exists. A shard is
 // ready once it answers one ping, and it exits when its link closes —
-// when the fleet shuts it down or dies. The fleet routes every tenant to
-// one shard by consistent hashing (an FNV-1a ring with virtual nodes, so
-// adding shards moves only ~1/N of the tenants). Reads multiplex over the
-// link: responses carry the request id and may return out of order, so a
-// per-link receiver thread resolves a pending-call map. Writes go through
-// the fleet's single logical writer (Publish / MigrateTenant), which owns
-// sequence assignment — shards adopt sequences verbatim.
+// when the fleet closes its end or dies; no message stops a shard. The
+// fleet routes every tenant to one shard by consistent hashing (an FNV-1a
+// ring with virtual nodes, so adding shards moves only ~1/N of the
+// tenants). Reads multiplex over the link: responses carry the request id
+// and may return out of order, so a per-link receiver thread resolves a
+// pending-call map. Writes go through the fleet's single logical writer
+// (Publish / MigrateTenant), which owns sequence assignment — shards adopt
+// sequences verbatim.
 //
 // Backpressure is layered: the fleet refuses Submit with ResourceExhausted
 // when a shard's in-flight window is full (before any bytes move), and a
@@ -77,19 +78,14 @@ struct ShardFleetOptions {
   /// (directories created by the shard's store).
   std::string durable_root;
 
-  /// Per-shard admission queue capacity (ShardServer pass-through).
-  size_t router_queue_capacity = 4096;
-
   /// Fleet-side backpressure: max queries in flight per shard link.
   size_t max_in_flight_per_shard = 1024;
 
-  /// Test seam: tweak one shard's options before its process is forked
-  /// (e.g. arm test_crash_after_bytes on shard 2 only).
+  /// Sets shard `shard`'s options before its process is forked: the one
+  /// way to reach a ShardServerOptions field (queue capacity, pool pages,
+  /// the fault seams), for every shard or for one (say, arm
+  /// test_crash_after_bytes on shard 2 only).
   std::function<void(size_t shard, ShardServerOptions* options)> tweak_shard;
-
-  /// ShardServer pass-throughs applied to every shard.
-  size_t buffer_pool_pages = 64;
-  int64_t test_stall_queries_ms = 0;
 };
 
 class ShardFleet {
@@ -97,10 +93,10 @@ class ShardFleet {
   /// Forks every shard, then waits for each one's first ping answer: no
   /// receiver thread runs while a shard is forked. A shard that exits, or
   /// does not answer within 30 s, fails Start with Unavailable; the
-  /// already-spawned children are then killed and reaped.
+  /// already-spawned children are then stopped and reaped.
   static StatusOr<std::unique_ptr<ShardFleet>> Start(ShardFleetOptions options);
 
-  /// Best-effort ShutdownAll + SIGKILL of anything still alive.
+  /// ShutdownAll, ignoring its error.
   ~ShardFleet();
   ShardFleet(const ShardFleet&) = delete;
   ShardFleet& operator=(const ShardFleet&) = delete;
@@ -143,24 +139,31 @@ class ShardFleet {
   /// The shard currently serving `tenant` (override map, then the ring).
   size_t ShardOf(const std::string& tenant) const;
 
-  /// SIGKILL + reap; fails every pending call on the link (Unavailable)
-  /// and marks it down.
+  /// Marks the link down and SIGKILLs the shard, then tears the link down
+  /// as ShutdownAll does: every pending call on it fails with Unavailable,
+  /// and the shard is reaped.
   Status KillShard(size_t shard);
 
-  /// Re-forks a killed/stopped shard onto a new socket pair (and its old
-  /// durable directory, when configured) and waits for its first ping
-  /// answer, as Start does. Unlike Start it forks from a threaded parent,
-  /// by design: the other links' receivers keep running. So a child can
-  /// inherit a lock one of them held at the fork (gcc 12's ASan allocator
-  /// has no fork handlers); only spawning by fork+exec, or from a
-  /// single-threaded spawner, would close that. Calls must not overlap:
-  /// a shard forked during another's spawn could hold that shard's end of
-  /// its pair, and keep its link open after it died.
+  /// Re-forks a down shard onto a new socket pair (and its old durable
+  /// directory, when configured) and waits for its first ping answer, as
+  /// Start does. The old link is torn down first, as ShutdownAll does: a
+  /// link that went down on its own may still have a live shard. Unlike
+  /// Start it forks from a threaded parent, by design: the other links'
+  /// receivers keep running. So a child can inherit a lock one of them
+  /// held at the fork (gcc 12's ASan allocator has no fork handlers); only
+  /// spawning by fork+exec, or from a single-threaded spawner, would close
+  /// that. Calls must not overlap: a shard forked during another's spawn
+  /// could hold that shard's end of its pair, and keep its link open after
+  /// it died.
   Status RestartShard(size_t shard);
 
   StatusOr<WireShardStats> PingShard(size_t shard);
 
-  /// Graceful stop: shutdown frame to every live shard, then reap.
+  /// Graceful stop of every shard: marks its link down (new submits fail
+  /// fast) and closes the fleet's sending end. The shard reads every
+  /// request sent before the close, answers each query it admitted, and
+  /// exits; the receiver resolves those answers until the exit closes the
+  /// link. Then the shard is reaped. Returns the first reap error.
   Status ShutdownAll();
 
   size_t num_shards() const { return shard_options_.size(); }
@@ -194,8 +197,7 @@ class ShardFleet {
     std::atomic<size_t> in_flight{0};
     std::atomic<bool> down{true};  ///< until AwaitReady starts the receiver
     std::thread receiver;
-    pid_t pid = -1;
-    bool reaped = false;
+    pid_t pid = -1;  ///< -1 once reaped
   };
 
   explicit ShardFleet(ShardFleetOptions options);
@@ -206,6 +208,13 @@ class ShardFleet {
   /// Marks the spawned shard's link up, starts its receiver and waits for
   /// the shard's first ping answer; on failure kills the shard.
   Status AwaitReady(size_t shard);
+  /// The one teardown of a link, shared by KillShard, ShutdownAll,
+  /// RestartShard and the destructor: marks it down, sends `signal` to
+  /// the shard unless it is 0, half-closes the fleet's end, joins the
+  /// receiver (which reads answers until the shard's exit closes the
+  /// link), fails whatever is still pending, and reaps the shard.
+  /// Idempotent; calls for one link must not overlap.
+  static Status StopLink(Link* link, int signal);
   std::shared_ptr<Link> GetLink(size_t shard) const;
   void ReceiverLoop(std::shared_ptr<Link> link);
   static void FailPending(Link* link, const Status& error);

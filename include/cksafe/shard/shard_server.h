@@ -5,7 +5,10 @@
 // link: its end of the socket pair the fleet made before forking it.
 // Serve() reads the link on the calling thread until the peer closes it,
 // a frame is malformed or a response cannot be sent, or Stop() — so a
-// shard whose fleet dies sees its link close and exits. Queries are
+// shard whose fleet dies sees its link close and exits. The peer's close
+// is also the only graceful stop: no message stops a shard, and the
+// server's teardown first stops its router, which answers every admitted
+// query over the link, and only then shuts the link. Queries are
 // admitted into the engine's QueryRouter — the shard's bounded admission
 // queue — asynchronously: Serve keeps admitting while each query's
 // completion callback, run by the router as it answers, writes the
@@ -54,7 +57,6 @@ struct ShardServerOptions {
   /// from it).
   std::string durable_dir;
   size_t buffer_pool_pages = 64;
-  size_t profile_max_k = 0;
   /// Durable crash seam, passed through to DurableStoreOptions.
   int64_t test_crash_after_bytes = -1;
 
@@ -74,6 +76,8 @@ class ShardServer {
   static StatusOr<std::unique_ptr<ShardServer>> Create(
       ShardServerOptions options, UnixSocket link);
 
+  /// Stops the router — every admitted query is answered over the link,
+  /// if it is still up — then shuts the link down.
   ~ShardServer();
   ShardServer(const ShardServer&) = delete;
   ShardServer& operator=(const ShardServer&) = delete;
@@ -83,8 +87,10 @@ class ShardServer {
   /// cannot be sent, or Stop() is called.
   void Serve();
 
-  /// Wakes Serve() by shutting the link down. Idempotent, callable from
-  /// any thread (including Serve's own, on a shutdown frame).
+  /// Shuts the link down in both directions, which wakes Serve(). Queries
+  /// admitted but not yet answered then cannot send their answers; the
+  /// graceful stop is the peer's close. Idempotent, callable from any
+  /// thread.
   void Stop();
 
   /// The wrapped engine (in-process tests).
@@ -96,8 +102,8 @@ class ShardServer {
 
   ShardServer(ShardServerOptions options, UnixSocket link);
 
-  /// Control frames (publish/handoff/drop/ping/shutdown) are answered
-  /// inline on Serve's thread; queries are answered by their completions.
+  /// Control frames (publish/handoff/drop/ping) are answered inline on
+  /// Serve's thread; queries are answered by their completions.
   Status HandleFrame(WireFrame frame);
 
   WireShardStats Stats() const;

@@ -56,6 +56,7 @@ inline constexpr uint32_t kMaxWirePayload = 1u << 28;  // 256 MiB
 /// Message types. Request/response pairs share an `id` chosen by the
 /// sender; responses may arrive out of submission order (the shard answers
 /// queries as its router batches complete), so the id is the correlator.
+/// No message stops a shard: the end of its link does (shard_server.h).
 enum class WireType : uint8_t {
   kQueryRequest = 1,
   kQueryResponse = 2,
@@ -67,8 +68,6 @@ enum class WireType : uint8_t {
   kDropResponse = 8,
   kPingRequest = 9,      ///< liveness + stats scrape
   kPingResponse = 10,
-  kShutdownRequest = 11, ///< graceful stop (drains the admission queue)
-  kShutdownResponse = 12,
 };
 
 /// One decoded frame: type + raw payload, checksum already verified.
@@ -158,15 +157,6 @@ struct WirePingResponse {
   WireShardStats stats;
 };
 
-struct WireShutdownRequest {
-  uint64_t id = 0;
-};
-
-struct WireShutdownResponse {
-  uint64_t id = 0;
-  Status status = Status::OK();
-};
-
 // ---------------------------------------------------------------------------
 // Frame layer.
 
@@ -249,12 +239,6 @@ StatusOr<WirePingRequest> DecodePingRequest(const std::vector<uint8_t>& payload)
 
 std::vector<uint8_t> EncodePingResponse(const WirePingResponse& msg);
 StatusOr<WirePingResponse> DecodePingResponse(const std::vector<uint8_t>& payload);
-
-std::vector<uint8_t> EncodeShutdownRequest(const WireShutdownRequest& msg);
-StatusOr<WireShutdownRequest> DecodeShutdownRequest(const std::vector<uint8_t>& payload);
-
-std::vector<uint8_t> EncodeShutdownResponse(const WireShutdownResponse& msg);
-StatusOr<WireShutdownResponse> DecodeShutdownResponse(const std::vector<uint8_t>& payload);
 
 /// Self-contained snapshot codec (inline labels), shared by the publish
 /// and handoff messages. Decode enforces the dense-partition invariant —

@@ -65,6 +65,11 @@ class UnixSocket {
   /// receiving.
   void Shutdown();
 
+  /// Half-closes the sending direction only: the peer reads what was sent,
+  /// then sees a close, and this end can still receive its replies.
+  /// Idempotent; safe to call while another thread receives.
+  void ShutdownWrite();
+
   void Close();
   bool is_open() const { return fd_ >= 0; }
 

@@ -82,9 +82,8 @@ void QueryRouter::Stop() {
   // stopped_ flip: when any Stop() call returns, every query that was
   // accepted by Submit has been answered. Flipping the flag first and
   // draining outside the lock let a concurrent second caller return while
-  // the first was still joining the worker — exactly the window the
-  // multi-process drain path (a shard handling a shutdown frame while the
-  // fleet tears it down) would hit. Safe to hold: neither the worker loop
+  // the first was still joining the worker, and then tear down what the
+  // draining callbacks still use. Safe to hold: neither the worker loop
   // nor Submit ever takes stop_mu_, so there is no lock-order cycle, and a
   // Submit racing past queue_.Close() gets FailedPrecondition from TryPush
   // without having enqueued a callback.

@@ -76,9 +76,6 @@ StatusOr<std::unique_ptr<ShardFleet>> ShardFleet::Start(
       shard.durable_dir =
           StrFormat("%s/shard-%zu", options.durable_root.c_str(), i);
     }
-    shard.buffer_pool_pages = options.buffer_pool_pages;
-    shard.router_queue_capacity = options.router_queue_capacity;
-    shard.test_stall_queries_ms = options.test_stall_queries_ms;
     if (options.tweak_shard) options.tweak_shard(i, &shard);
     fleet->shard_options_.push_back(std::move(shard));
   }
@@ -93,7 +90,7 @@ StatusOr<std::unique_ptr<ShardFleet>> ShardFleet::Start(
   std::sort(fleet->ring_.begin(), fleet->ring_.end());
   // Fork every shard before any receiver thread runs: a child forked while
   // another thread holds an allocator lock (ASan's, say) inherits the lock
-  // held and hangs. On failure ~ShardFleet kills and reaps everything
+  // held and hangs. On failure ~ShardFleet stops and reaps everything
   // already forked.
   for (size_t i = 0; i < options.num_shards; ++i) {
     CKSAFE_RETURN_IF_ERROR(fleet->Spawn(i));
@@ -105,26 +102,8 @@ StatusOr<std::unique_ptr<ShardFleet>> ShardFleet::Start(
 }
 
 ShardFleet::~ShardFleet() {
-  {
-    // Best effort: frames to live shards, SIGKILL for the rest.
-    Status ignored = ShutdownAll();
-    (void)ignored;
-  }
-  std::lock_guard<std::mutex> lock(links_mu_);
-  for (auto& link : links_) {
-    if (link == nullptr) continue;
-    if (!link->reaped && link->pid >= 0) {
-      Status killed = KillProcess(link->pid, SIGKILL);
-      (void)killed;
-      if (auto reaped = WaitProcess(link->pid); reaped.ok()) {
-        link->reaped = true;
-      }
-    }
-    link->down.store(true, std::memory_order_release);
-    link->socket.Shutdown();
-    if (link->receiver.joinable()) link->receiver.join();
-    FailPending(link.get(), Status::Unavailable("fleet shut down"));
-  }
+  Status ignored = ShutdownAll();
+  (void)ignored;
 }
 
 Status ShardFleet::Spawn(size_t shard) {
@@ -191,10 +170,11 @@ void ShardFleet::ReceiverLoop(std::shared_ptr<Link> link) {
   for (;;) {
     StatusOr<WireFrame> frame = frames.Next();
     if (!frame.ok()) {
-      // The shard is gone (killed, crashed, or shut down) or the stream
-      // is corrupt: either way nothing more will be answered on this
-      // link. Every caller still waiting gets Unavailable NOW — the
-      // "SIGKILLed shard never wedges the router" contract.
+      // The shard is gone (killed, crashed, or exited after the fleet
+      // closed its end) or the stream is corrupt: either way nothing more
+      // will be answered on this link. Every caller still waiting gets
+      // Unavailable NOW — the "SIGKILLed shard never wedges the router"
+      // contract.
       link->down.store(true, std::memory_order_release);
       FailPending(link.get(),
                   Status::Unavailable(StrFormat(
@@ -247,8 +227,10 @@ Status ShardFleet::CallRegistered(
       std::lock_guard<std::mutex> lock(link->pending_mu);
       erased = link->pending.erase(id) > 0;
     }
+    // The link is unusable: close it as StopLink does, so the shard
+    // answers what it admitted and exits, which ends the receiver.
     link->down.store(true, std::memory_order_release);
-    link->socket.Shutdown();  // wake the receiver so it fails the rest
+    link->socket.ShutdownWrite();
     if (erased) {
       if (counted) link->in_flight.fetch_sub(1, std::memory_order_relaxed);
       return Status::Unavailable(
@@ -480,23 +462,28 @@ Status ShardFleet::MigrateTenant(const std::string& tenant,
   return Status::OK();
 }
 
-Status ShardFleet::KillShard(size_t shard) {
-  const std::shared_ptr<Link> link = GetLink(shard);
+Status ShardFleet::StopLink(Link* link, int signal) {
   link->down.store(true, std::memory_order_release);
-  if (link->pid >= 0 && !link->reaped) {
-    // ESRCH (already gone) is fine — the link teardown below still runs.
-    Status killed = KillProcess(link->pid, SIGKILL);
-    (void)killed;
-    CKSAFE_ASSIGN_OR_RETURN(const ProcessExit proc_exit,
-                            WaitProcess(link->pid));
-    (void)proc_exit;
-    link->reaped = true;
+  if (signal != 0 && link->pid >= 0) {
+    // ESRCH (already gone) is fine: the teardown below still runs.
+    Status signalled = KillProcess(link->pid, signal);
+    (void)signalled;
   }
-  link->socket.Shutdown();
+  // The shard reads every request sent so far, then the close; it answers
+  // each query it admitted before it exits, and its exit ends the
+  // receiver's reads. A shard spawned by a failed Start has no receiver.
+  link->socket.ShutdownWrite();
   if (link->receiver.joinable()) link->receiver.join();
-  FailPending(link.get(),
-              Status::Unavailable(StrFormat("shard %zu was killed", shard)));
+  FailPending(link, Status::Unavailable("shard stopped"));
+  if (link->pid < 0) return Status::OK();
+  CKSAFE_ASSIGN_OR_RETURN(const ProcessExit proc_exit, WaitProcess(link->pid));
+  (void)proc_exit;
+  link->pid = -1;
   return Status::OK();
+}
+
+Status ShardFleet::KillShard(size_t shard) {
+  return StopLink(GetLink(shard).get(), SIGKILL);
 }
 
 Status ShardFleet::RestartShard(size_t shard) {
@@ -506,14 +493,7 @@ Status ShardFleet::RestartShard(size_t shard) {
         StrFormat("shard %zu is still up; kill or shut it down first",
                   shard));
   }
-  if (!link->reaped && link->pid >= 0) {
-    CKSAFE_ASSIGN_OR_RETURN(const ProcessExit proc_exit,
-                            WaitProcess(link->pid));
-    (void)proc_exit;
-    link->reaped = true;
-  }
-  if (link->receiver.joinable()) link->receiver.join();
-  FailPending(link.get(), Status::Unavailable("shard restarting"));
+  CKSAFE_RETURN_IF_ERROR(StopLink(link.get(), /*signal=*/0));
   // A new link, the same durable directory: a durable shard recovers its
   // store and rehydrates — the kill-and-recover contract.
   CKSAFE_RETURN_IF_ERROR(Spawn(shard));
@@ -534,43 +514,15 @@ StatusOr<WireShardStats> ShardFleet::PingShard(size_t shard) {
 }
 
 Status ShardFleet::ShutdownAll() {
+  std::vector<std::shared_ptr<Link>> links;
+  {
+    std::lock_guard<std::mutex> lock(links_mu_);
+    links = links_;
+  }
   Status first_error = Status::OK();
-  for (size_t shard = 0; shard < num_shards(); ++shard) {
-    std::shared_ptr<Link> link;
-    {
-      std::lock_guard<std::mutex> lock(links_mu_);
-      if (shard >= links_.size() || links_[shard] == nullptr) continue;
-      link = links_[shard];
-    }
-    bool stopping = false;
-    if (!link->down.load(std::memory_order_acquire)) {
-      WireShutdownRequest request;
-      request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-      StatusOr<WireFrame> acked =
-          CallSync(shard, WireType::kShutdownRequest,
-                   EncodeShutdownRequest(request), request.id,
-                   WireType::kShutdownResponse);
-      stopping = acked.ok();
-      if (!acked.ok() && first_error.ok()) first_error = acked.status();
-    }
-    link->down.store(true, std::memory_order_release);
-    link->socket.Shutdown();
-    if (link->receiver.joinable()) link->receiver.join();
-    FailPending(link.get(), Status::Unavailable("fleet shutting down"));
-    if (!link->reaped && link->pid >= 0) {
-      // A shard that never started serving, or whose link failed, did not
-      // take the shutdown frame and may still be running.
-      if (!stopping) {
-        Status killed = KillProcess(link->pid, SIGKILL);
-        (void)killed;
-      }
-      StatusOr<ProcessExit> reaped = WaitProcess(link->pid);
-      if (reaped.ok()) {
-        link->reaped = true;
-      } else if (first_error.ok()) {
-        first_error = reaped.status();
-      }
-    }
+  for (const std::shared_ptr<Link>& link : links) {
+    const Status stopped = StopLink(link.get(), /*signal=*/0);
+    if (first_error.ok()) first_error = stopped;
   }
   return first_error;
 }

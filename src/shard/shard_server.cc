@@ -39,9 +39,12 @@ ShardServer::ShardServer(ShardServerOptions options, UnixSocket link)
   link_->socket = std::move(link);
 }
 
-// Completions still queued in the router fail their writes on the shut
-// link as the engine drains.
-ShardServer::~ShardServer() { Stop(); }
+// The router answers every admitted query while the link is still up, so
+// a peer that only half-closed its end (the fleet's stop) reads them all.
+ShardServer::~ShardServer() {
+  if (engine_ != nullptr) engine_->router()->Stop();
+  Stop();
+}
 
 StatusOr<std::unique_ptr<ShardServer>> ShardServer::Create(
     ShardServerOptions options, UnixSocket link) {
@@ -55,7 +58,6 @@ StatusOr<std::unique_ptr<ShardServer>> ShardServer::Create(
     DurableStoreOptions store_options;
     store_options.dir = options.durable_dir;
     store_options.buffer_pool_pages = options.buffer_pool_pages;
-    store_options.profile_max_k = options.profile_max_k;
     store_options.test_crash_after_bytes = options.test_crash_after_bytes;
     CKSAFE_ASSIGN_OR_RETURN(
         server->engine_,
@@ -224,25 +226,11 @@ Status ShardServer::HandleFrame(WireFrame frame) {
       return link_->Send(WireType::kPingResponse,
                         EncodePingResponse(response));
     }
-    case WireType::kShutdownRequest: {
-      StatusOr<WireShutdownRequest> request =
-          DecodeShutdownRequest(frame.payload);
-      if (!request.ok()) return request.status();
-      WireShutdownResponse response;
-      response.id = request->id;
-      // Acknowledge BEFORE stopping: the fleet's shutdown call completes
-      // only once the shard has committed to stopping.
-      const Status sent = link_->Send(WireType::kShutdownResponse,
-                                     EncodeShutdownResponse(response));
-      Stop();
-      return sent;
-    }
     case WireType::kQueryResponse:
     case WireType::kPublishResponse:
     case WireType::kHandoffResponse:
     case WireType::kDropResponse:
     case WireType::kPingResponse:
-    case WireType::kShutdownResponse:
       return Status::InvalidArgument(
           "response frame sent to a shard (client/server confusion)");
   }

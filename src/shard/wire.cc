@@ -21,7 +21,7 @@ struct FrameHeader {
 
 bool ValidWireType(uint8_t type) {
   return type >= static_cast<uint8_t>(WireType::kQueryRequest) &&
-         type <= static_cast<uint8_t>(WireType::kShutdownResponse);
+         type <= static_cast<uint8_t>(WireType::kPingResponse);
 }
 
 /// Parses and validates the fixed 20-byte header (everything except the
@@ -604,42 +604,6 @@ StatusOr<WirePingResponse> DecodePingResponse(
   CKSAFE_ASSIGN_OR_RETURN(msg.stats.tenants, reader.U64());
   if (!reader.exhausted()) {
     return Status::InvalidArgument("trailing bytes after ping response");
-  }
-  return msg;
-}
-
-std::vector<uint8_t> EncodeShutdownRequest(const WireShutdownRequest& msg) {
-  ByteWriter writer(8);
-  writer.PutU64(msg.id);
-  return writer.Release();
-}
-
-StatusOr<WireShutdownRequest> DecodeShutdownRequest(
-    const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload);
-  WireShutdownRequest msg;
-  CKSAFE_ASSIGN_OR_RETURN(msg.id, reader.U64());
-  if (!reader.exhausted()) {
-    return Status::InvalidArgument("trailing bytes after shutdown request");
-  }
-  return msg;
-}
-
-std::vector<uint8_t> EncodeShutdownResponse(const WireShutdownResponse& msg) {
-  ByteWriter writer(8 + StatusSize(msg.status));
-  writer.PutU64(msg.id);
-  EncodeStatus(msg.status, &writer);
-  return writer.Release();
-}
-
-StatusOr<WireShutdownResponse> DecodeShutdownResponse(
-    const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload);
-  WireShutdownResponse msg;
-  CKSAFE_ASSIGN_OR_RETURN(msg.id, reader.U64());
-  CKSAFE_RETURN_IF_ERROR(DecodeStatus(&reader, &msg.status));
-  if (!reader.exhausted()) {
-    return Status::InvalidArgument("trailing bytes after shutdown response");
   }
   return msg;
 }

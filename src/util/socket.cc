@@ -78,6 +78,10 @@ void UnixSocket::Shutdown() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
+void UnixSocket::ShutdownWrite() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
+}
+
 void UnixSocket::Close() {
   if (fd_ >= 0) {
     ::close(fd_);

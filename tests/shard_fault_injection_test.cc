@@ -41,7 +41,9 @@ TEST(ShardFaultInjectionTest, KillMidQueryResolvesEveryPendingFuture) {
   Rng rng(seed);
   ShardFleetOptions options;
   options.num_shards = 2;
-  options.test_stall_queries_ms = 300;  // queries are in flight when we kill
+  options.tweak_shard = [](size_t, ShardServerOptions* shard) {
+    shard->test_stall_queries_ms = 300;  // queries are in flight at the kill
+  };
   auto fleet_or = ShardFleet::Start(options);
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
   std::unique_ptr<ShardFleet> fleet = std::move(fleet_or).value();

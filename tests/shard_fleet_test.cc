@@ -145,7 +145,9 @@ TEST(ShardFleetTest, InFlightWindowShedsWithResourceExhausted) {
   Rng rng(seed);
   ShardFleetOptions options = BaseOptions(1);
   options.max_in_flight_per_shard = 4;
-  options.test_stall_queries_ms = 200;  // hold queries so the window fills
+  options.tweak_shard = [](size_t, ShardServerOptions* shard) {
+    shard->test_stall_queries_ms = 200;  // hold queries so the window fills
+  };
   auto fleet_or = ShardFleet::Start(options);
   ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
   std::unique_ptr<ShardFleet> fleet = std::move(fleet_or).value();
@@ -247,6 +249,56 @@ TEST(ShardFleetTest, ShutdownAllStopsServingAndRestartRecovers) {
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   EXPECT_TRUE(AnswerMatchesFresh(query, *answer, *snapshot));
   EXPECT_TRUE(fleet->ShutdownAll().ok());
+}
+
+TEST(ShardFleetTest, ShutdownAllAnswersEveryAdmittedQueryAndReapsEveryShard) {
+  // ShutdownAll closes the fleet's end of each link while the shards still
+  // stall on queries sent before it: each shard reads them, answers every
+  // one before it exits, and is reaped.
+  const uint64_t seed = TestSeed(20260827);
+  SCOPED_TRACE(SeedTrace(seed));
+  Rng rng(seed);
+  ShardFleetOptions options = BaseOptions(2);
+  options.tweak_shard = [](size_t, ShardServerOptions* shard) {
+    shard->test_stall_queries_ms = 50;
+  };
+  auto fleet_or = ShardFleet::Start(options);
+  ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
+  std::unique_ptr<ShardFleet> fleet = std::move(fleet_or).value();
+
+  // One tenant per shard, so both shards hold queries at the stop.
+  std::vector<std::string> tenants(fleet->num_shards());
+  for (size_t i = 0; tenants[0].empty() || tenants[1].empty(); ++i) {
+    const std::string tenant = "tenant-" + std::to_string(i);
+    std::string& slot = tenants[fleet->ShardOf(tenant)];
+    if (slot.empty()) slot = tenant;
+  }
+  for (const std::string& tenant : tenants) {
+    ASSERT_TRUE(fleet->PublishSnapshot(tenant, RandomSnapshot(&rng, 1)).ok());
+  }
+  std::vector<std::pair<Query, std::future<StatusOr<QueryAnswer>>>> submitted;
+  for (size_t i = 0; i < 4; ++i) {
+    const Query query = RandomQuery(&rng, tenants[i % tenants.size()]);
+    auto future = fleet->Submit(query);
+    ASSERT_TRUE(future.ok()) << future.status().ToString();
+    submitted.emplace_back(query, std::move(future).value());
+  }
+  ASSERT_TRUE(fleet->ShutdownAll().ok());
+
+  const auto registry = fleet->PublishedRegistry();
+  for (auto& [query, future] : submitted) {
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    const auto answer = future.get();
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    const auto snapshot =
+        registry.find({query.tenant, answer->snapshot_sequence});
+    ASSERT_NE(snapshot, registry.end());
+    EXPECT_TRUE(AnswerMatchesFresh(query, *answer, *snapshot->second));
+  }
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
 }
 
 TEST(ShardFleetTest, FailedStartReapsEveryForkedShard) {

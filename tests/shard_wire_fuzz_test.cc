@@ -37,7 +37,6 @@ constexpr WireType kAllTypes[] = {
     WireType::kHandoffRequest, WireType::kHandoffResponse,
     WireType::kDropRequest,    WireType::kDropResponse,
     WireType::kPingRequest,    WireType::kPingResponse,
-    WireType::kShutdownRequest, WireType::kShutdownResponse,
 };
 
 std::vector<uint8_t> RandomBytes(Rng* rng, size_t size) {
@@ -139,10 +138,6 @@ std::vector<uint8_t> RandomPayload(Rng* rng, WireType type) {
     case WireType::kPingResponse:
       return EncodePingResponse(
           {rng->NextUint64(), RandomStatus(rng), RandomStats(rng)});
-    case WireType::kShutdownRequest:
-      return EncodeShutdownRequest({rng->NextUint64()});
-    case WireType::kShutdownResponse:
-      return EncodeShutdownResponse({rng->NextUint64(), RandomStatus(rng)});
   }
   return {};
 }
@@ -272,12 +267,6 @@ TEST(ShardWireFuzzTest, EncodedFramesMatchGoldenBytes) {
        "000200000000000000",
       EncodeFrame(WireType::kPingResponse,
                   EncodePingResponse({21, Status::OK(), stats}))},
-      {"434b5746010b00000800000064a38fa799b455111600000000000000",
-      EncodeFrame(WireType::kShutdownRequest, EncodeShutdownRequest({22}))},
-      {"434b5746010c00000d0000002b8d684747ff3e0a170000000000000000000000"
-       "00",
-      EncodeFrame(WireType::kShutdownResponse,
-                  EncodeShutdownResponse({23, Status::OK()}))},
   };
   for (const auto& c : cases) {
     EXPECT_EQ(Hex(c.frame), c.golden);
@@ -419,20 +408,6 @@ TEST(ShardWireFuzzTest, ControlMessagesRoundTrip) {
     EXPECT_EQ(pong2->stats.snapshot_reloads, pong.stats.snapshot_reloads);
     EXPECT_EQ(pong2->stats.publishes, pong.stats.publishes);
     EXPECT_EQ(pong2->stats.tenants, pong.stats.tenants);
-
-    WireShutdownRequest down;
-    down.id = rng.NextUint64();
-    const auto down2 = DecodeShutdownRequest(EncodeShutdownRequest(down));
-    ASSERT_TRUE(down2.ok());
-    EXPECT_EQ(down2->id, down.id);
-
-    WireShutdownResponse downr;
-    downr.id = rng.NextUint64();
-    downr.status = RandomStatus(&rng);
-    const auto downr2 = DecodeShutdownResponse(EncodeShutdownResponse(downr));
-    ASSERT_TRUE(downr2.ok());
-    EXPECT_EQ(downr2->id, downr.id);
-    EXPECT_TRUE(StatusEq(downr2->status, downr.status));
   }
 }
 
@@ -500,10 +475,11 @@ TEST(ShardWireFuzzTest, CorruptHeadersAreRejected) {
   EXPECT_FALSE(DecodeFrame(bad_version).ok());
 
   std::vector<uint8_t> bad_type = clean;
-  bad_type[5] = 0;  // below every WireType
-  EXPECT_FALSE(DecodeFrame(bad_type).ok());
-  bad_type[5] = 13;  // above every WireType
-  EXPECT_FALSE(DecodeFrame(bad_type).ok());
+  // 0 is below every WireType, 13 above; 11 and 12 were the shutdown pair.
+  for (const uint8_t type : {0, 11, 12, 13}) {
+    bad_type[5] = type;
+    EXPECT_FALSE(DecodeFrame(bad_type).ok()) << "type byte " << int{type};
+  }
 
   std::vector<uint8_t> bad_reserved = clean;
   bad_reserved[6] = 0x5A;
@@ -659,8 +635,6 @@ TEST(ShardWireFuzzTest, RandomHostilePayloadsNeverCrashAnyDecoder) {
     check(DecodeDropResponse(payload));
     check(DecodePingRequest(payload));
     check(DecodePingResponse(payload));
-    check(DecodeShutdownRequest(payload));
-    check(DecodeShutdownResponse(payload));
   }
 }
 

@@ -5,17 +5,26 @@
 //   segments.dat  — page-structured segment data (snapshots, dict deltas)
 //   MANIFEST      — the write-ahead commit log (persist/manifest.h)
 //
+// Both begin with the store magic and format version (segments.dat as
+// its header page 0). Open() refuses a file whose header is foreign,
+// missing or of another version with FailedPrecondition and touches
+// neither file; an empty file, or one whose header bytes are each as
+// written or still zero (a header write cut short or torn into
+// zero-filled blocks), is a fresh store. The headers go out with the
+// first group's bytes, so opening a fresh directory writes nothing.
+//
 // AppendPublishGroup is the atomic-append commit protocol for a group of
 // publishes (one serving round; AppendPublish is a group of one): every
-// entry's segment pages are appended in entry order and fsynced once,
-// then every entry's manifest record is appended and fsynced once. Each
-// manifest record is its own commit point, written only after the pages
-// it names are durable. A crash anywhere in between leaves a prefix of
-// the group's records committed and a torn tail that Open() detects
-// (checksums, extents, per-tenant sequence contiguity), truncates from
-// both files, and forgets; the store always reopens to the exact prefix
-// of publishes whose manifest records survived. Groups and single
-// appends write byte-identical files.
+// entry's segments are encoded straight into pages, appended in entry
+// order with one write and fsynced once, then every entry's manifest
+// record is appended with one write and fsynced once. Each manifest
+// record is its own commit point, written only after the pages it names
+// are durable. A crash anywhere in between leaves a prefix of the group's
+// records committed and a torn tail that Open() detects (XXH64 checksums,
+// extents, per-tenant sequence contiguity), truncates from both files,
+// and forgets; the store always reopens to the exact prefix of publishes
+// whose manifest records survived. Groups and single appends write
+// byte-identical files.
 //
 // Reads go through a fixed-capacity BufferPool, so a directory whose
 // snapshot history exceeds RAM still serves loads: cold pages are evicted
@@ -83,9 +92,12 @@ struct RecoveryInfo {
 class DurableStore {
  public:
   /// Opens (creating or recovering) the store at `options.dir`. Recovery
-  /// scans the manifest, validates every referenced segment page, stops at
-  /// the first record that fails, and truncates both files to the
-  /// committed prefix; recovery() reports what was kept and discarded.
+  /// checks both file headers (FailedPrecondition, files untouched, for a
+  /// foreign, headerless or other-version file), scans the manifest,
+  /// validates every referenced segment page, stops at the first record
+  /// that fails, and truncates both files to the committed prefix (to
+  /// empty when no record survives); recovery() reports what was kept and
+  /// discarded.
   static StatusOr<std::unique_ptr<DurableStore>> Open(
       DurableStoreOptions options);
 
@@ -169,7 +181,7 @@ class DurableStore {
   /// the append would reach the configured threshold it writes only the
   /// prefix up to it and SIGKILLs the process.
   Status CrashableAppend(AppendFile* file, const std::vector<uint8_t>& bytes);
-  /// Reads a segment's pages (direct pread), unframes, and validates the
+  /// Reads a segment's pages with one pread, unframes, and validates the
   /// blob against `ref`. Shared by recovery and Verify.
   Status ReadSegmentDirect(const SegmentRef& ref, PageType type,
                            std::vector<uint8_t>* blob) const;
@@ -189,6 +201,7 @@ class DurableStore {
   std::map<std::string, TenantState> tenants_;
   std::vector<ManifestRecord> records_;
   RecoveryInfo recovery_;
+  std::vector<uint8_t> group_pages_;  // one group's segment bytes, reused
   uint64_t appended_bytes_ = 0;  // cumulative, for the crash seam
   bool wedged_ = false;          // an append failed mid-protocol
 };

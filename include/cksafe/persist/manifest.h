@@ -8,28 +8,27 @@
 // everything after it (the torn tail), which also orphans — and recovery
 // truncates — any segment pages the lost publishes had written.
 //
-// Records are framed independently of the 4 KiB page grid (they are tiny),
-// but follow the same discipline: little-endian integers, explicit
-// lengths, an FNV-1a checksum over the payload.
+// The file begins with an 8-byte header, the store magic and the format
+// version (persist/segment.h). Records follow it, framed independently of
+// the 4 KiB page grid (they are tiny), but with the same discipline:
+// little-endian integers, explicit lengths, an XXH64 checksum over the
+// payload.
 
 #ifndef CKSAFE_PERSIST_MANIFEST_H_
 #define CKSAFE_PERSIST_MANIFEST_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "cksafe/util/status.h"
+#include "cksafe/persist/segment.h"
 
 namespace cksafe {
 
-/// Where one segment lives in the segment file.
-struct SegmentRef {
-  uint64_t offset = 0;        ///< byte offset, always page-aligned
-  uint32_t pages = 0;         ///< whole 4 KiB pages
-  uint64_t blob_size = 0;     ///< payload bytes before page framing
-  uint64_t blob_checksum = 0; ///< FNV-1a of the unframed blob
-};
+/// MANIFEST's header: the store magic and the format version, u32 each.
+inline constexpr size_t kManifestHeaderSize = 8;
+std::vector<uint8_t> ManifestHeader();
 
 /// One committed publish: the tenant's next snapshot segment, plus the
 /// dictionary delta (possibly empty) committed atomically with it.
@@ -37,6 +36,9 @@ struct ManifestRecord {
   std::string tenant;
   uint64_t sequence = 0;
   uint64_t num_rows = 0;
+  /// The snapshot's sensitive domain size, which its blob must declare
+  /// too (the decoder's cap, kMaxSnapshotHistogramCells, bounds both).
+  uint32_t domain = 0;
   SegmentRef snapshot;
   bool has_dict = false;
   uint32_t dict_first_id = 0;
@@ -50,19 +52,15 @@ std::vector<uint8_t> EncodeManifestRecord(const ManifestRecord& record);
 /// Result of scanning a manifest image: the longest valid record prefix.
 struct ManifestScan {
   std::vector<ManifestRecord> records;
-  /// record_ends[i] = byte offset just past record i (for truncating to a
-  /// shorter valid prefix when a record fails deeper segment validation).
+  /// record_ends[i] = file offset just past record i: the manifest's
+  /// committed length when record i is the last to survive recovery.
   std::vector<uint64_t> record_ends;
-  /// Bytes covered by valid records; everything at and past this offset is
-  /// a torn tail the writer must truncate before appending again.
-  uint64_t committed_bytes = 0;
-  /// Bytes discarded (file size - committed_bytes).
-  uint64_t torn_bytes = 0;
 };
 
-/// Scans a raw manifest image, stopping at the first record that fails
-/// validation. Never errors on torn input — a torn tail is an expected
-/// crash artifact, reported via `torn_bytes`.
+/// Scans a whole MANIFEST image, header included, stopping at the first
+/// record that fails validation. An image that does not begin with
+/// ManifestHeader() holds no records. Never errors on torn input — a torn
+/// tail is an expected crash artifact.
 ManifestScan ScanManifest(const std::vector<uint8_t>& bytes);
 
 }  // namespace cksafe

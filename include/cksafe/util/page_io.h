@@ -4,17 +4,21 @@
 // the buffer pool caches and checksums), appended to plain files whose
 // durability point is an explicit fsync. This header holds the pieces that
 // are pure IO and byte-level encoding, with no knowledge of what a page
-// *means*: the page geometry constants, a 64-bit FNV-1a byte checksum, a
-// bounds-checked little-endian ByteWriter/ByteReader pair, and two thin
-// POSIX file wrappers (append-only writer with fsync, positional reader).
-// Everything is encoded least-significant-byte first, so files written on
-// one platform recover on any other.
+// *means*: the page geometry constants, two 64-bit byte hashes (XXH64, the
+// store's checksum, and FNV-1a, which the wire, the fleet's ring and the
+// foundry fingerprints keep), little-endian word loads and stores, a
+// bounds-checked ByteWriter/ByteReader pair, and two thin POSIX file
+// wrappers (append-only writer with fsync, positional reader). Everything
+// is encoded least-significant-byte first, on little-endian hosts only.
 
 #ifndef CKSAFE_UTIL_PAGE_IO_H_
 #define CKSAFE_UTIL_PAGE_IO_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -27,8 +31,32 @@ namespace cksafe {
 /// Fixed on-disk page size of the persist/ subsystem.
 inline constexpr size_t kPageSize = 4096;
 
-/// 64-bit FNV-1a over a byte range (the page and manifest checksum).
+/// 64-bit FNV-1a over a byte range (the wire frame checksum, the fleet's
+/// ring hash and the foundry fingerprints).
 uint64_t Fnv1a64(const uint8_t* data, size_t size, uint64_t seed = 0xcbf29ce484222325ULL);
+
+/// Seeded XXH64 over a byte range (the durable store's page, segment and
+/// manifest checksum). Portable: whole little-endian words, no ISA flag.
+uint64_t XxHash64(const uint8_t* data, size_t size, uint64_t seed = 0);
+
+// The store and the wire encode least-significant byte first, and every
+// word goes to and from memory with one copy, which only a little-endian
+// host may do.
+static_assert(std::endian::native == std::endian::little,
+              "cksafe's byte codecs assume a little-endian host");
+
+/// Stores the low `width` (<= 8) bytes of `v` at `out`, least significant
+/// byte first.
+inline void StoreLittleEndian(uint8_t* out, uint64_t v, size_t width) {
+  std::memcpy(out, &v, width);
+}
+
+/// Loads `width` (<= 8) little-endian bytes from `in`.
+inline uint64_t LoadLittleEndian(const uint8_t* in, size_t width) {
+  uint64_t v = 0;
+  std::memcpy(&v, in, width);
+  return v;
+}
 
 /// Appends little-endian encoded primitives to a growable byte buffer.
 /// An encoder that knows its size passes it as `reserve`, so the buffer is
@@ -59,8 +87,10 @@ class ByteWriter {
   std::vector<uint8_t> Release() { return std::move(bytes_); }
 
  private:
-  void PutLittleEndian(uint64_t v, int width) {
-    for (int i = 0; i < width; ++i) bytes_.push_back((v >> (8 * i)) & 0xffu);
+  void PutLittleEndian(uint64_t v, size_t width) {
+    const size_t at = bytes_.size();
+    bytes_.resize(at + width);
+    StoreLittleEndian(bytes_.data() + at, v, width);
   }
   std::vector<uint8_t> bytes_;
 };
@@ -81,12 +111,16 @@ class ByteReader {
   StatusOr<int32_t> I32();
   StatusOr<double> Double();
   StatusOr<std::string> String();
+  /// `count` u32s into `out`, copied as a block rather than word by word.
+  Status U32s(uint32_t* out, size_t count);
 
   size_t remaining() const { return size_ - pos_; }
   bool exhausted() const { return pos_ == size_; }
 
  private:
-  StatusOr<uint64_t> LittleEndian(int width);
+  // A compile-time width, so each load is one fixed-size copy.
+  template <size_t kWidth>
+  StatusOr<uint64_t> LittleEndian();
   const uint8_t* data_;
   size_t size_;
   size_t pos_ = 0;
@@ -142,6 +176,7 @@ class RandomReadFile {
   RandomReadFile(const RandomReadFile&) = delete;
   RandomReadFile& operator=(const RandomReadFile&) = delete;
 
+  /// NotFound when the file does not exist.
   Status Open(const std::string& path);
   /// Reads exactly `size` bytes at `offset`; IOError on short reads.
   Status ReadAt(uint64_t offset, uint8_t* out, size_t size) const;
@@ -155,8 +190,12 @@ class RandomReadFile {
   std::string path_;
 };
 
-/// Reads an entire small file (manifest recovery scan).
-StatusOr<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
+/// Reads a small file whole, or its first `limit` bytes when it is longer
+/// (store recovery reads the manifest and segments.dat's header page).
+/// NotFound when the file does not exist.
+StatusOr<std::vector<uint8_t>> ReadFileBytes(
+    const std::string& path,
+    uint64_t limit = std::numeric_limits<uint64_t>::max());
 
 }  // namespace cksafe
 

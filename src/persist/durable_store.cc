@@ -2,22 +2,78 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <set>
 #include <string_view>
 #include <utility>
 
 #include "cksafe/core/disclosure.h"
 #include "cksafe/util/check.h"
+#include "cksafe/util/string_util.h"
 
 namespace cksafe {
 namespace {
 
 constexpr char kManifestFile[] = "MANIFEST";
 constexpr char kSegmentsFile[] = "segments.dat";
+
+// Checks a store file whose leading bytes are `head` (the whole file when
+// it is shorter than `header`) against `header`, the bytes its header is
+// written as. The header's last field is the u32 format version at
+// `version_at`, just after the store magic, and only the bytes up to it
+// decide: past them, segments.dat's header page holds padding that, as on
+// every page, no checksum covers and no reader reads. Returns true when
+// the file begins with the whole header, and false when it is fresh: each
+// header byte it holds is that byte or still zero, as an absent or empty
+// file, or a header write cut short or torn into zero-filled blocks,
+// leaves it. Any other bytes are FailedPrecondition.
+StatusOr<bool> CheckHeader(const std::string& path,
+                           const std::vector<uint8_t>& head,
+                           const std::vector<uint8_t>& header,
+                           size_t version_at) {
+  const size_t significant = version_at + 4;
+  if (head.size() >= header.size() &&
+      std::equal(header.begin(), header.begin() + significant, head.begin())) {
+    return true;
+  }
+  const size_t n = std::min(head.size(), header.size());
+  if (std::equal(head.begin(), head.begin() + n, header.begin(),
+                 [](uint8_t got, uint8_t want) {
+                   return got == want || got == 0;
+                 })) {
+    return false;
+  }
+  if (head.size() >= significant &&
+      LoadLittleEndian(head.data() + version_at - 4, 4) == kStoreMagic) {
+    const uint64_t version = LoadLittleEndian(head.data() + version_at, 4);
+    if (version != kStoreFormatVersion) {
+      return Status::FailedPrecondition(StrFormat(
+          "%s has store format version %llu; this build reads version %u "
+          "and leaves the store untouched",
+          path.c_str(), static_cast<unsigned long long>(version),
+          kStoreFormatVersion));
+    }
+  }
+  return Status::FailedPrecondition(
+      path + " has no valid store header of format version " +
+      std::to_string(kStoreFormatVersion) +
+      "; not opening it as a store, and leaving it untouched");
+}
+
+// A store file's first `limit` bytes; an absent file reads as empty.
+StatusOr<std::vector<uint8_t>> ReadHead(const std::string& path,
+                                        uint64_t limit) {
+  StatusOr<std::vector<uint8_t>> bytes = ReadFileBytes(path, limit);
+  if (bytes.status().code() == StatusCode::kNotFound) {
+    return std::vector<uint8_t>{};
+  }
+  return bytes;
+}
 
 /// `cache` may be nullptr (the analyzer's private cache).
 StoredProfile ComputeProfile(const Bucketization& bucketization,
@@ -53,15 +109,29 @@ StatusOr<std::unique_ptr<DurableStore>> DurableStore::Open(
 }
 
 Status DurableStore::Recover() {
-  // Open (creating if absent) before reading, so a fresh directory scans
-  // as an empty store rather than a missing-file error.
+  // Both headers are checked before either file is opened for writing.
+  // A file without its whole header holds no record: a MANIFEST scans as
+  // empty, and segments.dat's header is fsynced with the first group's
+  // segments, before any record that points at them is written.
+  CKSAFE_ASSIGN_OR_RETURN(
+      const std::vector<uint8_t> manifest_bytes,
+      ReadHead(manifest_path_, std::numeric_limits<uint64_t>::max()));
+  CKSAFE_RETURN_IF_ERROR(CheckHeader(manifest_path_, manifest_bytes,
+                                     ManifestHeader(), /*version_at=*/4)
+                             .status());
+  CKSAFE_ASSIGN_OR_RETURN(const std::vector<uint8_t> segments_head,
+                          ReadHead(segments_path_, kPageSize));
+  CKSAFE_ASSIGN_OR_RETURN(
+      const bool segments_whole,
+      CheckHeader(segments_path_, segments_head, SegmentsHeader(),
+                  /*version_at=*/kPageHeaderSize + 4));
+
+  // Open for appending, creating absent files.
   CKSAFE_RETURN_IF_ERROR(segments_.Open(segments_path_));
   CKSAFE_RETURN_IF_ERROR(manifest_.Open(manifest_path_));
   CKSAFE_RETURN_IF_ERROR(reader_.Open(segments_path_));
-
-  CKSAFE_ASSIGN_OR_RETURN(std::vector<uint8_t> manifest_bytes,
-                          ReadFileBytes(manifest_path_));
-  const ManifestScan scan = ScanManifest(manifest_bytes);
+  ManifestScan scan = ScanManifest(manifest_bytes);
+  if (!segments_whole) scan.records.clear();
 
   // The manifest scan validated framing; now validate what each record
   // points at. A record only commits if its segments are whole (every
@@ -70,42 +140,38 @@ Status DurableStore::Recover() {
   // the committed prefix there — everything after is a torn tail, even
   // records that would individually validate.
   const uint64_t segment_file_size = segments_.size();
-  uint64_t segment_end = 0;
+  // A segment must start exactly where the committed prefix ends, and end
+  // inside the file.
+  const auto in_place = [&](const SegmentRef& ref, uint64_t offset) {
+    return ref.offset == offset &&
+           ref.offset + uint64_t{ref.pages} * kPageSize <= segment_file_size;
+  };
+  uint64_t segment_end = kPageSize;  // past the header page
   size_t committed = 0;
+  std::vector<uint8_t> blob;
   for (const ManifestRecord& record : scan.records) {
     TenantState& state = tenants_[record.tenant];
     if (record.sequence != state.latest + 1) break;
-    uint64_t expect_offset = segment_end;
+    if (!in_place(record.snapshot, segment_end) ||
+        !ReadSegmentDirect(record.snapshot, PageType::kSnapshot, &blob).ok()) {
+      break;
+    }
+    uint64_t end = record.snapshot.offset +
+                   uint64_t{record.snapshot.pages} * kPageSize;
     LabelDictionary::Delta delta;
     if (record.has_dict) {
-      if (record.dict.offset != expect_offset) break;
-      const uint64_t dict_extent =
-          record.dict.offset +
-          static_cast<uint64_t>(record.dict.pages) * kPageSize;
-      if (dict_extent > segment_file_size) break;
-      std::vector<uint8_t> dict_blob;
-      if (!ReadSegmentDirect(record.dict, PageType::kDictionary, &dict_blob)
-               .ok()) {
+      if (!in_place(record.dict, end) ||
+          !ReadSegmentDirect(record.dict, PageType::kDictionary, &blob).ok()) {
         break;
       }
-      auto decoded = DecodeDictionaryDelta(dict_blob);
+      auto decoded = DecodeDictionaryDelta(blob);
       if (!decoded.ok()) break;
       delta = *std::move(decoded);
       if (delta.first_id != record.dict_first_id ||
           delta.labels.size() != record.dict_count) {
         break;
       }
-      expect_offset = dict_extent;
-    }
-    if (record.snapshot.offset != expect_offset) break;
-    const uint64_t snap_extent =
-        record.snapshot.offset +
-        static_cast<uint64_t>(record.snapshot.pages) * kPageSize;
-    if (snap_extent > segment_file_size) break;
-    std::vector<uint8_t> snap_blob;
-    if (!ReadSegmentDirect(record.snapshot, PageType::kSnapshot, &snap_blob)
-             .ok()) {
-      break;
+      end = record.dict.offset + uint64_t{record.dict.pages} * kPageSize;
     }
     // Commit the record in memory.
     if (!delta.empty()) {
@@ -114,7 +180,7 @@ Status DurableStore::Recover() {
     state.latest = record.sequence;
     state.history[record.sequence] = records_.size();
     records_.push_back(record);
-    segment_end = snap_extent;
+    segment_end = end;
     ++committed;
   }
 
@@ -123,8 +189,11 @@ Status DurableStore::Recover() {
     it = it->second.latest == 0 ? tenants_.erase(it) : std::next(it);
   }
 
+  // With no record left the store is fresh: both files empty, so the next
+  // group writes both headers again.
   const uint64_t manifest_committed =
       committed == 0 ? 0 : scan.record_ends[committed - 1];
+  if (committed == 0) segment_end = 0;
   recovery_.records = committed;
   recovery_.tenants = tenants_.size();
   recovery_.manifest_bytes = manifest_committed;
@@ -208,53 +277,63 @@ Status DurableStore::AppendPublishGroup(std::span<const GroupEntry> entries) {
           ": expected sequence " + std::to_string(latest + 1) + ", got " +
           std::to_string(entry.snapshot->sequence));
     }
+    // Stored only if it loads again.
+    const Bucketization& b = entry.snapshot->bucketization;
+    if (static_cast<uint64_t>(b.num_buckets()) * b.sensitive_domain_size() >
+        kMaxSnapshotHistogramCells) {
+      return Status::InvalidArgument(
+          "snapshot for tenant " + entry.tenant +
+          " has more histogram cells than a stored snapshot may hold");
+    }
   }
   if (entries.empty()) return Status::OK();
 
-  // The protocol: every entry's segment pages in entry order (dictionary
-  // delta first, then the snapshot), one write per blob; one fsync of the
-  // segment file; every entry's manifest record, each one a commit point;
-  // one fsync of the manifest. Any failure wedges the store.
+  // The protocol: every entry's segments in entry order (the snapshot,
+  // then its dictionary delta if it has new labels), encoded straight into
+  // pages and appended with one write; one fsync of the segment file;
+  // every entry's manifest record, each one a commit point, appended with
+  // one write; one fsync of the manifest. A file's header goes out with
+  // its first bytes. Any failure wedges the store.
   std::vector<LabelDictionary::Delta> deltas(entries.size());
   std::vector<ManifestRecord> records(entries.size());
   const Status written = [&]() -> Status {
-    auto append_segment = [this](PageType type,
-                                 const std::vector<uint8_t>& blob,
-                                 SegmentRef* ref) {
-      ref->offset = segments_.size();
-      ref->pages = static_cast<uint32_t>(PagesForBlob(blob.size()));
-      ref->blob_size = blob.size();
-      ref->blob_checksum = Fnv1a64(blob.data(), blob.size());
-      return CrashableAppend(&segments_, FrameSegmentPages(type, blob));
-    };
+    group_pages_.clear();
+    if (segments_.size() == 0) group_pages_ = SegmentsHeader();
+    const uint64_t base = segments_.size();
     const LabelDictionary new_tenant_dict;
     for (size_t i = 0; i < entries.size(); ++i) {
       const ReleaseSnapshot& snapshot = *entries[i].snapshot;
       const auto it = tenants_.find(entries[i].tenant);
-      const std::vector<uint8_t> snap_blob = EncodeSnapshotBlob(
-          snapshot, profiles[i],
-          it == tenants_.end() ? new_tenant_dict : it->second.dict,
-          &deltas[i]);
       ManifestRecord& record = records[i];
       record.tenant = entries[i].tenant;
       record.sequence = snapshot.sequence;
       record.num_rows = snapshot.num_rows;
+      record.domain = static_cast<uint32_t>(
+          snapshot.bucketization.sensitive_domain_size());
+      SegmentWriter snapshot_pages(PageType::kSnapshot, base, &group_pages_);
+      EncodeSnapshotBlob(
+          snapshot, profiles[i],
+          it == tenants_.end() ? new_tenant_dict : it->second.dict,
+          &deltas[i], &snapshot_pages);
+      record.snapshot = snapshot_pages.Finish();
       if (!deltas[i].empty()) {
         record.has_dict = true;
         record.dict_first_id = deltas[i].first_id;
         record.dict_count = static_cast<uint32_t>(deltas[i].labels.size());
-        CKSAFE_RETURN_IF_ERROR(append_segment(PageType::kDictionary,
-                                              EncodeDictionaryDelta(deltas[i]),
-                                              &record.dict));
+        SegmentWriter dict_pages(PageType::kDictionary, base, &group_pages_);
+        EncodeDictionaryDelta(deltas[i], &dict_pages);
+        record.dict = dict_pages.Finish();
       }
-      CKSAFE_RETURN_IF_ERROR(
-          append_segment(PageType::kSnapshot, snap_blob, &record.snapshot));
     }
+    CKSAFE_RETURN_IF_ERROR(CrashableAppend(&segments_, group_pages_));
     CKSAFE_RETURN_IF_ERROR(segments_.Sync());
+    std::vector<uint8_t> log;
+    if (manifest_.size() == 0) log = ManifestHeader();
     for (const ManifestRecord& record : records) {
-      CKSAFE_RETURN_IF_ERROR(
-          CrashableAppend(&manifest_, EncodeManifestRecord(record)));
+      const std::vector<uint8_t> bytes = EncodeManifestRecord(record);
+      log.insert(log.end(), bytes.begin(), bytes.end());
     }
+    CKSAFE_RETURN_IF_ERROR(CrashableAppend(&manifest_, log));
     return manifest_.Sync();
   }();
   if (!written.ok()) {
@@ -278,50 +357,27 @@ Status DurableStore::AppendPublishGroup(std::span<const GroupEntry> entries) {
 
 Status DurableStore::ReadSegmentDirect(const SegmentRef& ref, PageType type,
                                        std::vector<uint8_t>* blob) const {
-  blob->clear();
-  blob->reserve(ref.blob_size);
-  std::vector<uint8_t> page(kPageSize);
-  bool is_last = false;
-  for (uint32_t p = 0; p < ref.pages; ++p) {
-    if (is_last) return Status::IOError("segment continues past last page");
-    CKSAFE_RETURN_IF_ERROR(reader_.ReadAt(
-        ref.offset + static_cast<uint64_t>(p) * kPageSize, page.data(),
-        kPageSize));
-    CKSAFE_RETURN_IF_ERROR(
-        UnframeSegmentPage(page.data(), type, p == 0, &is_last, blob));
+  std::vector<uint8_t> pages(size_t{ref.pages} * kPageSize);
+  CKSAFE_RETURN_IF_ERROR(
+      reader_.ReadAt(ref.offset, pages.data(), pages.size()));
+  SegmentReader segment(ref, type, blob);
+  for (size_t at = 0; at < pages.size(); at += kPageSize) {
+    CKSAFE_RETURN_IF_ERROR(segment.AddPage(pages.data() + at));
   }
-  if (!is_last) return Status::IOError("segment missing its last page");
-  if (blob->size() != ref.blob_size) {
-    return Status::IOError("segment blob size mismatch");
-  }
-  if (Fnv1a64(blob->data(), blob->size()) != ref.blob_checksum) {
-    return Status::IOError("segment blob checksum mismatch");
-  }
-  return Status::OK();
+  return segment.Finish();
 }
 
 Status DurableStore::ReadSegmentPooled(const SegmentRef& ref, PageType type,
                                        std::vector<uint8_t>* blob) const {
-  blob->clear();
-  blob->reserve(ref.blob_size);
   CKSAFE_CHECK_EQ(ref.offset % kPageSize, 0u) << "segment offset unaligned";
   const uint64_t first_page = ref.offset / kPageSize;
-  bool is_last = false;
+  SegmentReader segment(ref, type, blob);
   for (uint32_t p = 0; p < ref.pages; ++p) {
-    if (is_last) return Status::IOError("segment continues past last page");
     CKSAFE_ASSIGN_OR_RETURN(BufferPool::PageRef page,
                             pool_->Fetch(first_page + p));
-    CKSAFE_RETURN_IF_ERROR(
-        UnframeSegmentPage(page.data(), type, p == 0, &is_last, blob));
+    CKSAFE_RETURN_IF_ERROR(segment.AddPage(page.data()));
   }
-  if (!is_last) return Status::IOError("segment missing its last page");
-  if (blob->size() != ref.blob_size) {
-    return Status::IOError("segment blob size mismatch");
-  }
-  if (Fnv1a64(blob->data(), blob->size()) != ref.blob_checksum) {
-    return Status::IOError("segment blob checksum mismatch");
-  }
-  return Status::OK();
+  return segment.Finish();
 }
 
 StatusOr<std::shared_ptr<const ReleaseSnapshot>> DurableStore::LoadSnapshot(
@@ -344,7 +400,8 @@ StatusOr<std::shared_ptr<const ReleaseSnapshot>> DurableStore::LoadSnapshot(
   StoredProfile local_profile;
   CKSAFE_ASSIGN_OR_RETURN(
       std::shared_ptr<const ReleaseSnapshot> snapshot,
-      DecodeSnapshotBlob(blob, tenant_it->second.dict, &local_profile));
+      DecodeSnapshotBlob(blob, tenant_it->second.dict, record.domain,
+                         &local_profile));
   if (snapshot->sequence != sequence) {
     return Status::IOError("decoded snapshot carries sequence " +
                            std::to_string(snapshot->sequence) +
@@ -432,7 +489,8 @@ StatusOr<DurableStore::VerifyReport> DurableStore::Verify() const {
     report.pages += record.snapshot.pages;
     StoredProfile stored;
     CKSAFE_ASSIGN_OR_RETURN(std::shared_ptr<const ReleaseSnapshot> snapshot,
-                            DecodeSnapshotBlob(snap_blob, dict, &stored));
+                            DecodeSnapshotBlob(snap_blob, dict, record.domain,
+                                               &stored));
     if (snapshot->sequence != record.sequence ||
         snapshot->num_rows != record.num_rows) {
       return Status::IOError("snapshot header disagrees with manifest at " +

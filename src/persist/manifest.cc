@@ -1,5 +1,7 @@
 #include "cksafe/persist/manifest.h"
 
+#include <algorithm>
+
 #include "cksafe/util/page_io.h"
 
 namespace cksafe {
@@ -14,6 +16,12 @@ constexpr size_t kRecordHeaderSize = 16;
 constexpr uint32_t kMaxRecordPayload = 1 << 20;
 // u64 offset, u32 pages, u64 blob_size, u64 blob_checksum.
 constexpr size_t kSegmentRefSize = 8 + 4 + 8 + 8;
+
+bool StartsWithHeader(const std::vector<uint8_t>& bytes) {
+  const std::vector<uint8_t> header = ManifestHeader();
+  return bytes.size() >= header.size() &&
+         std::equal(header.begin(), header.end(), bytes.begin());
+}
 
 void PutSegmentRef(ByteWriter* w, const SegmentRef& ref) {
   w->PutU64(ref.offset);
@@ -38,6 +46,7 @@ StatusOr<ManifestRecord> DecodeRecordPayload(const uint8_t* data,
   CKSAFE_ASSIGN_OR_RETURN(record.tenant, r.String());
   CKSAFE_ASSIGN_OR_RETURN(record.sequence, r.U64());
   CKSAFE_ASSIGN_OR_RETURN(record.num_rows, r.U64());
+  CKSAFE_ASSIGN_OR_RETURN(record.domain, r.U32());
   CKSAFE_ASSIGN_OR_RETURN(record.snapshot, GetSegmentRef(&r));
   CKSAFE_ASSIGN_OR_RETURN(uint8_t has_dict, r.U8());
   if (has_dict > 1) return Status::IOError("bad dictionary marker");
@@ -53,12 +62,20 @@ StatusOr<ManifestRecord> DecodeRecordPayload(const uint8_t* data,
 
 }  // namespace
 
+std::vector<uint8_t> ManifestHeader() {
+  ByteWriter header(kManifestHeaderSize);
+  header.PutU32(kStoreMagic);
+  header.PutU32(kStoreFormatVersion);
+  return header.Release();
+}
+
 std::vector<uint8_t> EncodeManifestRecord(const ManifestRecord& record) {
-  ByteWriter payload(4 + record.tenant.size() + 8 + 8 + kSegmentRefSize + 1 +
-                     (record.has_dict ? 4 + 4 + kSegmentRefSize : 0));
+  ByteWriter payload(4 + record.tenant.size() + 8 + 8 + 4 + kSegmentRefSize +
+                     1 + (record.has_dict ? 4 + 4 + kSegmentRefSize : 0));
   payload.PutString(record.tenant);
   payload.PutU64(record.sequence);
   payload.PutU64(record.num_rows);
+  payload.PutU32(record.domain);
   PutSegmentRef(&payload, record.snapshot);
   payload.PutU8(record.has_dict ? 1 : 0);
   if (record.has_dict) {
@@ -69,14 +86,15 @@ std::vector<uint8_t> EncodeManifestRecord(const ManifestRecord& record) {
   ByteWriter framed(kRecordHeaderSize + payload.size());
   framed.PutU32(kManifestMagic);
   framed.PutU32(static_cast<uint32_t>(payload.size()));
-  framed.PutU64(Fnv1a64(payload.bytes().data(), payload.size()));
+  framed.PutU64(XxHash64(payload.bytes().data(), payload.size()));
   framed.PutBytes(payload.bytes().data(), payload.size());
   return framed.Release();
 }
 
 ManifestScan ScanManifest(const std::vector<uint8_t>& bytes) {
   ManifestScan scan;
-  size_t pos = 0;
+  if (!StartsWithHeader(bytes)) return scan;
+  size_t pos = kManifestHeaderSize;
   while (bytes.size() - pos >= kRecordHeaderSize) {
     ByteReader header(bytes.data() + pos, kRecordHeaderSize);
     const uint32_t magic = *header.U32();
@@ -85,15 +103,13 @@ ManifestScan ScanManifest(const std::vector<uint8_t>& bytes) {
     if (magic != kManifestMagic || payload_len > kMaxRecordPayload) break;
     if (bytes.size() - pos - kRecordHeaderSize < payload_len) break;
     const uint8_t* payload = bytes.data() + pos + kRecordHeaderSize;
-    if (Fnv1a64(payload, payload_len) != checksum) break;
+    if (XxHash64(payload, payload_len) != checksum) break;
     auto record = DecodeRecordPayload(payload, payload_len);
     if (!record.ok()) break;
     scan.records.push_back(*std::move(record));
     pos += kRecordHeaderSize + payload_len;
     scan.record_ends.push_back(pos);
   }
-  scan.committed_bytes = pos;
-  scan.torn_bytes = bytes.size() - pos;
   return scan;
 }
 

@@ -1,6 +1,8 @@
 #include "cksafe/persist/segment.h"
 
+#include <algorithm>
 #include <cstring>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -14,24 +16,18 @@ constexpr uint32_t kSnapshotBlobMagic = 0x50414e53;    // "SNAP"
 constexpr uint32_t kDictionaryBlobMagic = 0x54434944;  // "DICT"
 
 // Offset of the checksum field inside the 16-byte page header; the
-// checksum covers bytes [0, kChecksumOffset) plus the payload.
+// header bytes before it seed the payload's XXH64.
 constexpr size_t kChecksumOffset = 8;
 
 uint64_t PageChecksum(const uint8_t* page, size_t payload_len) {
-  const uint64_t header_part = Fnv1a64(page, kChecksumOffset);
-  return Fnv1a64(page + kPageHeaderSize, payload_len, header_part);
+  return XxHash64(page + kPageHeaderSize, payload_len,
+                  LoadLittleEndian(page, kChecksumOffset));
 }
 
-void PutLE(uint8_t* out, uint64_t v, int width) {
-  for (int i = 0; i < width; ++i) out[i] = (v >> (8 * i)) & 0xffu;
-}
-
-uint64_t GetLE(const uint8_t* in, int width) {
-  uint64_t v = 0;
-  for (int i = 0; i < width; ++i) {
-    v |= static_cast<uint64_t>(in[i]) << (8 * i);
-  }
-  return v;
+void AppendChecksum(std::vector<uint8_t>* checksums, uint64_t checksum) {
+  const size_t at = checksums->size();
+  checksums->resize(at + 8);
+  StoreLittleEndian(checksums->data() + at, checksum, 8);
 }
 
 uint32_t NonzeroCount(const std::vector<uint32_t>& histogram) {
@@ -42,63 +38,134 @@ uint32_t NonzeroCount(const std::vector<uint32_t>& histogram) {
 
 }  // namespace
 
-size_t PagesForBlob(size_t blob_size) {
-  if (blob_size == 0) return 1;
-  return (blob_size + kPagePayloadCapacity - 1) / kPagePayloadCapacity;
+std::vector<uint8_t> SegmentsHeader() {
+  std::vector<uint8_t> page;
+  SegmentWriter writer(PageType::kHeader, 0, &page);
+  writer.PutU32(kStoreMagic);
+  writer.PutU32(kStoreFormatVersion);
+  writer.Finish();
+  return page;
 }
 
-std::vector<uint8_t> FrameSegmentPages(PageType type,
-                                       const std::vector<uint8_t>& blob) {
-  const size_t num_pages = PagesForBlob(blob.size());
-  std::vector<uint8_t> pages(num_pages * kPageSize, 0);
-  size_t consumed = 0;
-  for (size_t p = 0; p < num_pages; ++p) {
-    uint8_t* page = pages.data() + p * kPageSize;
-    const size_t payload_len =
-        std::min(kPagePayloadCapacity, blob.size() - consumed);
-    uint8_t flags = 0;
-    if (p == 0) flags |= kPageFlagFirst;
-    if (p + 1 == num_pages) flags |= kPageFlagLast;
-    PutLE(page, kPageMagic, 4);
-    PutLE(page + 4, payload_len, 2);
-    page[6] = static_cast<uint8_t>(type);
-    page[7] = flags;
-    // An empty blob has no data() to copy from: memcpy from null is UB even
-    // for zero bytes.
-    if (payload_len > 0) {
-      std::memcpy(page + kPageHeaderSize, blob.data() + consumed, payload_len);
+SegmentWriter::SegmentWriter(PageType type, uint64_t out_file_offset,
+                             std::vector<uint8_t>* out)
+    : type_(type), out_(out), file_offset_(out_file_offset + out->size()) {
+  CKSAFE_CHECK_EQ(file_offset_ % kPageSize, 0u) << "segment offset unaligned";
+  OpenPage();
+}
+
+void SegmentWriter::OpenPage() {
+  page_at_ = out_->size();
+  out_->resize(page_at_ + kPageSize);  // zero-filled: the padding
+  cursor_ = out_->data() + page_at_ + kPageHeaderSize;
+  room_ = kPagePayloadCapacity;
+}
+
+void SegmentWriter::ClosePage(bool last) {
+  uint8_t* page = out_->data() + page_at_;
+  const size_t payload_len = kPagePayloadCapacity - room_;
+  StoreLittleEndian(page, kPageMagic, 4);
+  StoreLittleEndian(page + 4, payload_len, 2);
+  page[6] = static_cast<uint8_t>(type_);
+  page[7] = static_cast<uint8_t>((pages_ == 0 ? kPageFlagFirst : 0) |
+                                 (last ? kPageFlagLast : 0));
+  const uint64_t checksum = PageChecksum(page, payload_len);
+  StoreLittleEndian(page + kChecksumOffset, checksum, 8);
+  AppendChecksum(&page_checksums_, checksum);
+  blob_size_ += payload_len;
+  ++pages_;
+}
+
+void SegmentWriter::PutBytes(const uint8_t* data, size_t size) {
+  while (size > 0) {
+    if (room_ == 0) {
+      // Only now is the full page known not to be the segment's last.
+      ClosePage(/*last=*/false);
+      OpenPage();
     }
-    PutLE(page + kChecksumOffset, PageChecksum(page, payload_len), 8);
-    consumed += payload_len;
+    const size_t n = std::min(room_, size);
+    std::memcpy(cursor_, data, n);
+    cursor_ += n;
+    room_ -= n;
+    data += n;
+    size -= n;
   }
-  CKSAFE_CHECK_EQ(consumed, blob.size());
-  return pages;
 }
 
-Status UnframeSegmentPage(const uint8_t* page, PageType expected_type,
-                          bool expect_first, bool* is_last,
-                          std::vector<uint8_t>* blob) {
-  if (GetLE(page, 4) != kPageMagic) {
+void SegmentWriter::PutDouble(double v) {
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(v));
+  std::memcpy(&bits, &v, sizeof(bits));
+  PutU64(bits);
+}
+
+void SegmentWriter::PutString(std::string_view s) {
+  PutU32(static_cast<uint32_t>(s.size()));
+  PutBytes(reinterpret_cast<const uint8_t*>(s.data()), s.size());
+}
+
+void SegmentWriter::PutU32s(const uint32_t* values, size_t count) {
+  PutBytes(reinterpret_cast<const uint8_t*>(values), 4 * count);
+}
+
+SegmentRef SegmentWriter::Finish() {
+  ClosePage(/*last=*/true);
+  SegmentRef ref;
+  ref.offset = file_offset_;
+  ref.pages = pages_;
+  ref.blob_size = blob_size_;
+  ref.blob_checksum =
+      XxHash64(page_checksums_.data(), page_checksums_.size());
+  return ref;
+}
+
+SegmentReader::SegmentReader(const SegmentRef& ref, PageType type,
+                             std::vector<uint8_t>* blob)
+    : ref_(ref), type_(type), blob_(blob) {
+  blob_->clear();
+  // A record's sizes are only as good as its checksum: reserve no more
+  // than its pages can hold.
+  blob_->reserve(std::min<uint64_t>(
+      ref.blob_size, uint64_t{ref.pages} * kPagePayloadCapacity));
+}
+
+Status SegmentReader::AddPage(const uint8_t* page) {
+  if (last_) return Status::IOError("segment continues past last page");
+  if (LoadLittleEndian(page, 4) != kPageMagic) {
     return Status::IOError("bad page magic");
   }
-  const size_t payload_len = GetLE(page + 4, 2);
+  const size_t payload_len = LoadLittleEndian(page + 4, 2);
   if (payload_len > kPagePayloadCapacity) {
     return Status::IOError("page payload length out of range");
   }
-  if (page[6] != static_cast<uint8_t>(expected_type)) {
+  if (page[6] != static_cast<uint8_t>(type_)) {
     return Status::IOError("unexpected page type");
   }
   const uint8_t flags = page[7];
-  if (expect_first != ((flags & kPageFlagFirst) != 0)) {
+  if ((pages_ == 0) != ((flags & kPageFlagFirst) != 0)) {
     return Status::IOError("page continuation flags inconsistent");
   }
-  const uint64_t stored = GetLE(page + kChecksumOffset, 8);
-  if (stored != PageChecksum(page, payload_len)) {
+  const uint64_t checksum = PageChecksum(page, payload_len);
+  if (LoadLittleEndian(page + kChecksumOffset, 8) != checksum) {
     return Status::IOError("page checksum mismatch");
   }
-  blob->insert(blob->end(), page + kPageHeaderSize,
-               page + kPageHeaderSize + payload_len);
-  *is_last = (flags & kPageFlagLast) != 0;
+  blob_->insert(blob_->end(), page + kPageHeaderSize,
+                page + kPageHeaderSize + payload_len);
+  AppendChecksum(&page_checksums_, checksum);
+  last_ = (flags & kPageFlagLast) != 0;
+  ++pages_;
+  return Status::OK();
+}
+
+Status SegmentReader::Finish() {
+  if (!last_) return Status::IOError("segment missing its last page");
+  if (blob_->size() != ref_.blob_size) {
+    return Status::IOError("segment blob size mismatch");
+  }
+  if (XxHash64(page_checksums_.data(), page_checksums_.size()) !=
+      ref_.blob_checksum) {
+    return Status::IOError("segment blob checksum mismatch");
+  }
   return Status::OK();
 }
 
@@ -143,16 +210,12 @@ StatusOr<std::string> LabelDictionary::Lookup(uint32_t id) const {
   return labels_[id];
 }
 
-std::vector<uint8_t> EncodeDictionaryDelta(
-    const LabelDictionary::Delta& delta) {
-  size_t size = 4 + 4 + 4;
-  for (const std::string& label : delta.labels) size += 4 + label.size();
-  ByteWriter w(size);
-  w.PutU32(kDictionaryBlobMagic);
-  w.PutU32(delta.first_id);
-  w.PutU32(static_cast<uint32_t>(delta.labels.size()));
-  for (const std::string& label : delta.labels) w.PutString(label);
-  return w.Release();
+void EncodeDictionaryDelta(const LabelDictionary::Delta& delta,
+                           SegmentWriter* writer) {
+  writer->PutU32(kDictionaryBlobMagic);
+  writer->PutU32(delta.first_id);
+  writer->PutU32(static_cast<uint32_t>(delta.labels.size()));
+  for (const std::string& label : delta.labels) writer->PutString(label);
 }
 
 StatusOr<LabelDictionary::Delta> DecodeDictionaryDelta(
@@ -177,20 +240,14 @@ StatusOr<LabelDictionary::Delta> DecodeDictionaryDelta(
   return delta;
 }
 
-std::vector<uint8_t> EncodeSnapshotBlob(const ReleaseSnapshot& snapshot,
-                                        const StoredProfile& profile,
-                                        const LabelDictionary& dict,
-                                        LabelDictionary::Delta* dict_delta) {
+void EncodeSnapshotBlob(const ReleaseSnapshot& snapshot,
+                        const StoredProfile& profile,
+                        const LabelDictionary& dict,
+                        LabelDictionary::Delta* dict_delta,
+                        SegmentWriter* writer) {
+  static_assert(std::is_same_v<PersonId, uint32_t>);
   const Bucketization& b = snapshot.bucketization;
-  size_t size = 4 + 8 + 8 + 4 + 4 * snapshot.node.size() + 4 + 4 + 1;
-  for (const Bucket& bucket : b.buckets()) {
-    size += 4 + 4 + 4 * bucket.members.size() + 4 +
-            8 * size_t{NonzeroCount(bucket.histogram)};
-  }
-  if (!profile.empty()) {
-    size += 4 + 8 * (profile.implication.size() + profile.negation.size());
-  }
-  ByteWriter w(size);
+  SegmentWriter& w = *writer;
   w.PutU32(kSnapshotBlobMagic);
   w.PutU64(snapshot.sequence);
   w.PutU64(static_cast<uint64_t>(snapshot.num_rows));
@@ -201,7 +258,7 @@ std::vector<uint8_t> EncodeSnapshotBlob(const ReleaseSnapshot& snapshot,
   for (const Bucket& bucket : b.buckets()) {
     w.PutU32(dict.InternInto(bucket.qi_label, dict_delta));
     w.PutU32(static_cast<uint32_t>(bucket.members.size()));
-    for (PersonId member : bucket.members) w.PutU32(member);
+    w.PutU32s(bucket.members.data(), bucket.members.size());
     w.PutU32(NonzeroCount(bucket.histogram));
     for (size_t s = 0; s < bucket.histogram.size(); ++s) {
       if (bucket.histogram[s] == 0) continue;
@@ -218,12 +275,11 @@ std::vector<uint8_t> EncodeSnapshotBlob(const ReleaseSnapshot& snapshot,
     for (double v : profile.implication) w.PutDouble(v);
     for (double v : profile.negation) w.PutDouble(v);
   }
-  return w.Release();
 }
 
 StatusOr<std::shared_ptr<const ReleaseSnapshot>> DecodeSnapshotBlob(
     const std::vector<uint8_t>& blob, const LabelDictionary& dict,
-    StoredProfile* profile) {
+    uint32_t domain, StoredProfile* profile) {
   ByteReader r(blob);
   CKSAFE_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
   if (magic != kSnapshotBlobMagic) {
@@ -240,8 +296,23 @@ StatusOr<std::shared_ptr<const ReleaseSnapshot>> DecodeSnapshotBlob(
   for (uint32_t i = 0; i < node_size; ++i) {
     CKSAFE_ASSIGN_OR_RETURN(snapshot->node[i], r.I32());
   }
-  CKSAFE_ASSIGN_OR_RETURN(uint32_t domain, r.U32());
+  CKSAFE_ASSIGN_OR_RETURN(uint32_t blob_domain, r.U32());
+  if (blob_domain != domain) {
+    return Status::IOError(
+        StrFormat("snapshot blob declares a sensitive domain of %u, its "
+                  "record %u",
+                  blob_domain, domain));
+  }
   CKSAFE_ASSIGN_OR_RETURN(uint32_t num_buckets, r.U32());
+  // Histograms are stored sparse, so no byte count bounds the dense ones
+  // decoded here; the cap does, before any is sized.
+  if (uint64_t{domain} * num_buckets > kMaxSnapshotHistogramCells) {
+    return Status::IOError(StrFormat(
+        "snapshot blob declares %u buckets over a sensitive domain of %u, "
+        "more histogram cells than the %llu a snapshot may hold",
+        num_buckets, domain,
+        static_cast<unsigned long long>(kMaxSnapshotHistogramCells)));
+  }
   // Buckets are staged first so member ids can be checked against the
   // total member count (the dense partition every release is) before
   // Bucketization sizes its person-indexed table by the largest id.
@@ -254,11 +325,8 @@ StatusOr<std::shared_ptr<const ReleaseSnapshot>> DecodeSnapshotBlob(
     CKSAFE_ASSIGN_OR_RETURN(uint32_t member_count, r.U32());
     CKSAFE_RETURN_IF_ERROR(
         BoundCount(r, member_count, 4, "member", StatusCode::kIOError));
-    bucket.members.reserve(member_count);
-    for (uint32_t m = 0; m < member_count; ++m) {
-      CKSAFE_ASSIGN_OR_RETURN(uint32_t member, r.U32());
-      bucket.members.push_back(static_cast<PersonId>(member));
-    }
+    bucket.members.resize(member_count);
+    CKSAFE_RETURN_IF_ERROR(r.U32s(bucket.members.data(), member_count));
     bucket.histogram.assign(domain, 0);
     CKSAFE_ASSIGN_OR_RETURN(uint32_t nonzero, r.U32());
     for (uint32_t n = 0; n < nonzero; ++n) {

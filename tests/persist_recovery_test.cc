@@ -316,11 +316,12 @@ TEST(PersistRecoveryTest, BitFlipInCommittedSegmentFailsOpenValidation) {
     std::fstream f(dir + "/segments.dat",
                    std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.is_open());
-    // Flip a payload byte in the second committed page.
-    f.seekg(kPageSize + kPageHeaderSize + 10);
+    // Flip a payload byte in the second committed page (page 0 is the
+    // file's header page).
+    f.seekg(2 * kPageSize + kPageHeaderSize + 10);
     char byte = 0;
     f.get(byte);
-    f.seekp(kPageSize + kPageHeaderSize + 10);
+    f.seekp(2 * kPageSize + kPageHeaderSize + 10);
     f.put(static_cast<char>(byte ^ 0x20));
   }
   const size_t recovered = CheckRecoveredPrefix(dir, plan);
@@ -404,10 +405,12 @@ TEST(PersistRecoveryTest, KillMidPublishAtRandomizedOffsetsRecoversExactly) {
 
 TEST(PersistRecoveryTest, KillAtGroupBoundariesRecoversExactPrefix) {
   // The crash seam counts appended bytes across both files in write
-  // order: a round's segment pages, then its manifest records. Replaying
-  // a clean run gives every round's segment end and every record's end in
-  // that count, so each kill point below lands by construction, and the
-  // recovered prefix is known exactly: the records wholly written.
+  // order: a round's segment pages, then its manifest records, the first
+  // round's preceded in each file by the file's header. Replaying a clean
+  // run gives every round's segment end and every record's end in that
+  // count, so each kill point below lands by construction, and the
+  // recovered prefix is known exactly: the records wholly written. A kill
+  // inside either header leaves a fresh store.
   const uint64_t seed = testing::TestSeed(20260814);
   SCOPED_TRACE(testing::SeedTrace(seed));
   const std::vector<Round> plan = MakePlan(seed, 4);
@@ -431,6 +434,14 @@ TEST(PersistRecoveryTest, KillAtGroupBoundariesRecoversExactPrefix) {
       const uint64_t segment_end = segments + manifest_before;
       kill_points.insert(segment_end);      // last segment byte written
       kill_points.insert(segment_end + 1);  // first manifest byte written
+      if (manifest_before == 0) {
+        // Inside segments.dat's header page, at its end, and inside
+        // MANIFEST's header.
+        kill_points.insert({1, kPageSize / 2, kPageSize - 1, kPageSize});
+        for (uint64_t b = 2; b <= kManifestHeaderSize; ++b) {
+          kill_points.insert(segment_end + b);
+        }
+      }
       for (size_t i = record_ends.size(); i < scan.record_ends.size(); ++i) {
         const uint64_t end = segments + scan.record_ends[i];
         record_ends.push_back(end);

@@ -82,8 +82,10 @@ struct WorstCaseDisclosure {
 /// DisclosureAnalyzer and ImplicationProfile look each distinct count
 /// vector of a sweep's buckets up once: the cache sees one request per
 /// distinct histogram per sweep, and the sweep counts its repeats as hits
-/// (CountRepeatHits), so hits() + misses() is still the number of
-/// per-bucket table requests and misses() the number of tables built.
+/// (CountRepeatHits), so hits() + misses() is the number of per-bucket
+/// table requests of the sweeps run and misses() the number of tables
+/// built. A node ImplicationProfile answers in closed form runs no sweep
+/// and requests nothing.
 ///
 /// Thread safe: the key space is sharded over independently locked maps, so
 /// one cache may be shared by concurrent DisclosureAnalyzers (the parallel
@@ -203,16 +205,23 @@ class DisclosureAnalyzer {
 
 /// The implication half of a DisclosureProfile (implication and
 /// implication_log_r; negation stays empty) for the buckets of
-/// `histograms`, in their order, from one MINIMIZE2 sweep over tables
-/// from `cache`. Needs no members or labels, so a lattice pass profiles a
-/// node from its histograms alone. Each bucket's sorted counts go to
-/// workspace scratch, not into a BucketStats, and the cache sees one
-/// request per distinct count vector (DisclosureCache). The fill and the
-/// sweep are DisclosureAnalyzer::Profile's, so the curves are bit-identical
-/// to its implication half over BucketizeAtNode's result at the same node.
+/// `histograms`, in their order. Needs no members or labels, so a lattice
+/// pass profiles a node from its histograms alone. The curves are
+/// bit-identical to DisclosureAnalyzer::Profile's implication half over
+/// BucketizeAtNode's result at the same node, by one of two paths:
+///  * a node with a bucket whose tuples all carry one sensitive value
+///    discloses it with certainty at every budget: log R_min is kLogZero
+///    and the disclosure 1.0 at every k, in closed form, without touching
+///    `cache` or `workspace` (DESIGN.md §11.4 proves these are the sweep's
+///    values);
+///  * any other node runs the analyzer's input fill and MINIMIZE2 sweep
+///    over tables from `cache`. Each bucket's sorted counts go to
+///    workspace scratch, not into a BucketStats, and the cache sees one
+///    request per distinct count vector (DisclosureCache).
 /// When `sum_of_squares` is not null it receives Σ n_b² over the buckets,
 /// summed in bucket order in double: the float operations of
-/// ComputeUtility's discernibility. `histograms` must not be empty.
+/// ComputeUtility's discernibility. `histograms` must not be empty, and
+/// `max_k` must be below Minimize1Table::kMaxBudget.
 DisclosureProfile ImplicationProfile(const NodeHistograms& histograms,
                                      size_t max_k, DisclosureCache* cache,
                                      Minimize2Workspace* workspace = nullptr,

@@ -47,12 +47,15 @@ struct PublishedRelease {
   LatticeSearchStats search_stats;
 };
 
-/// MINIMIZE1 table traffic of one level pass. Every bucket of every
-/// profiled node needs a table (prepare_calls). The shared cache sees one
-/// request per distinct histogram per node and counts the node's repeats
-/// as hits; only the tables it did not hold yet are built (shared_lookups:
-/// DisclosureCache misses during the sweep). The gap is the reuse of
-/// tables within nodes and across nodes, levels, policies and publishes.
+/// MINIMIZE1 table traffic of one level pass, as DisclosureCache counts it
+/// during the sweep. A profiled node that holds a single-valued bucket is
+/// answered in closed form and requests no table (ImplicationProfile);
+/// every bucket of every other profiled node requests one (prepare_calls:
+/// hits + misses). The shared cache sees one request per distinct
+/// histogram per node and counts the node's repeats as hits; only the
+/// tables it did not hold yet are built (shared_lookups: misses). The gap
+/// is the reuse of tables within nodes and across nodes, levels, policies
+/// and publishes.
 struct BatchTableTraffic {
   uint64_t prepare_calls = 0;
   uint64_t shared_lookups = 0;

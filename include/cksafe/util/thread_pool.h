@@ -1,9 +1,11 @@
 // A small fixed-size thread pool for the batch-evaluation subsystem.
 //
 // Deliberately minimal: a shared FIFO queue under one mutex, no work
-// stealing. The lattice search hands the pool level-sized batches of
-// predicate evaluations whose per-task cost (a full MINIMIZE2 run) dwarfs
-// queue contention, so a fancier scheduler would buy nothing.
+// stealing. The lattice search hands the pool level-sized batches of node
+// tasks, each of which groups a node into histograms and profiles it (a
+// MINIMIZE2 sweep, or a closed form when a bucket is single-valued). A
+// task costs tens of microseconds, far more than a queue hand-off, so a
+// fancier scheduler would buy nothing.
 //
 // Tasks must not throw: the pool runs them under noexcept expectations and
 // an escaping exception terminates the process (the codebase signals

@@ -199,22 +199,20 @@ std::vector<double> NegationCurveOverBuckets(
 namespace {
 
 // Points ws->inputs at MINIMIZE1 tables valid to atom budget `budget`, one
-// per bucket, where counts_of(i) is bucket i's sorted counts, and returns
-// Σ n_b² over the buckets in order. Each distinct count vector is looked
-// up in `cache` once: ws->first_bucket maps it to the first bucket holding
-// it, whose table its repeats share, and the repeats are counted as hits.
-// The shared_ptrs pin the tables for the whole computation even if a
-// concurrent analyzer upgrades the cache.
+// per bucket, where counts_of(i) is bucket i's sorted counts. Each distinct
+// count vector is looked up in `cache` once: ws->first_bucket maps it to
+// the first bucket holding it, whose table its repeats share, and the
+// repeats are counted as hits. The shared_ptrs pin the tables for the
+// whole computation even if a concurrent analyzer upgrades the cache.
 template <typename CountsOf>
-double FillMinimize2Inputs(size_t num_buckets, const CountsOf& counts_of,
-                           size_t budget, DisclosureCache* cache,
-                           Minimize2Workspace* ws) {
+void FillMinimize2Inputs(size_t num_buckets, const CountsOf& counts_of,
+                         size_t budget, DisclosureCache* cache,
+                         Minimize2Workspace* ws) {
   ws->inputs.resize(num_buckets);
   size_t capacity = 1;  // a power of two, at least twice the buckets
   while (capacity < 2 * num_buckets) capacity *= 2;
   ws->first_bucket.assign(capacity, 0);
   uint64_t repeats = 0;
-  double sum_of_squares = 0.0;
   for (size_t i = 0; i < num_buckets; ++i) {
     const std::span<const uint32_t> counts = counts_of(i);
     Minimize2Bucket& input = ws->inputs[i];
@@ -235,10 +233,8 @@ double FillMinimize2Inputs(size_t num_buckets, const CountsOf& counts_of,
     uint32_t n = 0;
     for (uint32_t count : counts) n += count;
     input.ratio = static_cast<double>(n) / static_cast<double>(counts[0]);
-    sum_of_squares += static_cast<double>(n) * n;
   }
   cache->CountRepeatHits(repeats);
-  return sum_of_squares;
 }
 
 void FillMinimize2Inputs(const std::vector<BucketStats>& stats, size_t budget,
@@ -270,6 +266,32 @@ DisclosureProfile ImplicationProfile(const NodeHistograms& histograms,
                                      Minimize2Workspace* workspace,
                                      double* sum_of_squares) {
   CKSAFE_CHECK_GT(histograms.num_buckets(), 0u);
+  // The budgets the sweep's tables (built at max_k + 1) can hold, on both
+  // paths below.
+  CKSAFE_CHECK_LT(max_k, Minimize1Table::kMaxBudget);
+  // One scan: Σ n_b² in bucket order, and whether some bucket holds a
+  // single value.
+  double squares = 0.0;
+  bool single_valued = false;
+  for (size_t b = 0; b < histograms.num_buckets(); ++b) {
+    uint32_t n = 0;
+    size_t present = 0;
+    for (uint32_t count : histograms.histogram(b)) {
+      n += count;
+      if (count != 0) ++present;
+    }
+    squares += static_cast<double>(n) * n;
+    if (present == 1) single_valued = true;
+  }
+  if (sum_of_squares != nullptr) *sum_of_squares = squares;
+  if (single_valued) {
+    // Such a bucket discloses its value with certainty at k = 0, so the
+    // sweep's log R_min is kLogZero at every budget (DESIGN.md §11.4).
+    DisclosureProfile profile;
+    profile.implication_log_r.assign(max_k + 1, kLogZero);
+    profile.implication.assign(max_k + 1, DisclosureFromLogRatio(kLogZero));
+    return profile;
+  }
   Minimize2Workspace local;
   Minimize2Workspace& ws = workspace != nullptr ? *workspace : local;
   // Each bucket's present counts, descending: the key BucketStats builds.
@@ -283,7 +305,7 @@ DisclosureProfile ImplicationProfile(const NodeHistograms& histograms,
     std::sort(ws.counts.begin() + begin, ws.counts.end(), std::greater<>());
     ws.count_offsets.push_back(static_cast<uint32_t>(ws.counts.size()));
   }
-  const double squares = FillMinimize2Inputs(
+  FillMinimize2Inputs(
       histograms.num_buckets(),
       [&](size_t b) {
         return std::span<const uint32_t>(
@@ -291,7 +313,6 @@ DisclosureProfile ImplicationProfile(const NodeHistograms& histograms,
             ws.count_offsets[b + 1] - ws.count_offsets[b]);
       },
       max_k + 1, cache, &ws);
-  if (sum_of_squares != nullptr) *sum_of_squares = squares;
   return SweepImplicationProfile(max_k, &ws);
 }
 

@@ -84,9 +84,10 @@ StatusOr<PolicyReleases> PublishPolicies(
   // itself profiled there: a child implied safe under every policy would
   // make the node implied safe too. AtNode covers the bottom node. A
   // rollup's histograms, in order, equal BucketizeAtNode's
-  // (bucketize_oracle_test), and ImplicationProfile runs the input fill
-  // and sweep of DisclosureAnalyzer::Profile, so the pass inherits the
-  // bit-identity contract of FindMinimalSafeNodesMultiPolicy.
+  // (bucketize_oracle_test), and ImplicationProfile's curves are
+  // DisclosureAnalyzer::Profile's (its input fill and sweep, or their
+  // closed form at a node holding a single-valued bucket), so the pass
+  // inherits the bit-identity contract of FindMinimalSafeNodesMultiPolicy.
   //
   // The previous level's histograms, by lattice code.
   std::unordered_map<uint64_t, NodeHistograms> below;
@@ -109,7 +110,6 @@ StatusOr<PolicyReleases> PublishPolicies(
   // Every profiled node's utility but loss, from its bucket sizes, by
   // lattice code: every minimal safe node was profiled.
   std::unordered_map<uint64_t, UtilityMetrics> sized;
-  uint64_t table_requests = 0;
   const NodeBatchProfiler profile_level =
       [&](const std::vector<LatticeNode>& level, ThreadPool* pool)
       -> std::vector<std::optional<DisclosureProfile>> {
@@ -131,11 +131,10 @@ StatusOr<PolicyReleases> PublishPolicies(
     below.clear();
     for (size_t i = 0; i < level.size(); ++i) {
       if (!profiles[i].has_value()) continue;
-      const size_t buckets = histograms[i]->num_buckets();
-      table_requests += buckets;
       sized.emplace(lattice.Encode(level[i]),
                     UtilityFromBucketSizes(level[i], table.num_rows(),
-                                           buckets, discernibility[i]));
+                                           histograms[i]->num_buckets(),
+                                           discernibility[i]));
       below.emplace(lattice.Encode(level[i]), *std::move(histograms[i]));
     }
     return profiles;
@@ -145,6 +144,7 @@ StatusOr<PolicyReleases> PublishPolicies(
   MultiPolicySearchOptions search_options;
   search_options.pool = workers.get();
   search_options.batch_profiler = profile_level;
+  const uint64_t requests_before = cache->hits() + cache->misses();
   const uint64_t misses_before = cache->misses();
   MultiPolicySearchResult search = FindMinimalSafeNodesMultiPolicy(
       lattice, NodeProfiler(), policies, search_options);
@@ -153,7 +153,8 @@ StatusOr<PolicyReleases> PublishPolicies(
   PolicyReleases published;
   published.search_stats = search.stats;
   published.table_traffic =
-      BatchTableTraffic{table_requests, cache->misses() - misses_before};
+      BatchTableTraffic{cache->hits() + cache->misses() - requests_before,
+                        cache->misses() - misses_before};
 
   // Only frontier nodes are published, and tenants' frontiers overlap:
   // collect the distinct ones.

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "cksafe/core/disclosure.h"
 #include "cksafe/hierarchy/hierarchy.h"
+#include "cksafe/search/utility.h"
 #include "cksafe/util/math_util.h"
 #include "testing_util.h"
 
@@ -169,27 +172,49 @@ TEST(DisclosureCacheTest, UpgradeDoesNotInvalidateOutstandingTables) {
   EXPECT_NEAR(before->MinProbability(2), p2, 1e-15);
 }
 
-TEST(DisclosureCacheTest, HistogramProfileLooksUpEachDistinctVectorOnce) {
-  // Eight buckets, one per quasi-identifier value, whose sorted counts
-  // repeat: {1} three times, {1,1} and {2,1} twice each, {3} once. A
-  // profile asks the cache once per distinct vector and counts the
-  // repeats as hits, so the counters read as one request per bucket.
-  const std::vector<std::vector<uint32_t>> histograms = {
-      {1, 0, 0, 0}, {0, 1, 0, 0}, {1, 1, 0, 0}, {0, 0, 2, 1},
-      {0, 0, 0, 1}, {1, 0, 1, 0}, {3, 0, 0, 0}, {0, 1, 0, 2}};
-  const Schema schema({AttributeDef::Numeric("Q", 0, 7),
-                       AttributeDef::Categorical("S", {"a", "b", "c", "d"})});
-  Table table(schema);
-  for (int32_t q = 0; q < 8; ++q) {
-    for (int32_t s = 0; s < 4; ++s) {
+// A table with one quasi-identifier value per histogram (sensitive codes
+// 0..3), so grouping at the bottom node gives one bucket per histogram, in
+// order.
+struct BucketTable {
+  Table table;
+  std::vector<QuasiIdentifier> qis;
+};
+
+BucketTable TableOfBuckets(
+    const std::vector<std::vector<uint32_t>>& histograms) {
+  const Schema schema(
+      {AttributeDef::Numeric("Q", 0,
+                             static_cast<int32_t>(histograms.size()) - 1),
+       AttributeDef::Categorical("S", {"a", "b", "c", "d"})});
+  BucketTable out{Table(schema), {}};
+  for (size_t q = 0; q < histograms.size(); ++q) {
+    for (size_t s = 0; s < histograms[q].size(); ++s) {
       for (uint32_t i = 0; i < histograms[q][s]; ++i) {
-        ASSERT_TRUE(table.AppendRow({q, s}).ok());
+        CKSAFE_CHECK(out.table
+                         .AppendRow({static_cast<int32_t>(q),
+                                     static_cast<int32_t>(s)})
+                         .ok());
       }
     }
   }
-  const std::vector<QuasiIdentifier> qis = {
-      {0, MakeDefaultHierarchy(schema.attribute(0))}};
-  auto grouped = NodeHistograms::AtNode(table, qis, LatticeNode{0}, 1);
+  out.qis = {{0, MakeDefaultHierarchy(out.table.schema().attribute(0))}};
+  return out;
+}
+
+// Eight buckets that each hold two or more values, whose sorted counts
+// repeat: {1,1} three times, {2,1} and {1,1,1} twice each, {3,1} once.
+std::vector<std::vector<uint32_t>> MultiValuedBuckets() {
+  return {{1, 1, 0, 0}, {0, 1, 0, 1}, {1, 0, 2, 0}, {0, 0, 2, 1},
+          {1, 1, 1, 0}, {0, 1, 0, 3}, {0, 1, 1, 1}, {0, 0, 1, 1}};
+}
+
+TEST(DisclosureCacheTest, HistogramProfileLooksUpEachDistinctVectorOnce) {
+  // A profile of MultiValuedBuckets() asks the cache once per distinct
+  // vector and counts the repeats as hits, so the counters read as one
+  // request per bucket.
+  const BucketTable fixture = TableOfBuckets(MultiValuedBuckets());
+  auto grouped =
+      NodeHistograms::AtNode(fixture.table, fixture.qis, LatticeNode{0}, 1);
   ASSERT_TRUE(grouped.ok()) << grouped.status();
   ASSERT_EQ(grouped->num_buckets(), 8u);
   constexpr size_t kMaxK = 3;
@@ -209,10 +234,10 @@ TEST(DisclosureCacheTest, HistogramProfileLooksUpEachDistinctVectorOnce) {
   EXPECT_EQ(cold.implication, warm.implication);
   EXPECT_EQ(cold.implication_log_r, warm.implication_log_r);
 
-  // A cache holding {1} at the profile's budget and {2,1} below it: only
-  // {1,1}, {3} and the upgrade of {2,1} are new to it.
+  // A cache holding {1,1} at the profile's budget and {2,1} below it: only
+  // {1,1,1}, {3,1} and the upgrade of {2,1} are new to it.
   DisclosureCache partial;
-  partial.GetOrCompute(std::vector<uint32_t>{1}, kMaxK + 1);
+  partial.GetOrCompute(std::vector<uint32_t>{1, 1}, kMaxK + 1);
   partial.GetOrCompute(std::vector<uint32_t>{2, 1}, 1);
   const uint64_t requests_before = partial.hits() + partial.misses();
   const uint64_t misses_before = partial.misses();
@@ -221,6 +246,53 @@ TEST(DisclosureCacheTest, HistogramProfileLooksUpEachDistinctVectorOnce) {
   EXPECT_EQ(partial.misses() - misses_before, 3u);
   EXPECT_EQ(cold.implication, mixed.implication);
   EXPECT_EQ(cold.implication_log_r, mixed.implication_log_r);
+}
+
+TEST(DisclosureCacheTest, SingleValuedBucketProfilesInClosedForm) {
+  // A bucket whose tuples all carry one value discloses it at k = 0, so a
+  // node holding one is profiled in closed form, with no cache request:
+  // the sweep's curves (log R_min = kLogZero, disclosure 1 at every
+  // budget) and the sweep's Σ n_b². The bucket goes first, in the middle
+  // and last among MultiValuedBuckets().
+  const std::vector<std::pair<size_t, std::vector<uint32_t>>> placements = {
+      {0, {1, 0, 0, 0}}, {4, {0, 0, 3, 0}}, {8, {0, 0, 0, 2}}};
+  DisclosureCache cache;
+  Minimize2Workspace workspace;
+  for (const auto& [position, single] : placements) {
+    std::vector<std::vector<uint32_t>> histograms = MultiValuedBuckets();
+    histograms.insert(histograms.begin() + static_cast<ptrdiff_t>(position),
+                      single);
+    const BucketTable fixture = TableOfBuckets(histograms);
+    const LatticeNode node{0};
+    auto bucketization = BucketizeAtNode(fixture.table, fixture.qis, node, 1);
+    ASSERT_TRUE(bucketization.ok()) << bucketization.status();
+    auto grouped = NodeHistograms::AtNode(fixture.table, fixture.qis, node, 1);
+    ASSERT_TRUE(grouped.ok()) << grouped.status();
+    ASSERT_EQ(grouped->num_buckets(), 9u);
+    const double discernibility =
+        ComputeUtility(fixture.table, fixture.qis, node, *bucketization)
+            .discernibility;
+    for (size_t max_k = 0; max_k <= 9; ++max_k) {
+      SCOPED_TRACE("single-valued bucket at " + std::to_string(position) +
+                   ", max_k " + std::to_string(max_k));
+      const uint64_t hits = cache.hits();
+      const uint64_t misses = cache.misses();
+      const size_t entries = cache.entries();
+      double sum_of_squares = -1.0;
+      const DisclosureProfile actual = ImplicationProfile(
+          *grouped, max_k, &cache, &workspace, &sum_of_squares);
+      const DisclosureProfile expected =
+          DisclosureAnalyzer(*bucketization).Profile(max_k);
+      EXPECT_EQ(actual.implication, expected.implication);
+      EXPECT_EQ(actual.implication_log_r, expected.implication_log_r);
+      EXPECT_EQ(actual.implication_log_r,
+                std::vector<LogProb>(max_k + 1, kLogZero));
+      EXPECT_EQ(cache.hits(), hits);
+      EXPECT_EQ(cache.misses(), misses);
+      EXPECT_EQ(cache.entries(), entries);
+      EXPECT_EQ(sum_of_squares, discernibility);
+    }
+  }
 }
 
 TEST(Minimize2EdgeTest, WitnessSpansBucketsWhenTargetBucketSaturates) {

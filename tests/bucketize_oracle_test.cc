@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <memory>
@@ -323,31 +324,50 @@ TEST(BucketizeOracleTest, RollUpRejectsAChildThatDoesNotCoverTheRows) {
 
 TEST(BucketizeOracleTest, HistogramProfileMatchesAnalyzerOnEveryAdultNode) {
   // The publish pass profiles a node from its histograms alone: the curves
-  // must equal a full analyzer's over BucketizeAtNode, bit for bit.
+  // must equal a full analyzer's over BucketizeAtNode, bit for bit. A node
+  // holding a single-valued bucket is profiled in closed form, any other
+  // by the sweep; at every table size both kinds of node must occur.
   const uint64_t seed = testing::TestSeed(20261021);
   SCOPED_TRACE(testing::SeedTrace(seed));
   auto qis = AdultQuasiIdentifiers();
   ASSERT_TRUE(qis.ok()) << qis.status();
   const GeneralizationLattice lattice =
       GeneralizationLattice::FromQuasiIdentifiers(*qis);
-  const Table table = GenerateSyntheticAdult(600, seed);
-  constexpr size_t kMaxK = 5;
-  DisclosureCache cache;
-  for (const LatticeNode& node : lattice.AllNodes()) {
-    auto bucketization =
-        BucketizeAtNode(table, *qis, node, kAdultOccupationColumn);
-    ASSERT_TRUE(bucketization.ok()) << bucketization.status();
-    auto histograms =
-        NodeHistograms::AtNode(table, *qis, node, kAdultOccupationColumn);
-    ASSERT_TRUE(histograms.ok()) << histograms.status();
-    const DisclosureProfile expected =
-        DisclosureAnalyzer(*bucketization).Profile(kMaxK);
-    const DisclosureProfile actual =
-        ImplicationProfile(*histograms, kMaxK, &cache);
-    EXPECT_EQ(expected.implication, actual.implication) << NodeLabel(node);
-    EXPECT_EQ(expected.implication_log_r, actual.implication_log_r)
-        << NodeLabel(node);
-    EXPECT_TRUE(actual.negation.empty()) << NodeLabel(node);
+  for (const size_t rows : {60, 600, 3000}) {
+    const Table table = GenerateSyntheticAdult(rows, seed);
+    DisclosureCache cache;
+    size_t single_valued_nodes = 0;
+    size_t other_nodes = 0;
+    for (const LatticeNode& node : lattice.AllNodes()) {
+      const std::string label =
+          std::to_string(rows) + " rows, node " + NodeLabel(node);
+      auto bucketization =
+          BucketizeAtNode(table, *qis, node, kAdultOccupationColumn);
+      ASSERT_TRUE(bucketization.ok()) << bucketization.status();
+      auto histograms =
+          NodeHistograms::AtNode(table, *qis, node, kAdultOccupationColumn);
+      ASSERT_TRUE(histograms.ok()) << histograms.status();
+      const DisclosureAnalyzer analyzer(*bucketization);
+      const std::vector<BucketStats>& stats = analyzer.bucket_stats();
+      if (std::any_of(stats.begin(), stats.end(),
+                      [](const BucketStats& b) { return b.d() == 1; })) {
+        ++single_valued_nodes;
+      } else {
+        ++other_nodes;
+      }
+      for (const size_t max_k : {0, 2, 5, 9}) {
+        const DisclosureProfile expected = analyzer.Profile(max_k);
+        const DisclosureProfile actual =
+            ImplicationProfile(*histograms, max_k, &cache);
+        EXPECT_EQ(expected.implication, actual.implication)
+            << label << ", max_k " << max_k;
+        EXPECT_EQ(expected.implication_log_r, actual.implication_log_r)
+            << label << ", max_k " << max_k;
+        EXPECT_TRUE(actual.negation.empty()) << label;
+      }
+    }
+    EXPECT_GT(single_valued_nodes, 0u) << rows << " rows";
+    EXPECT_GT(other_nodes, 0u) << rows << " rows";
   }
 }
 

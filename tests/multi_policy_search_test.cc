@@ -444,12 +444,13 @@ TEST(MultiPolicySearchTest, BatchProfilerIsAnswerNeutral) {
 
 TEST(MultiPolicyPublisherTest, SweepReusesSharedCacheTables) {
   // PublishAll profiles every node straight against the session's shared
-  // DisclosureCache: every bucket of every profiled node requests a
-  // MINIMIZE1 table (prepare_calls), but a table is built only when the
-  // cache does not hold its histogram yet (shared_lookups, the cache's
-  // misses during the sweep). On real data histograms recur heavily across
-  // nodes and levels, so most requests must be served from the cache —
-  // while the releases stay exactly what the reference publisher produces.
+  // DisclosureCache: every bucket of a profiled node without a
+  // single-valued bucket requests a MINIMIZE1 table (prepare_calls, the
+  // cache's hits + misses during the sweep), but a table is built only
+  // when the cache does not hold its histogram yet (shared_lookups, the
+  // misses). On real data histograms recur heavily across nodes and
+  // levels, so most requests must be served from the cache — while the
+  // releases stay exactly what the reference publisher produces.
   const Table adult = GenerateSyntheticAdult(180, 5);
   auto qis = AdultQuasiIdentifiers();
   ASSERT_TRUE(qis.ok()) << qis.status();
@@ -462,11 +463,8 @@ TEST(MultiPolicyPublisherTest, SweepReusesSharedCacheTables) {
   ASSERT_TRUE(releases.ok()) << releases.status();
 
   const auto traffic = multi.last_table_traffic();
-  // Every profiled node has >= 1 bucket, so the requests cover at least
-  // the profile count; the sweep starts from an empty cache, so it builds
-  // some tables, and fewer than it requests.
-  EXPECT_GE(traffic.prepare_calls,
-            multi.last_search_stats().profiles_computed);
+  // The sweep starts from an empty cache, so it builds some tables, and
+  // fewer than it requests.
   EXPECT_GT(traffic.shared_lookups, 0u);
   EXPECT_LT(traffic.shared_lookups, traffic.prepare_calls)
       << "the shared cache served no request";

@@ -6,10 +6,10 @@
 //
 //   BM_ServeNaive    "per-query locking" baseline: a global mutex
 //                    serializes each query, which resolves the current
-//                    snapshot and runs its own dedicated point query
-//                    (fresh DisclosureAnalyzer; it does get the shared
-//                    MINIMIZE1 table cache — the baseline is naive about
-//                    locking and sweep sharing, not about table reuse).
+//                    snapshot and runs its ReferenceAnswer (a fresh
+//                    DisclosureAnalyzer's point query; it does get the
+//                    shared MINIMIZE1 table cache — the baseline is naive
+//                    about locking and sweep sharing, not about table reuse).
 //   BM_ServeBatched  the QueryRouter: bounded admission queue, worker
 //                    drains batches, one profile sweep per
 //                    (tenant, snapshot) answers every coalesced query.
@@ -17,14 +17,13 @@
 // Acceptance (BENCH_PR5.json): batched >= 2x naive queries/sec at 8
 // reader threads. Correctness is asserted in-bench: a verification pass
 // runs the full query mix through the router WHILE the writer swaps and
-// CHECKs every answer bit-identical (exact double equality) to a fresh
-// synchronous DisclosureAnalyzer over the snapshot the answer names.
+// CHECKs every answer equal, on every field, to its ReferenceAnswer over
+// the snapshot the answer names (VerifyServedAnswers).
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -34,6 +33,7 @@
 #include "cksafe/core/disclosure.h"
 #include "cksafe/search/publisher.h"
 #include "cksafe/serve/query_router.h"
+#include "cksafe/serve/reference_answer.h"
 #include "cksafe/serve/release_snapshot.h"
 #include "cksafe/serve/snapshot_store.h"
 #include "cksafe/util/check.h"
@@ -58,7 +58,7 @@ struct ServingFixture {
   // cost (not its release-search cost) is what readers contend with.
   std::vector<std::shared_ptr<const ReleaseSnapshot>> variants;
   std::mutex registry_mu;
-  std::map<uint64_t, std::shared_ptr<const ReleaseSnapshot>> registry;
+  SnapshotRegistry registry;
   std::atomic<uint64_t> next_sequence{1};
   std::atomic<bool> stop_writer{false};
   std::thread writer;
@@ -106,16 +106,9 @@ struct ServingFixture {
     snapshot->sequence = sequence;
     {
       std::lock_guard<std::mutex> lock(registry_mu);
-      registry[sequence] = snapshot;
+      registry[{kTenant, sequence}] = snapshot;
     }
     store->Publish(std::move(snapshot));
-  }
-
-  std::shared_ptr<const ReleaseSnapshot> Published(uint64_t sequence) {
-    std::lock_guard<std::mutex> lock(registry_mu);
-    const auto it = registry.find(sequence);
-    CKSAFE_CHECK(it != registry.end());
-    return it->second;
   }
 
   /// The deterministic query mix both strategies serve: cycles kinds and
@@ -145,79 +138,27 @@ struct ServingFixture {
 
   /// Naive per-query locking: the whole query — snapshot resolve, analyzer
   /// construction, dedicated point query — runs under one global mutex.
-  QueryAnswer AskNaive(const Query& query) {
+  StatusOr<QueryAnswer> AskNaive(const Query& query) {
     std::lock_guard<std::mutex> lock(naive_mu);
     const auto snapshot = store->Current();
-    DisclosureAnalyzer analyzer(snapshot->bucketization, &naive_cache);
-    QueryAnswer answer;
-    answer.snapshot_sequence = snapshot->sequence;
-    switch (query.kind) {
-      case QueryKind::kIsCkSafe: {
-        const WorstCaseDisclosure worst =
-            analyzer.MaxDisclosureImplications(query.k);
-        answer.safe = IsSafeLogRatio(worst.log_r_min, query.c);
-        answer.disclosure = worst.disclosure;
-        answer.log_r = worst.log_r_min;
-        break;
-      }
-      case QueryKind::kDisclosure: {
-        const WorstCaseDisclosure worst =
-            analyzer.MaxDisclosureImplications(query.k);
-        answer.disclosure = worst.disclosure;
-        answer.log_r = worst.log_r_min;
-        break;
-      }
-      case QueryKind::kProfileAtK: {
-        const DisclosureProfile profile = analyzer.Profile(query.k);
-        answer.disclosure = profile.implication[query.k];
-        answer.negation = profile.negation[query.k];
-        answer.log_r = profile.implication_log_r[query.k];
-        break;
-      }
-      case QueryKind::kPerBucket:
-        answer.disclosure = analyzer.PerBucketDisclosure(query.k)[query.bucket];
-        break;
-    }
-    return answer;
+    const DisclosureAnalyzer analyzer(snapshot->bucketization, &naive_cache);
+    return ReferenceAnswer(*snapshot, analyzer, query);
   }
 
   /// In-bench bit-identity gate: run the mix through the router while the
   /// writer is swapping and CHECK every answer against a fresh analyzer
   /// over the snapshot it names.
   void VerifyBatchedAnswers() {
+    std::vector<ServedAnswer> served;
     for (uint64_t i = 0; i < 64; ++i) {
       const Query query = MixedQuery(i);
       const auto answer = router->Ask(query);
       CKSAFE_CHECK(answer.ok()) << answer.status();
-      const auto snapshot = Published(answer->snapshot_sequence);
-      DisclosureAnalyzer fresh(snapshot->bucketization);
-      switch (query.kind) {
-        case QueryKind::kIsCkSafe: {
-          const WorstCaseDisclosure worst =
-              fresh.MaxDisclosureImplications(query.k);
-          CKSAFE_CHECK(answer->safe == IsSafeLogRatio(worst.log_r_min, query.c));
-          CKSAFE_CHECK(answer->disclosure == worst.disclosure);
-          break;
-        }
-        case QueryKind::kDisclosure: {
-          const WorstCaseDisclosure worst =
-              fresh.MaxDisclosureImplications(query.k);
-          CKSAFE_CHECK(answer->disclosure == worst.disclosure);
-          CKSAFE_CHECK(answer->log_r == worst.log_r_min);
-          break;
-        }
-        case QueryKind::kProfileAtK: {
-          const DisclosureProfile profile = fresh.Profile(query.k);
-          CKSAFE_CHECK(answer->disclosure == profile.implication[query.k]);
-          CKSAFE_CHECK(answer->negation == profile.negation[query.k]);
-          break;
-        }
-        case QueryKind::kPerBucket:
-          CKSAFE_CHECK(answer->disclosure ==
-                       fresh.PerBucketDisclosure(query.k)[query.bucket]);
-          break;
-      }
+      served.push_back({query, *answer});
     }
+    std::lock_guard<std::mutex> lock(registry_mu);
+    const Status verified = VerifyServedAnswers(served, registry);
+    CKSAFE_CHECK(verified.ok()) << verified;
   }
 };
 
@@ -234,8 +175,9 @@ void BM_ServeNaive(benchmark::State& state) {
   ServingFixture* fixture = Fixture();
   uint64_t i = static_cast<uint64_t>(state.thread_index()) << 32;
   for (auto _ : state) {
-    const QueryAnswer answer = fixture->AskNaive(ServingFixture::MixedQuery(i++));
-    benchmark::DoNotOptimize(answer.disclosure);
+    const auto answer = fixture->AskNaive(ServingFixture::MixedQuery(i++));
+    CKSAFE_CHECK(answer.ok()) << answer.status();
+    benchmark::DoNotOptimize(answer->disclosure);
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -39,7 +39,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -61,6 +60,7 @@
 #include "cksafe/persist/durable_store.h"
 #include "cksafe/search/publisher.h"
 #include "cksafe/serve/query_router.h"
+#include "cksafe/serve/reference_answer.h"
 #include "cksafe/serve/serving_engine.h"
 #include "cksafe/shard/fleet.h"
 #include "cksafe/stream/multi_policy_publisher.h"
@@ -436,9 +436,6 @@ struct ReplayRecord {
   int64_t latency_ns = 0;  ///< recorded by `serve` only
 };
 
-using SnapshotRegistry = std::map<std::pair<std::string, uint64_t>,
-                                  std::shared_ptr<const ReleaseSnapshot>>;
-
 // Parses a replay file: one `tenant,kind,c,k,bucket` query per line, where
 // kind is safe|disclosure|profile|bucket. Blank lines and '#' comments are
 // skipped.
@@ -515,66 +512,14 @@ std::vector<std::vector<int32_t>> RowCells(const Table& table, size_t begin,
 Status VerifyReplay(const std::vector<std::vector<ReplayRecord>>& per_reader,
                     const SnapshotRegistry& registry,
                     const char* tenant_source) {
-  size_t verified = 0;
-  std::map<std::pair<std::string, uint64_t>,
-           std::unique_ptr<DisclosureAnalyzer>>
-      fresh_analyzers;
+  std::vector<ServedAnswer> served;
   for (const auto& records : per_reader) {
     for (const ReplayRecord& record : records) {
-      if (!record.answer.ok()) continue;
-      const Query& query = record.query;
-      const QueryAnswer& answer = *record.answer;
-      const auto key = std::make_pair(query.tenant, answer.snapshot_sequence);
-      const auto snapshot_it = registry.find(key);
-      if (snapshot_it == registry.end()) {
-        return Status::Internal(StrFormat(
-            "answer names unpublished snapshot %llu of tenant %s",
-            static_cast<unsigned long long>(answer.snapshot_sequence),
-            query.tenant.c_str()));
-      }
-      auto& analyzer = fresh_analyzers[key];
-      if (analyzer == nullptr) {
-        analyzer = std::make_unique<DisclosureAnalyzer>(
-            snapshot_it->second->bucketization);
-      }
-      bool match = true;
-      switch (query.kind) {
-        case QueryKind::kIsCkSafe: {
-          const WorstCaseDisclosure worst =
-              analyzer->MaxDisclosureImplications(query.k);
-          match = answer.safe == IsSafeLogRatio(worst.log_r_min, query.c) &&
-                  answer.disclosure == worst.disclosure &&
-                  answer.log_r == worst.log_r_min;
-          break;
-        }
-        case QueryKind::kDisclosure: {
-          const WorstCaseDisclosure worst =
-              analyzer->MaxDisclosureImplications(query.k);
-          match = answer.disclosure == worst.disclosure &&
-                  answer.log_r == worst.log_r_min;
-          break;
-        }
-        case QueryKind::kProfileAtK: {
-          const DisclosureProfile profile = analyzer->Profile(query.k);
-          match = answer.disclosure == profile.implication[query.k] &&
-                  answer.negation == profile.negation[query.k];
-          break;
-        }
-        case QueryKind::kPerBucket:
-          match = answer.disclosure ==
-                  analyzer->PerBucketDisclosure(query.k)[query.bucket];
-          break;
-      }
-      if (!match) {
-        return Status::Internal(StrFormat(
-            "answer diverged from fresh analyzer (tenant %s, snapshot %llu)",
-            query.tenant.c_str(),
-            static_cast<unsigned long long>(answer.snapshot_sequence)));
-      }
-      ++verified;
+      if (record.answer.ok()) served.push_back({record.query, *record.answer});
     }
   }
-  if (verified == 0) {
+  CKSAFE_RETURN_IF_ERROR(VerifyServedAnswers(served, registry));
+  if (served.empty()) {
     // Don't print a vacuous success (the integration test pattern-matches
     // the verified line): a replay where nothing could be verified is
     // almost always a tenant-name mismatch between --policies and the
@@ -586,7 +531,7 @@ Status VerifyReplay(const std::vector<std::vector<ReplayRecord>>& per_reader,
   }
   std::printf("all %zu verified answers bit-identical to a fresh "
               "synchronous analyzer\n",
-              verified);
+              served.size());
   return Status::OK();
 }
 

@@ -27,8 +27,17 @@ struct ExactEngineOptions {
   uint64_t max_worlds = 1ULL << 22;
 };
 
+/// The memory cap of every brute-force search, in bytes of candidate
+/// world-set bitsets. Fixed, unlike the formula cap: a search over more
+/// candidates than fit is refused whatever its options say.
+inline constexpr uint64_t kMaxCandidateBytes = uint64_t{256} << 20;
+
 /// Bounds for brute-force searches over formula families. Every search
-/// scores each formula against every target atom (Definition 5).
+/// scores each formula against every target atom (Definition 5), and
+/// holds one world-set bitset per candidate implication or negation: a
+/// search whose candidates would exceed kMaxCandidateBytes, or whose
+/// formulas would exceed max_formulas, returns ResourceExhausted before
+/// it builds any candidate.
 struct BruteForceOptions {
   /// Refuse searches that would evaluate more formulas than this.
   uint64_t max_formulas = 20'000'000;

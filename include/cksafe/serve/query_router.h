@@ -19,9 +19,10 @@
 // against and is answered entirely from that one immutable snapshot —
 // queries straddling a writer's swap get either the old release's answer
 // or the new one, never a torn mix. Bit-identity: each answer equals, with
-// exact double equality, a fresh synchronous DisclosureAnalyzer over the
-// same snapshot's bucketization (asserted by serve_test, the snapshot-
-// consistency torture test, and in serving_bench itself).
+// exact `==` on every field, a fresh synchronous DisclosureAnalyzer over
+// the same snapshot's bucketization: ReferenceAnswer
+// (serve/reference_answer.h), which every serving test and self-check
+// verifies against.
 //
 // Backpressure: the admission queue is bounded; Submit returns
 // ResourceExhausted instead of queueing unboundedly when readers outrun
@@ -82,6 +83,9 @@ struct QueryAnswer {
   /// kinds (kLogInfeasible for kPerBucket, whose public query surface is
   /// linear-domain).
   LogProb log_r = kLogInfeasible;
+
+  /// Exact equality of every field, the doubles included.
+  bool operator==(const QueryAnswer&) const = default;
 };
 
 /// Work / traffic counters of a router. Snapshot-copied by stats().

@@ -22,7 +22,10 @@
 #define CKSAFE_SERVE_RELEASE_SNAPSHOT_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "cksafe/anon/bucketization.h"
 #include "cksafe/lattice/lattice.h"
@@ -39,6 +42,12 @@ struct ReleaseSnapshot {
   LatticeNode node;           ///< generalization levels of the release
   Bucketization bucketization{0};  ///< the frozen buckets queries run over
 };
+
+/// Every snapshot a writer published, keyed by (tenant, sequence): the
+/// registry served answers are verified against (VerifyServedAnswers).
+using SnapshotRegistry =
+    std::map<std::pair<std::string, uint64_t>,
+             std::shared_ptr<const ReleaseSnapshot>>;
 
 /// Freezes a publisher result as a snapshot. Copies the bucketization out
 /// of `release` — snapshot construction is a writer-side cost, never paid

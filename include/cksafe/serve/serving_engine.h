@@ -61,7 +61,11 @@ class ServingEngine {
   /// tenant's slot (FailedPrecondition otherwise); on a durable engine the
   /// append commits before the RCU swap, exactly like
   /// PublishTenantReleases, so adopted sequences must also be contiguous
-  /// with the store's history.
+  /// with the store's history. A null snapshot, sequence 0, or a snapshot
+  /// with no buckets (no analyzer can answer over it) is InvalidArgument,
+  /// refused before the durable append and without registering the
+  /// tenant, so a shard answers such a publish with the error and keeps
+  /// serving.
   Status PublishSnapshot(const std::string& tenant,
                          std::shared_ptr<const ReleaseSnapshot> snapshot);
 

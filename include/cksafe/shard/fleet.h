@@ -171,9 +171,7 @@ class ShardFleet {
 
   /// Every snapshot the fleet writer has published or resynced, keyed by
   /// (tenant, sequence) — the differential tests' verification registry.
-  std::map<std::pair<std::string, uint64_t>,
-           std::shared_ptr<const ReleaseSnapshot>>
-  PublishedRegistry() const;
+  SnapshotRegistry PublishedRegistry() const;
 
  private:
   struct PendingCall {
@@ -252,9 +250,7 @@ class ShardFleet {
 
   mutable std::mutex publish_mu_;
   std::map<std::string, uint64_t> next_sequence_;
-  std::map<std::pair<std::string, uint64_t>,
-           std::shared_ptr<const ReleaseSnapshot>>
-      published_;
+  SnapshotRegistry published_;
 
   std::atomic<uint64_t> next_id_{1};
 };

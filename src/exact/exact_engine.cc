@@ -116,15 +116,27 @@ double MultisetCount(double n, size_t k) {
   return count;
 }
 
-Status CheckFormulaBudget(double formula_count,
-                          const BruteForceOptions& options) {
-  if (formula_count <= static_cast<double>(options.max_formulas)) {
-    return Status::OK();
+// Refuses a search over `formula_count` formulas built from
+// `candidate_count` candidate world-sets of `num_worlds` bits each, before
+// any candidate is built.
+Status CheckSearchBudget(double formula_count, double candidate_count,
+                         size_t num_worlds, const BruteForceOptions& options) {
+  if (formula_count > static_cast<double>(options.max_formulas)) {
+    return Status::ResourceExhausted(
+        StrFormat("brute force would evaluate %.3g formulas, cap is %llu",
+                  formula_count,
+                  static_cast<unsigned long long>(options.max_formulas)));
   }
-  return Status::ResourceExhausted(
-      StrFormat("brute force would evaluate %.3g formulas, cap is %llu",
-                formula_count,
-                static_cast<unsigned long long>(options.max_formulas)));
+  const double candidate_bytes =
+      candidate_count *
+      static_cast<double>(sizeof(Bitset) + (num_worlds + 63) / 64 * 8);
+  if (candidate_bytes > static_cast<double>(kMaxCandidateBytes)) {
+    return Status::ResourceExhausted(StrFormat(
+        "brute force would hold %.3g bytes of candidate world-sets, cap is "
+        "%llu",
+        candidate_bytes, static_cast<unsigned long long>(kMaxCandidateBytes)));
+  }
+  return Status::OK();
 }
 
 // Every non-empty subset of {0, ..., n - 1} with at most `cap` elements, in
@@ -276,10 +288,10 @@ StatusOr<ExactDisclosure> ExactEngine::MaxDisclosureSimpleImplications(
   // Multisets of implications: num_atoms consequents x k-multisets of
   // antecedents, or k-multisets of all num_atoms^2 implications.
   const double atoms = static_cast<double>(num_atoms);
-  CKSAFE_RETURN_IF_ERROR(CheckFormulaBudget(
+  CKSAFE_RETURN_IF_ERROR(CheckSearchBudget(
       same_consequent ? atoms * MultisetCount(atoms, k)
                       : MultisetCount(atoms * atoms, k),
-      options));
+      same_consequent ? atoms : atoms * atoms, num_worlds_, options));
 
   // The implications a -> c, as one list per consequent in consequent
   // order or as one list of every pair; ids[i] = a * num_atoms + c.
@@ -341,7 +353,8 @@ StatusOr<ExactDisclosure> ExactEngine::MaxDisclosureBasicImplications(
   const size_t num_atoms = persons_.size() * domain_size_;
   // A candidate is (non-empty atom subset of size <= max_antecedents) ->
   // (non-empty atom subset of size <= max_consequents). Count the subsets
-  // of both sides before building either.
+  // of both sides, and so the formulas and the candidates' bytes, before
+  // building either.
   const size_t side_caps[2] = {std::min(max_antecedents, num_atoms),
                                std::min(max_consequents, num_atoms)};
   double side_counts[2] = {0.0, 0.0};
@@ -351,8 +364,10 @@ StatusOr<ExactDisclosure> ExactEngine::MaxDisclosureBasicImplications(
           static_cast<uint32_t>(num_atoms), static_cast<uint32_t>(i));
     }
   }
-  CKSAFE_RETURN_IF_ERROR(CheckFormulaBudget(
-      MultisetCount(side_counts[0] * side_counts[1], k), options));
+  const double candidate_count = side_counts[0] * side_counts[1];
+  CKSAFE_RETURN_IF_ERROR(
+      CheckSearchBudget(MultisetCount(candidate_count, k), candidate_count,
+                        num_worlds_, options));
 
   const auto antecedents = AtomSubsets(num_atoms, side_caps[0]);
   const auto consequents = AtomSubsets(num_atoms, side_caps[1]);
@@ -390,10 +405,10 @@ StatusOr<ExactDisclosure> ExactEngine::MaxDisclosureBasicImplications(
 StatusOr<ExactDisclosure> ExactEngine::MaxDisclosureNegations(
     size_t k, BruteForceOptions options) const {
   const size_t num_atoms = persons_.size() * domain_size_;
-  CKSAFE_RETURN_IF_ERROR(CheckFormulaBudget(
+  CKSAFE_RETURN_IF_ERROR(CheckSearchBudget(
       BinomialCoefficient(static_cast<uint32_t>(num_atoms),
                           static_cast<uint32_t>(k)),
-      options));
+      static_cast<double>(num_atoms), num_worlds_, options));
 
   // ¬atom per allowed atom. A duplicated negation is redundant, so the
   // search walks k-sets.

@@ -4,13 +4,12 @@
 #include <atomic>
 #include <cmath>
 #include <future>
-#include <map>
-#include <memory>
 #include <thread>
 #include <utility>
 
 #include "cksafe/core/disclosure.h"
 #include "cksafe/exact/exact_engine.h"
+#include "cksafe/serve/reference_answer.h"
 #include "cksafe/serve/serving_engine.h"
 #include "cksafe/stream/multi_policy_publisher.h"
 #include "cksafe/util/string_util.h"
@@ -63,83 +62,6 @@ Query MakeQuery(Rng* rng, const std::vector<ScenarioPolicy>& policies,
       break;
   }
   return query;
-}
-
-// One served query and the answer the router produced for it.
-struct Record {
-  Query query;
-  QueryAnswer answer;
-};
-
-using SnapshotRegistry =
-    std::map<std::pair<std::string, uint64_t>,
-             std::shared_ptr<const ReleaseSnapshot>>;
-
-// Post-hoc bit-identity verification: every answer must equal, with exact
-// double equality, a fresh synchronous DisclosureAnalyzer over the ONE
-// snapshot the answer names (the serve layer's RCU contract).
-Status VerifyRecords(const std::string& scenario,
-                     const std::vector<Record>& records,
-                     const SnapshotRegistry& registry,
-                     ScenarioReport* report) {
-  std::map<std::pair<std::string, uint64_t>,
-           std::unique_ptr<DisclosureAnalyzer>>
-      fresh;
-  for (const Record& record : records) {
-    const Query& query = record.query;
-    const QueryAnswer& answer = record.answer;
-    const auto key = std::make_pair(query.tenant, answer.snapshot_sequence);
-    const auto snapshot_it = registry.find(key);
-    if (snapshot_it == registry.end()) {
-      return Status::Internal(StrFormat(
-          "scenario %s: answer names unpublished snapshot %llu of tenant %s",
-          scenario.c_str(),
-          static_cast<unsigned long long>(answer.snapshot_sequence),
-          query.tenant.c_str()));
-    }
-    auto& analyzer = fresh[key];
-    if (analyzer == nullptr) {
-      analyzer = std::make_unique<DisclosureAnalyzer>(
-          snapshot_it->second->bucketization);
-    }
-    bool match = true;
-    switch (query.kind) {
-      case QueryKind::kIsCkSafe: {
-        const WorstCaseDisclosure worst =
-            analyzer->MaxDisclosureImplications(query.k);
-        match = answer.safe == IsSafeLogRatio(worst.log_r_min, query.c) &&
-                answer.disclosure == worst.disclosure &&
-                answer.log_r == worst.log_r_min;
-        break;
-      }
-      case QueryKind::kDisclosure: {
-        const WorstCaseDisclosure worst =
-            analyzer->MaxDisclosureImplications(query.k);
-        match = answer.disclosure == worst.disclosure &&
-                answer.log_r == worst.log_r_min;
-        break;
-      }
-      case QueryKind::kProfileAtK: {
-        const DisclosureProfile profile = analyzer->Profile(query.k);
-        match = answer.disclosure == profile.implication[query.k] &&
-                answer.negation == profile.negation[query.k];
-        break;
-      }
-      case QueryKind::kPerBucket:
-        match = answer.disclosure ==
-                analyzer->PerBucketDisclosure(query.k)[query.bucket];
-        break;
-    }
-    if (!match) {
-      return Status::Internal(StrFormat(
-          "scenario %s: answer diverged from fresh analyzer (tenant %s, "
-          "snapshot %llu)",
-          scenario.c_str(), query.tenant.c_str(),
-          static_cast<unsigned long long>(answer.snapshot_sequence)));
-    }
-    ++report->answers_verified;
-  }
-  return Status::OK();
 }
 
 // Exact-oracle pass over every published snapshot small enough to
@@ -310,7 +232,7 @@ StatusOr<ScenarioReport> ScenarioRunner::Run(const ScenarioConfig& config,
   ServingEngine engine(router_options);
 
   SnapshotRegistry registry;
-  std::vector<Record> records;
+  std::vector<ServedAnswer> records;
 
   CKSAFE_ASSIGN_OR_RETURN(std::vector<TenantRelease> first,
                           publisher.PublishAll());
@@ -344,7 +266,7 @@ StatusOr<ScenarioReport> ScenarioRunner::Run(const ScenarioConfig& config,
       for (auto& [query, future] : pending) {
         StatusOr<QueryAnswer> answer = future.get();
         if (answer.ok()) {
-          records.push_back(Record{std::move(query), *answer});
+          records.push_back({std::move(query), *answer});
           ++report.queries_answered;
         } else {
           ++report.query_errors;
@@ -376,7 +298,7 @@ StatusOr<ScenarioReport> ScenarioRunner::Run(const ScenarioConfig& config,
       }
     });
     const size_t readers = std::max<size_t>(1, config.reader_threads);
-    std::vector<std::vector<Record>> reader_records(readers);
+    std::vector<std::vector<ServedAnswer>> reader_records(readers);
     std::vector<size_t> reader_errors(readers, 0);
     std::vector<std::thread> reader_threads;
     for (size_t r = 0; r < readers; ++r) {
@@ -387,7 +309,7 @@ StatusOr<ScenarioReport> ScenarioRunner::Run(const ScenarioConfig& config,
           Query query = MakeQuery(&rng, config.policies, config.queries);
           StatusOr<QueryAnswer> answer = engine.Ask(query);
           if (answer.ok()) {
-            reader_records[r].push_back(Record{std::move(query), *answer});
+            reader_records[r].push_back({std::move(query), *answer});
           } else {
             ++reader_errors[r];
           }
@@ -414,8 +336,14 @@ StatusOr<ScenarioReport> ScenarioRunner::Run(const ScenarioConfig& config,
     return Status::Internal("scenario " + config.name +
                             ": no tenant policy was satisfiable");
   }
-  CKSAFE_RETURN_IF_ERROR(
-      VerifyRecords(config.name, records, registry, &report));
+  // Post-hoc bit-identity: every answer against a fresh analyzer over the
+  // one snapshot it names (the serve layer's RCU contract).
+  if (Status verified = VerifyServedAnswers(records, registry);
+      !verified.ok()) {
+    return Status::Internal("scenario " + config.name + ": " +
+                            verified.message());
+  }
+  report.answers_verified = records.size();
   if (report.answers_verified == 0) {
     return Status::Internal("scenario " + config.name +
                             ": no answer could be verified");

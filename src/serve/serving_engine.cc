@@ -30,6 +30,11 @@ Status ServingEngine::PublishSnapshot(
   if (snapshot->sequence == 0) {
     return Status::InvalidArgument("snapshot sequence 0 is reserved");
   }
+  if (snapshot->bucketization.num_buckets() == 0) {
+    // No analyzer can run over it: adopting it would abort the process at
+    // the tenant's first query.
+    return Status::InvalidArgument("cannot adopt a snapshot with no buckets");
+  }
   SnapshotStore* store = directory_.GetOrAddTenant(tenant);
   const std::shared_ptr<const ReleaseSnapshot> previous = store->Current();
   const uint64_t current = previous == nullptr ? 0 : previous->sequence;

@@ -527,9 +527,7 @@ Status ShardFleet::ShutdownAll() {
   return first_error;
 }
 
-std::map<std::pair<std::string, uint64_t>,
-         std::shared_ptr<const ReleaseSnapshot>>
-ShardFleet::PublishedRegistry() const {
+SnapshotRegistry ShardFleet::PublishedRegistry() const {
   std::lock_guard<std::mutex> lock(publish_mu_);
   return published_;
 }

@@ -1,9 +1,9 @@
 // serve/: snapshot stores, the batching QueryRouter, and the ServingEngine.
 //
 // The load-bearing assertions are the bit-identity ones: every answer the
-// router produces must equal — with exact double equality — what a fresh
-// synchronous DisclosureAnalyzer over the answering snapshot's
-// bucketization returns, for all four query kinds. Coalescing is asserted
+// router produces must equal, field for field with exact `==`, the
+// ReferenceAnswer of a fresh synchronous DisclosureAnalyzer over the
+// answering snapshot, for all four query kinds. Coalescing is asserted
 // through the sweep counters: one batch of mixed queries must cost one
 // profile sweep (plus one per-bucket sweep per distinct audited budget).
 
@@ -18,9 +18,9 @@
 
 #include <gtest/gtest.h>
 
-#include "cksafe/core/disclosure.h"
 #include "cksafe/search/publisher.h"
 #include "cksafe/serve/query_router.h"
+#include "cksafe/serve/reference_answer.h"
 #include "cksafe/serve/release_snapshot.h"
 #include "cksafe/serve/serving_engine.h"
 #include "cksafe/serve/snapshot_store.h"
@@ -206,7 +206,8 @@ TEST_F(QueryRouterTest, UnknownTenantAndUnpublishedTenantErrors) {
 TEST_F(QueryRouterTest, BatchCoalescesToOneProfileSweepAndIsBitIdentical) {
   const Table table = MakeHospitalTable();
   ServingDirectory directory;
-  directory.GetOrAddTenant("t")->Publish(HospitalSnapshot(table, 1));
+  const auto snapshot = HospitalSnapshot(table, 1);
+  directory.GetOrAddTenant("t")->Publish(snapshot);
   QueryRouter router(&directory, ManualOptions());
 
   // A mixed batch: safety verdicts, disclosures, curve points, audits.
@@ -252,36 +253,14 @@ TEST_F(QueryRouterTest, BatchCoalescesToOneProfileSweepAndIsBitIdentical) {
   EXPECT_EQ(stats.answered, queries.size());
 
   // Bit-identity against a fresh synchronous analyzer.
-  const Bucketization reference = MakeHospitalBucketization(table);
-  DisclosureAnalyzer fresh(reference);
+  std::vector<ServedAnswer> served;
   for (size_t i = 0; i < queries.size(); ++i) {
-    const Query& query = queries[i];
     const auto answer = futures[i].get();
     ASSERT_TRUE(answer.ok()) << answer.status();
-    EXPECT_EQ(answer->snapshot_sequence, 1u);
-    switch (query.kind) {
-      case QueryKind::kIsCkSafe:
-        EXPECT_EQ(answer->safe, fresh.IsCkSafe(query.c, query.k));
-        [[fallthrough]];
-      case QueryKind::kDisclosure: {
-        const WorstCaseDisclosure expected =
-            fresh.MaxDisclosureImplications(query.k);
-        EXPECT_EQ(answer->disclosure, expected.disclosure);
-        EXPECT_EQ(answer->log_r, expected.log_r_min);
-        break;
-      }
-      case QueryKind::kProfileAtK: {
-        const DisclosureProfile expected = fresh.Profile(query.k);
-        EXPECT_EQ(answer->disclosure, expected.implication[query.k]);
-        EXPECT_EQ(answer->negation, expected.negation[query.k]);
-        break;
-      }
-      case QueryKind::kPerBucket:
-        EXPECT_EQ(answer->disclosure,
-                  fresh.PerBucketDisclosure(query.k)[query.bucket]);
-        break;
-    }
+    served.push_back({queries[i], *answer});
   }
+  const Status verified = VerifyServedAnswers(served, {{{"t", 1}, snapshot}});
+  EXPECT_TRUE(verified.ok()) << verified;
 }
 
 TEST_F(QueryRouterTest, CachedProfileServesRepeatBatchesWithoutResweeping) {
@@ -369,16 +348,13 @@ TEST_F(QueryRouterTest, ProfileWidthSurvivesSnapshotReload) {
   EXPECT_EQ(stats.snapshot_reloads, 2u);  // initial load + the swap
 
   // And the answers are still the fresh-analyzer answers for snapshot 2.
-  DisclosureAnalyzer fresh(snapshot2->bucketization);
   const auto narrow_answer = post_swap_narrow.value().get();
   const auto wide_answer = post_swap_wide.value().get();
   ASSERT_TRUE(narrow_answer.ok() && wide_answer.ok());
-  EXPECT_EQ(narrow_answer->snapshot_sequence, 2u);
-  EXPECT_EQ(wide_answer->snapshot_sequence, 2u);
-  EXPECT_EQ(narrow_answer->disclosure,
-            fresh.MaxDisclosureImplications(narrow.k).disclosure);
-  EXPECT_EQ(wide_answer->disclosure,
-            fresh.MaxDisclosureImplications(wide.k).disclosure);
+  const Status verified =
+      VerifyServedAnswers({{narrow, *narrow_answer}, {wide, *wide_answer}},
+                          {{{"t", 2}, snapshot2}});
+  EXPECT_TRUE(verified.ok()) << verified;
 }
 
 TEST_F(QueryRouterTest, PerBucketOutOfRangeIsAPerQueryError) {
@@ -408,10 +384,10 @@ TEST_F(QueryRouterTest, WorkerThreadModeAnswersIdenticallyToFresh) {
   const SyntheticBuckets synthetic =
       MakeBuckets(RandomHistograms(&rng, 10, 4, 6), 4);
   ServingDirectory directory;
-  directory.GetOrAddTenant("t")->Publish(
-      MakeReleaseSnapshot(1, synthetic.bucketization));
+  const auto snapshot = MakeReleaseSnapshot(1, synthetic.bucketization);
+  directory.GetOrAddTenant("t")->Publish(snapshot);
   QueryRouter router(&directory);  // worker thread mode
-  DisclosureAnalyzer fresh(synthetic.bucketization);
+  std::vector<ServedAnswer> served;
   for (size_t k = 0; k <= 5; ++k) {
     Query query;
     query.tenant = "t";
@@ -419,10 +395,11 @@ TEST_F(QueryRouterTest, WorkerThreadModeAnswersIdenticallyToFresh) {
     query.k = k;
     const auto answer = router.Ask(query);
     ASSERT_TRUE(answer.ok()) << answer.status();
-    EXPECT_EQ(answer->disclosure,
-              fresh.MaxDisclosureImplications(k).disclosure);
+    served.push_back({query, *answer});
   }
   router.Stop();
+  const Status verified = VerifyServedAnswers(served, {{{"t", 1}, snapshot}});
+  EXPECT_TRUE(verified.ok()) << verified;
 }
 
 TEST(ServingEngineTest, PublishesFromThePublisherPipelineAndServes) {
@@ -457,9 +434,9 @@ TEST(ServingEngineTest, PublishesFromThePublisherPipelineAndServes) {
   const auto answer = engine.Ask(query);
   ASSERT_TRUE(answer.ok()) << answer.status();
   EXPECT_TRUE(answer->safe) << "a published release must satisfy its policy";
-  DisclosureAnalyzer fresh(release->bucketization);
-  EXPECT_EQ(answer->disclosure,
-            fresh.MaxDisclosureImplications(options.k).disclosure);
+  const Status verified =
+      VerifyServedAnswers({{query, *answer}}, {{{"hospital", 1}, snapshot}});
+  EXPECT_TRUE(verified.ok()) << verified;
 
   // Republishing bumps the sequence; the router serves the new snapshot.
   const auto next = engine.PublishTenantReleases(round, table.num_rows());
@@ -469,6 +446,31 @@ TEST(ServingEngineTest, PublishesFromThePublisherPipelineAndServes) {
   const auto answer2 = engine.Ask(query);
   ASSERT_TRUE(answer2.ok());
   EXPECT_EQ(answer2->snapshot_sequence, 2u);
+}
+
+TEST(ServingEngineTest, RefusesAnEmptySnapshotAndKeepsServing) {
+  // No analyzer can answer over a snapshot with no buckets: adopting one
+  // would abort the process at the tenant's first query.
+  const Table table = MakeHospitalTable();
+  ServingEngine engine;
+  const auto gold = HospitalSnapshot(table, 1);
+  ASSERT_TRUE(engine.PublishSnapshot("gold", gold).ok());
+  const Status refused =
+      engine.PublishSnapshot("empty", MakeReleaseSnapshot(1, Bucketization(3)));
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << refused;
+  EXPECT_EQ(engine.directory()->Find("empty"), nullptr);
+
+  Query query;
+  query.tenant = "gold";
+  query.kind = QueryKind::kProfileAtK;
+  query.k = 2;
+  const auto answer = engine.Ask(query);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  const Status verified =
+      VerifyServedAnswers({{query, *answer}}, {{{"gold", 1}, gold}});
+  EXPECT_TRUE(verified.ok()) << verified;
+  query.tenant = "empty";
+  EXPECT_EQ(engine.Ask(query).status().code(), StatusCode::kNotFound);
 }
 
 using PublishHistory =

@@ -3,13 +3,13 @@
 // next snapshot as soon as some reader has been served the current one.
 //
 // The contract under test is the RCU one: every served answer must be
-// consistent with EXACTLY ONE published snapshot — bit-identical to a
-// fresh synchronous DisclosureAnalyzer over that snapshot's bucketization
-// — never a torn mix of two releases. Each answer names the snapshot
-// sequence it was computed against, so the assertion is direct: look the
-// sequence up in the registry of everything the writer published and
-// compare against the precomputed reference answers with exact double
-// equality. Per reader, observed sequences must also be nondecreasing
+// consistent with EXACTLY ONE published snapshot — equal, on every field
+// with exact `==`, to the ReferenceAnswer of a fresh synchronous
+// DisclosureAnalyzer over that snapshot — never a torn mix of two
+// releases. Each answer names the snapshot sequence it was computed
+// against, so the readers record their answers and, after they join,
+// every answer is verified against the registry of everything the writer
+// published. Per reader, observed sequences must also be nondecreasing
 // (a router batch never travels back in time).
 //
 // Runs under the ASan/UBSan and TSan CI steps (see .github/workflows).
@@ -18,12 +18,13 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "cksafe/core/disclosure.h"
 #include "cksafe/serve/query_router.h"
+#include "cksafe/serve/reference_answer.h"
 #include "cksafe/serve/release_snapshot.h"
 #include "cksafe/serve/snapshot_store.h"
 #include "testing_util.h"
@@ -40,38 +41,23 @@ constexpr size_t kMaxK = 6;
 constexpr size_t kReaders = 4;
 constexpr size_t kQueriesPerReader = 400;
 
-/// Reference answers for one snapshot, precomputed synchronously.
-struct Reference {
-  std::shared_ptr<const ReleaseSnapshot> snapshot;
-  DisclosureProfile profile;                        // budgets 0..kMaxK
-  std::vector<std::vector<double>> per_bucket;      // [k][bucket]
-};
-
 TEST(ServeTortureTest, AnswersMatchExactlyOnePublishedSnapshot) {
   const uint64_t seed = testing::TestSeed(0x70727572ULL);
   SCOPED_TRACE(testing::SeedTrace(seed));
   Rng rng(seed);
-  // Distinct random bucketizations, one per future snapshot. Buckets >= 2
-  // so per-bucket queries for buckets {0, 1} are always in range.
-  std::vector<SyntheticBuckets> instances;
-  std::vector<Reference> references(kSnapshots + 1);  // index = sequence
+  // Distinct random bucketizations, one per snapshot. Buckets >= 2 so
+  // per-bucket queries for buckets {0, 1} are always in range.
+  SnapshotRegistry registry;
   for (size_t s = 1; s <= kSnapshots; ++s) {
-    instances.push_back(MakeBuckets(
-        RandomHistograms(&rng, 6 + s % 5, 4, 7), 4));
-    const Bucketization& bucketization = instances.back().bucketization;
-    Reference& ref = references[s];
-    ref.snapshot = MakeReleaseSnapshot(s, bucketization);
-    DisclosureAnalyzer fresh(ref.snapshot->bucketization);
-    ref.profile = fresh.Profile(kMaxK);
-    ref.per_bucket.resize(kMaxK + 1);
-    for (size_t k = 0; k <= kMaxK; ++k) {
-      ref.per_bucket[k] = fresh.PerBucketDisclosure(k);
-    }
+    SyntheticBuckets buckets =
+        MakeBuckets(RandomHistograms(&rng, 6 + s % 5, 4, 7), 4);
+    registry[{"tenant", s}] =
+        MakeReleaseSnapshot(s, std::move(buckets.bucketization));
   }
 
   ServingDirectory directory;
   SnapshotStore* store = directory.GetOrAddTenant("tenant");
-  store->Publish(references[1].snapshot);
+  store->Publish(registry.at({"tenant", 1}));
   QueryRouter router(&directory);  // live worker thread
 
   // Newest snapshot sequence any reader has been served. The writer paces
@@ -90,13 +76,13 @@ TEST(ServeTortureTest, AnswersMatchExactlyOnePublishedSnapshot) {
     };
     for (size_t s = 2; s <= kSnapshots; ++s) {
       await_served(s - 1);
-      store->Publish(references[s].snapshot);
+      store->Publish(registry.at({"tenant", s}));
     }
     await_served(kSnapshots);
     writer_done = true;
   });
 
-  std::atomic<size_t> torn{0};
+  std::vector<std::vector<ServedAnswer>> served(kReaders);
   std::vector<std::thread> readers;
   for (size_t r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
@@ -151,30 +137,7 @@ TEST(ServeTortureTest, AnswersMatchExactlyOnePublishedSnapshot) {
                !newest_seen.compare_exchange_weak(seen, sequence)) {
         }
 
-        // The answer must equal the reference for the ONE snapshot it
-        // names — exact double equality, no tolerance.
-        const Reference& ref = references[sequence];
-        bool match = true;
-        switch (query.kind) {
-          case QueryKind::kIsCkSafe:
-            match = answer->safe == ref.profile.IsCkSafe(query.c, query.k) &&
-                    answer->disclosure == ref.profile.implication[query.k];
-            break;
-          case QueryKind::kDisclosure:
-            match =
-                answer->disclosure == ref.profile.implication[query.k] &&
-                answer->log_r == ref.profile.implication_log_r[query.k];
-            break;
-          case QueryKind::kProfileAtK:
-            match = answer->disclosure == ref.profile.implication[query.k] &&
-                    answer->negation == ref.profile.negation[query.k];
-            break;
-          case QueryKind::kPerBucket:
-            match = answer->disclosure ==
-                    ref.per_bucket[query.k][query.bucket];
-            break;
-        }
-        if (!match) ++torn;
+        served[r].push_back({query, *answer});
       }
     });
   }
@@ -183,8 +146,13 @@ TEST(ServeTortureTest, AnswersMatchExactlyOnePublishedSnapshot) {
   writer.join();
   router.Stop();
 
-  EXPECT_EQ(torn.load(), 0u)
-      << "answers inconsistent with their named snapshot";
+  // Every answer equals the reference for the ONE snapshot it names.
+  std::vector<ServedAnswer> all;
+  for (const auto& answers : served) {
+    all.insert(all.end(), answers.begin(), answers.end());
+  }
+  const Status verified = VerifyServedAnswers(all, registry);
+  EXPECT_TRUE(verified.ok()) << verified;
   EXPECT_TRUE(writer_done.load());
   const RouterStats stats = router.stats();
   EXPECT_GE(stats.answered, 1u);

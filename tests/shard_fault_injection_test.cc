@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cksafe/persist/durable_store.h"
+#include "cksafe/serve/reference_answer.h"
 #include "cksafe/serve/release_snapshot.h"
 #include "cksafe/shard/fleet.h"
 #include "cksafe/util/random.h"
@@ -27,7 +28,6 @@
 namespace cksafe {
 namespace {
 
-using testing::AnswerMatchesFresh;
 using testing::RandomQuery;
 using testing::RandomSnapshot;
 using testing::ScopedTempDir;
@@ -89,7 +89,9 @@ TEST(ShardFaultInjectionTest, KillMidQueryResolvesEveryPendingFuture) {
   ASSERT_TRUE(fleet->PublishSnapshot("gold", snapshot).ok());
   const auto answer = fleet->Ask(query);
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-  EXPECT_TRUE(AnswerMatchesFresh(query, *answer, *snapshot));
+  const Status verified =
+      VerifyServedAnswers({{query, *answer}}, fleet->PublishedRegistry());
+  EXPECT_TRUE(verified.ok()) << verified;
   EXPECT_TRUE(fleet->ShutdownAll().ok());
 }
 
@@ -136,20 +138,16 @@ TEST(ShardFaultInjectionTest, DurableShardRehydratesBitIdenticallyAfterKill) {
     ASSERT_TRUE(fleet->ResyncTenant(tenant).ok());
   }
 
-  const auto registry = fleet->PublishedRegistry();
+  std::vector<ServedAnswer> served;
   for (size_t i = 0; i < probes.size(); ++i) {
     const auto answer = fleet->Ask(probes[i]);
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-    EXPECT_EQ(answer->snapshot_sequence, before[i].snapshot_sequence);
-    EXPECT_EQ(answer->safe, before[i].safe);
-    EXPECT_EQ(answer->disclosure, before[i].disclosure);
-    EXPECT_EQ(answer->negation, before[i].negation);
-    EXPECT_EQ(answer->log_r, before[i].log_r);
-    const auto snapshot =
-        registry.find({probes[i].tenant, answer->snapshot_sequence});
-    ASSERT_NE(snapshot, registry.end());
-    EXPECT_TRUE(AnswerMatchesFresh(probes[i], *answer, *snapshot->second));
+    EXPECT_TRUE(*answer == before[i]) << "probe " << i << " changed";
+    served.push_back({probes[i], *answer});
   }
+  const Status verified =
+      VerifyServedAnswers(served, fleet->PublishedRegistry());
+  EXPECT_TRUE(verified.ok()) << verified;
   EXPECT_TRUE(fleet->ShutdownAll().ok());
 }
 
@@ -234,17 +232,18 @@ TEST(ShardFaultInjectionTest, KillMidPublishRecoversToACommittedPrefix) {
     ASSERT_TRUE(fleet->KillShard(0).ok());
     ASSERT_TRUE(fleet->RestartShard(0).ok());
     ASSERT_TRUE(fleet->ResyncTenant(tenant).ok());
-    const auto registry = fleet->PublishedRegistry();
     const size_t iters = TestIters(30);
+    std::vector<ServedAnswer> served;
     for (size_t i = 0; i < iters; ++i) {
       const Query query = RandomQuery(&rng, tenant);
       const auto answer = fleet->Ask(query);
       ASSERT_TRUE(answer.ok()) << answer.status().ToString();
       EXPECT_EQ(answer->snapshot_sequence, 4u);
-      const auto snapshot = registry.find({tenant, answer->snapshot_sequence});
-      ASSERT_NE(snapshot, registry.end());
-      EXPECT_TRUE(AnswerMatchesFresh(query, *answer, *snapshot->second));
+      served.push_back({query, *answer});
     }
+    const Status verified =
+        VerifyServedAnswers(served, fleet->PublishedRegistry());
+    EXPECT_TRUE(verified.ok()) << verified;
     EXPECT_TRUE(fleet->ShutdownAll().ok());
   }
 }

@@ -26,6 +26,7 @@
 #include <time.h>
 #include <unistd.h>
 
+#include "cksafe/serve/reference_answer.h"
 #include "cksafe/serve/release_snapshot.h"
 #include "cksafe/shard/fleet.h"
 #include "cksafe/shard/shard_server.h"
@@ -39,7 +40,6 @@
 namespace cksafe {
 namespace {
 
-using testing::AnswerMatchesFresh;
 using testing::RandomQuery;
 using testing::RandomSnapshot;
 using testing::ScopedTempDir;
@@ -73,18 +73,17 @@ TEST(ShardFleetTest, AnswersAreBitIdenticalToAFreshAnalyzer) {
   ASSERT_EQ(registry.size(), tenants.size() * 2);
 
   const size_t iters = TestIters(120);
+  std::vector<ServedAnswer> served;
   for (size_t i = 0; i < iters; ++i) {
     const Query query =
         RandomQuery(&rng, tenants[rng.NextBelow(tenants.size())]);
     const auto answer = fleet->Ask(query);
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
     EXPECT_EQ(answer->snapshot_sequence, 2u);  // latest published
-    const auto snapshot =
-        registry.find({query.tenant, answer->snapshot_sequence});
-    ASSERT_NE(snapshot, registry.end());
-    EXPECT_TRUE(AnswerMatchesFresh(query, *answer, *snapshot->second))
-        << "tenant " << query.tenant << " diverged from a fresh analyzer";
+    served.push_back({query, *answer});
   }
+  const Status verified = VerifyServedAnswers(served, registry);
+  EXPECT_TRUE(verified.ok()) << verified;
   EXPECT_TRUE(fleet->ShutdownAll().ok());
 }
 
@@ -136,6 +135,36 @@ TEST(ShardFleetTest, UnknownTenantAndOutOfRangeBucketReturnStatus) {
   fine.kind = QueryKind::kDisclosure;
   fine.k = 2;
   EXPECT_TRUE(fleet->Ask(fine).ok());
+  EXPECT_TRUE(fleet->ShutdownAll().ok());
+}
+
+TEST(ShardFleetTest, EmptySnapshotIsRefusedAndTheShardKeepsServing) {
+  // A snapshot with no buckets crosses the wire intact, but no analyzer
+  // can answer over it: the shard must refuse the publish, not adopt it
+  // and abort at the tenant's first query.
+  const uint64_t seed = TestSeed(20260828);
+  SCOPED_TRACE(SeedTrace(seed));
+  Rng rng(seed);
+  auto fleet_or = ShardFleet::Start(BaseOptions(1));
+  ASSERT_TRUE(fleet_or.ok()) << fleet_or.status().ToString();
+  std::unique_ptr<ShardFleet> fleet = std::move(fleet_or).value();
+  ASSERT_TRUE(fleet->PublishSnapshot("gold", RandomSnapshot(&rng, 1)).ok());
+
+  const Status refused =
+      fleet->PublishSnapshot("empty", MakeReleaseSnapshot(1, Bucketization(3)));
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << refused;
+  EXPECT_FALSE(fleet->ShardDown(0));
+  const SnapshotRegistry registry = fleet->PublishedRegistry();
+  EXPECT_EQ(registry.count({"empty", 1}), 0u);
+
+  const Query query = RandomQuery(&rng, "gold");
+  const auto answer = fleet->Ask(query);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  const Status verified = VerifyServedAnswers({{query, *answer}}, registry);
+  EXPECT_TRUE(verified.ok()) << verified;
+  Query empty = query;
+  empty.tenant = "empty";
+  EXPECT_EQ(fleet->Ask(empty).status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(fleet->ShutdownAll().ok());
 }
 
@@ -247,7 +276,9 @@ TEST(ShardFleetTest, ShutdownAllStopsServingAndRestartRecovers) {
   query.k = 1;
   const auto answer = fleet->Ask(query);
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-  EXPECT_TRUE(AnswerMatchesFresh(query, *answer, *snapshot));
+  const Status verified =
+      VerifyServedAnswers({{query, *answer}}, fleet->PublishedRegistry());
+  EXPECT_TRUE(verified.ok()) << verified;
   EXPECT_TRUE(fleet->ShutdownAll().ok());
 }
 
@@ -285,17 +316,17 @@ TEST(ShardFleetTest, ShutdownAllAnswersEveryAdmittedQueryAndReapsEveryShard) {
   }
   ASSERT_TRUE(fleet->ShutdownAll().ok());
 
-  const auto registry = fleet->PublishedRegistry();
+  std::vector<ServedAnswer> served;
   for (auto& [query, future] : submitted) {
     ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
     const auto answer = future.get();
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-    const auto snapshot =
-        registry.find({query.tenant, answer->snapshot_sequence});
-    ASSERT_NE(snapshot, registry.end());
-    EXPECT_TRUE(AnswerMatchesFresh(query, *answer, *snapshot->second));
+    served.push_back({query, *answer});
   }
+  const Status verified =
+      VerifyServedAnswers(served, fleet->PublishedRegistry());
+  EXPECT_TRUE(verified.ok()) << verified;
   errno = 0;
   EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
   EXPECT_EQ(errno, ECHILD);
@@ -437,12 +468,13 @@ class ShardServerTest : public ::testing::Test {
   }
 
   /// Reads one response per query in `sent` through the client's
-  /// `reader`, in whatever order the shard answers, and checks each
-  /// against a fresh analyzer over `snapshot`.
+  /// `reader`, in whatever order the shard answers, and verifies each
+  /// against `snapshot`, published as tenant "gold".
   void ExpectAnswered(FrameReader* reader,
                       const std::map<uint64_t, Query>& sent,
-                      const ReleaseSnapshot& snapshot) {
+                      std::shared_ptr<const ReleaseSnapshot> snapshot) {
     std::set<uint64_t> answered;
+    std::vector<ServedAnswer> served;
     for (size_t i = 0; i < sent.size(); ++i) {
       StatusOr<WireFrame> frame = reader->Next();
       ASSERT_TRUE(frame.ok()) << frame.status().ToString();
@@ -455,10 +487,12 @@ class ShardServerTest : public ::testing::Test {
       ASSERT_TRUE(answered.insert(response->id).second)
           << "id " << response->id << " answered twice";
       ASSERT_TRUE(response->status.ok()) << response->status.ToString();
-      EXPECT_EQ(response->answer.snapshot_sequence, snapshot.sequence);
-      EXPECT_TRUE(
-          AnswerMatchesFresh(query->second, response->answer, snapshot));
+      served.push_back({query->second, response->answer});
     }
+    const uint64_t sequence = snapshot->sequence;
+    const Status verified = VerifyServedAnswers(
+        served, {{{"gold", sequence}, std::move(snapshot)}});
+    EXPECT_TRUE(verified.ok()) << verified;
   }
 
   UnixSocket client_;
@@ -476,7 +510,7 @@ TEST_F(ShardServerTest, AnswersABurstMatchedByIdBitIdentically) {
   FrameReader reader(&client_);
 
   const auto sent = SendBurst(&client_, &rng, "gold", 64 + rng.NextBelow(64));
-  ExpectAnswered(&reader, sent, *snapshot);
+  ExpectAnswered(&reader, sent, snapshot);
 }
 
 TEST_F(ShardServerTest, StopsAndDestroysWithCompletionsPending) {
@@ -487,7 +521,7 @@ TEST_F(ShardServerTest, StopsAndDestroysWithCompletionsPending) {
   ASSERT_TRUE(server_->engine()->PublishSnapshot("gold", snapshot).ok());
   FrameReader reader(&client_);
   const auto first = SendBurst(&client_, &rng, "gold", 1 + rng.NextBelow(64));
-  ExpectAnswered(&reader, first, *snapshot);
+  ExpectAnswered(&reader, first, snapshot);
 
   // A second burst the client never reads: its completions write to a
   // closed peer, or are still queued when the server stops and goes away.

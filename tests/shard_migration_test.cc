@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "cksafe/serve/reference_answer.h"
 #include "cksafe/serve/release_snapshot.h"
 #include "cksafe/shard/fleet.h"
 #include "cksafe/util/random.h"
@@ -26,18 +27,12 @@
 namespace cksafe {
 namespace {
 
-using testing::AnswerMatchesFresh;
 using testing::RandomQuery;
 using testing::RandomSnapshot;
 using testing::ScopedTempDir;
 using testing::SeedTrace;
 using testing::TestIters;
 using testing::TestSeed;
-
-struct ServedRecord {
-  Query query;
-  QueryAnswer answer;
-};
 
 TEST(ShardMigrationTest, AnswersStayBitIdenticalWhileMigrationRaces) {
   const uint64_t seed = TestSeed(20260830);
@@ -62,7 +57,7 @@ TEST(ShardMigrationTest, AnswersStayBitIdenticalWhileMigrationRaces) {
   constexpr size_t kReaders = 2;
   const size_t after_flip = TestIters(20);
   std::atomic<bool> halt{false};
-  std::vector<std::vector<ServedRecord>> served(kReaders);
+  std::vector<std::vector<ServedAnswer>> served(kReaders);
   std::vector<std::atomic<size_t>> served_count(kReaders);
   std::vector<std::thread> readers;
   for (size_t r = 0; r < kReaders; ++r) {
@@ -73,7 +68,7 @@ TEST(ShardMigrationTest, AnswersStayBitIdenticalWhileMigrationRaces) {
         const auto answer = fleet->Ask(query);
         // Migration must be invisible: no window of failure exists.
         ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-        served[r].push_back(ServedRecord{query, *answer});
+        served[r].push_back({query, *answer});
         served_count[r].fetch_add(1, std::memory_order_release);
       }
     });
@@ -107,21 +102,16 @@ TEST(ShardMigrationTest, AnswersStayBitIdenticalWhileMigrationRaces) {
         << "reader " << r << " stalled before the migration race completed";
   }
 
-  size_t verified = 0;
+  std::vector<ServedAnswer> all;
   for (const auto& records : served) {
-    for (const ServedRecord& record : records) {
-      const auto snapshot =
-          registry.find({"gold", record.answer.snapshot_sequence});
-      ASSERT_NE(snapshot, registry.end())
-          << "answer names unpublished sequence "
-          << record.answer.snapshot_sequence;
+    for (const ServedAnswer& record : records) {
       EXPECT_EQ(record.answer.snapshot_sequence, 3u);
-      ASSERT_TRUE(
-          AnswerMatchesFresh(record.query, record.answer, *snapshot->second));
-      ++verified;
+      all.push_back(record);
     }
   }
-  EXPECT_GT(verified, 0u);
+  EXPECT_FALSE(all.empty());
+  const Status verified = VerifyServedAnswers(all, registry);
+  EXPECT_TRUE(verified.ok()) << verified;
   EXPECT_TRUE(fleet->ShutdownAll().ok());
 }
 
@@ -150,17 +140,18 @@ TEST(ShardMigrationTest, MigrateBackThenPublishAdvancesSequences) {
 
   // Publishing after the round trip keeps assigning fleet sequences.
   ASSERT_TRUE(fleet->PublishSnapshot("gold", RandomSnapshot(&rng, 3)).ok());
-  const auto registry = fleet->PublishedRegistry();
   const size_t iters = TestIters(40);
+  std::vector<ServedAnswer> served;
   for (size_t i = 0; i < iters; ++i) {
     const Query query = RandomQuery(&rng, "gold");
     const auto answer = fleet->Ask(query);
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
     EXPECT_EQ(answer->snapshot_sequence, 3u);
-    const auto snapshot = registry.find({"gold", answer->snapshot_sequence});
-    ASSERT_NE(snapshot, registry.end());
-    EXPECT_TRUE(AnswerMatchesFresh(query, *answer, *snapshot->second));
+    served.push_back({query, *answer});
   }
+  const Status verified =
+      VerifyServedAnswers(served, fleet->PublishedRegistry());
+  EXPECT_TRUE(verified.ok()) << verified;
 
   // And the migrated history is complete: one more hop still carries all
   // three sequences (a durable target would insist on the full prefix).
@@ -232,15 +223,16 @@ TEST(ShardMigrationTest, DurableTargetServesBitIdenticallyAfterCrash) {
   const auto registry = fleet->PublishedRegistry();
   ASSERT_EQ(registry.size(), 2u);
   const size_t iters = TestIters(40);
+  std::vector<ServedAnswer> served;
   for (size_t i = 0; i < iters; ++i) {
     const Query query = RandomQuery(&rng, "gold");
     const auto answer = fleet->Ask(query);
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
     EXPECT_EQ(answer->snapshot_sequence, 2u);
-    const auto snapshot = registry.find({"gold", answer->snapshot_sequence});
-    ASSERT_NE(snapshot, registry.end());
-    EXPECT_TRUE(AnswerMatchesFresh(query, *answer, *snapshot->second));
+    served.push_back({query, *answer});
   }
+  const Status verified = VerifyServedAnswers(served, registry);
+  EXPECT_TRUE(verified.ok()) << verified;
   EXPECT_TRUE(fleet->ShutdownAll().ok());
 }
 

@@ -1,8 +1,5 @@
 // Shared helpers for the shard-tier tests: scoped temp directories for
-// durable stores, seeded random snapshots, and the bit-identity oracle
-// every differential test shares — an answer matches iff a fresh
-// synchronous DisclosureAnalyzer over the snapshot the answer names
-// reproduces it with exact double equality.
+// durable stores, seeded random snapshots, and seeded queries.
 
 #ifndef CKSAFE_TESTS_SHARD_TESTING_UTIL_H_
 #define CKSAFE_TESTS_SHARD_TESTING_UTIL_H_
@@ -14,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "cksafe/core/disclosure.h"
 #include "cksafe/serve/query_router.h"
 #include "cksafe/serve/release_snapshot.h"
 #include "cksafe/util/random.h"
@@ -53,40 +49,6 @@ inline std::shared_ptr<const ReleaseSnapshot> RandomSnapshot(
       RandomHistograms(rng, num_buckets, domain_size, /*max_bucket=*/4),
       domain_size);
   return MakeReleaseSnapshot(sequence, std::move(buckets.bucketization));
-}
-
-/// True iff `answer` equals — exact double equality — what a fresh
-/// synchronous DisclosureAnalyzer over `snapshot` returns for `query`.
-inline bool AnswerMatchesFresh(const Query& query, const QueryAnswer& answer,
-                               const ReleaseSnapshot& snapshot) {
-  DisclosureAnalyzer analyzer(snapshot.bucketization);
-  switch (query.kind) {
-    case QueryKind::kIsCkSafe: {
-      const WorstCaseDisclosure worst =
-          analyzer.MaxDisclosureImplications(query.k);
-      return answer.safe == IsSafeLogRatio(worst.log_r_min, query.c) &&
-             answer.disclosure == worst.disclosure &&
-             answer.log_r == worst.log_r_min;
-    }
-    case QueryKind::kDisclosure: {
-      const WorstCaseDisclosure worst =
-          analyzer.MaxDisclosureImplications(query.k);
-      return answer.disclosure == worst.disclosure &&
-             answer.log_r == worst.log_r_min;
-    }
-    case QueryKind::kProfileAtK: {
-      const DisclosureProfile profile = analyzer.Profile(query.k);
-      return answer.disclosure == profile.implication[query.k] &&
-             answer.negation == profile.negation[query.k];
-    }
-    case QueryKind::kPerBucket: {
-      const std::vector<double> per_bucket =
-          analyzer.PerBucketDisclosure(query.k);
-      return query.bucket < per_bucket.size() &&
-             answer.disclosure == per_bucket[query.bucket];
-    }
-  }
-  return false;
 }
 
 /// A mixed-kind query against `tenant`, always in range for snapshots

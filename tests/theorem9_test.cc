@@ -117,6 +117,22 @@ TEST(Theorem9EdgeTest, BudgetGuardTripsBeforeBuildingSubsets) {
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
 
+TEST(Theorem9EdgeTest, MemoryGuardTripsUnderTheFormulaCap) {
+  // The same 10 persons at (k, antecedents, consequents) = (1, 2, 2):
+  // 1,830^2 ~ 3.3e6 candidates, under the default formula cap, but each
+  // holds a 1,800-world bitset (~777 MB in all). The search must refuse
+  // from their size, not run out of memory building them.
+  auto fixture = MakeBuckets({{2, 2, 1, 0, 0, 0}, {2, 0, 0, 1, 1, 1}}, 6);
+  auto engine = ExactEngine::Create(fixture.bucketization);
+  ASSERT_TRUE(engine.ok());
+  ASSERT_EQ(engine->num_worlds(), 1800u);
+  auto result = engine->MaxDisclosureBasicImplications(1, 2, 2);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(result.status().message().find("bytes"), std::string::npos)
+      << result.status();
+}
+
 TEST(Theorem9EdgeTest, MultiAtomWitnessHoldsSemantically) {
   // The returned witness is a well-formed formula that reproduces its
   // disclosure when re-scored.
